@@ -5,7 +5,7 @@ from .geom import Circle, Point2, circumcenter, distance, real_quartic_roots
 from .graph import (BlockCutForest, Graph, b_count, block_cut_forest,
                     geometric_graph, is_biconnected, is_connected, make_graph,
                     max_edge_length)
-from .rng import ThresholdSchedule, build_2rng, length_schedule, threshold_subgraph
+from .rng import build_2rng, length_schedule, threshold_subgraph
 from .scsd import (ColorSystem, ScsdResult, color_system, coupled_two_disk,
                    nearest_per_color, smallest_color_spanning_disk)
 from .closure1 import OneBlockClosure, optimal_1block_closure
@@ -19,7 +19,7 @@ __all__ = [
     "Circle", "Point2", "circumcenter", "distance", "real_quartic_roots",
     "BlockCutForest", "Graph", "b_count", "block_cut_forest", "geometric_graph",
     "is_biconnected", "is_connected", "make_graph", "max_edge_length",
-    "ThresholdSchedule", "build_2rng", "length_schedule", "threshold_subgraph",
+    "build_2rng", "length_schedule", "threshold_subgraph",
     "ColorSystem", "ScsdResult", "color_system", "coupled_two_disk",
     "nearest_per_color", "smallest_color_spanning_disk",
     "OneBlockClosure", "optimal_1block_closure",

@@ -47,7 +47,8 @@ def load_instance(path: str | Path) -> list[Point2]:
     pts = []
     for entry in raw:
         if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(c, (int, float)) for c in entry)):
+                or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                           for c in entry)):
             raise ValueError(f"bad point entry {entry!r}")
         pts.append(Point2(float(entry[0]), float(entry[1])))
     if len({p.as_tuple() for p in pts}) != len(pts):
@@ -154,17 +155,25 @@ def generate_instance(n: int, seed: int, distribution: str) -> list[Point2]:
     return pts
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def _load_and_solve(args: argparse.Namespace) -> tuple[list[Point2], SolutionNetwork] | None:
+    """Load, solve and validate ``args.input`` at ``args.k``; on failure
+    report the error and return None."""
     try:
         pts = load_instance(args.input)
-        if args.k not in (0, 1, 2):
-            raise ValueError("k must be 0, 1 or 2")
         net = solve(pts, args.k)
         net.validate()
     except (ValueError, OSError, json.JSONDecodeError) as exc:
-        log.error("solve failed: %s", exc)
+        log.error("%s failed: %s", args.command, exc)
         print(f"error: {exc}", file=sys.stderr)
+        return None
+    return pts, net
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    solved = _load_and_solve(args)
+    if solved is None:
         return EXIT_VALIDATION
+    _, net = solved
     if args.output:
         save_solution(args.output, net)
     if args.svg:
@@ -174,16 +183,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        pts = load_instance(args.input)
-        if args.k not in (0, 1, 2):
-            raise ValueError("k must be 0, 1 or 2")
-        net = solve(pts, args.k)
-        net.validate()
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        log.error("verify failed: %s", exc)
-        print(f"error: {exc}", file=sys.stderr)
+    solved = _load_and_solve(args)
+    if solved is None:
         return EXIT_VALIDATION
+    pts, net = solved
     tol = args.resolution
     if args.k == 0:
         oracle_val = oracle_mbsn0(pts)

@@ -30,6 +30,8 @@ from .scsd import ColorSystem, ScsdContext, coupled_two_disk
 
 SteinerEdge = tuple[str, object]  # ('s1', v) | ('s2', v) | ('s1', 's2')
 
+_PIN_LIMIT = 20000  # distinct pin choices allowed in _locate_pair (largest seen: 1105)
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -230,14 +232,14 @@ def _locate_pair(ctx: ScsdContext,
     """Two independent disks whose chosen neighbours must differ inside every
     multi-vertex isolated block.
 
-    Greedy sequential placement in both orders, then bounded recursion over
+    Greedy sequential placement in both orders, then a search over
     protection choices: a block may be pinned so that one Steiner point uses
-    a specific vertex while the other keeps the rest of the block.
+    a specific vertex while the other keeps the rest of the block.  More
+    than ``_PIN_LIMIT`` distinct choices raise instead of truncating.
     """
     zsets = [tuple(sorted(z)) for z in zsets]
     nz = len(zsets)
     best: list = [math.inf, None]
-    seen: set = set()
 
     def build_classes(side_first: int, pins) -> tuple[list | None, list | None]:
         first, second = [], []
@@ -287,47 +289,48 @@ def _locate_pair(ctx: ScsdContext,
                     branch_picks.append((zi, zpicks_s[zi]))
         return sorted(set(branch_picks))
 
-    def recurse(pins) -> None:
+    # depth-first over pin choices, children pushed in reverse so they are
+    # visited in the order they are generated
+    seen: set = set()
+    stack = [[None] * nz]
+    while stack:
+        pins = stack.pop()
         key = tuple(pins)
-        if key in seen or len(seen) > 20000:
-            return
+        if key in seen:
+            continue
+        if len(seen) > _PIN_LIMIT:
+            raise RuntimeError(f"pin search exceeded {_PIN_LIMIT} protection choices")
         seen.add(key)
+        children = []
         for zi, y in evaluate(pins):
             for side in (1, 2):
                 nxt = list(pins)
                 nxt[zi] = (side, y)
-                recurse(nxt)
-
-    recurse([None] * nz)
+                children.append(nxt)
+        stack.extend(reversed(children))
     if best[1] is None:
         raise ValueError("no feasible Steiner pair (a colour class was emptied)")
     c1, c2, picks1, picks2 = best[1]
     return best[0], c1, c2, picks1, picks2
 
 
-def _case13_common(ctx: ScsdContext, topo: CriticalTopology, tag: str) -> EmbeddedClosure:
-    base1 = [list(c) for c in topo.side1_classes] + [list(c) for c in topo.covered_by_s2]
-    base2 = [list(c) for c in topo.side2_classes] + [list(c) for c in topo.covered_by_s1]
-    r, c1, c2, picks1, picks2 = _locate_pair(ctx, base1, base2, topo.isolated_vertices, topo.isolated_multis)
-    edges: set[SteinerEdge] = set()
-    for v in picks1:
-        edges.add(("s1", v))
-    for v in picks2:
-        edges.add(("s2", v))
-    return EmbeddedClosure(r, c1, c2, tuple(sorted(edges, key=_edge_key)),
-                           tag, topo.partition)
-
-
 def locate_case1(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
                  ctx: ScsdContext | None = None) -> EmbeddedClosure:
-    assert topo.case_tag == "case1"
-    return _case13_common(ctx or ScsdContext(points), topo, "case1")
+    """Cases 1 and 3: two independent disks, each also reaching the
+    components covered only by the other Steiner point."""
+    assert topo.case_tag in ("case1", "case3")
+    base1 = [list(c) for c in topo.side1_classes] + [list(c) for c in topo.covered_by_s2]
+    base2 = [list(c) for c in topo.side2_classes] + [list(c) for c in topo.covered_by_s1]
+    r, c1, c2, picks1, picks2 = _locate_pair(ctx or ScsdContext(points), base1, base2,
+                                             topo.isolated_vertices, topo.isolated_multis)
+    edges = {("s1", v) for v in picks1} | {("s2", v) for v in picks2}
+    return EmbeddedClosure(r, c1, c2, tuple(sorted(edges, key=_edge_key)),
+                           topo.case_tag, topo.partition)
 
 
-def locate_case3(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
-                 ctx: ScsdContext | None = None) -> EmbeddedClosure:
-    assert topo.case_tag == "case3"
-    return _case13_common(ctx or ScsdContext(points), topo, "case3")
+# one body serves both tags; optimal_2block_closure still dispatches case 3
+# through its own name
+locate_case3 = locate_case1
 
 
 def _distinct_disk(ctx: ScsdContext, classes: list[list[int]], ia: int, ib: int):

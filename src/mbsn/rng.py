@@ -8,7 +8,6 @@ up to the instance tolerance, do not count as interior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -50,32 +49,11 @@ def threshold_subgraph(g: Graph, t: float) -> Graph:
     return Graph(g.vertex_count, tuple(e for e, _ in kept), tuple(ln for _, ln in kept))
 
 
-@dataclass(frozen=True)
-class ThresholdSchedule:
-    """Strictly ascending candidate bottleneck values with their source edges."""
-
-    lengths: tuple[float, ...]
-    source_edges: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __post_init__(self) -> None:
-        if any(a >= b for a, b in zip(self.lengths, self.lengths[1:])):
-            raise ValueError("schedule not strictly ascending")
-
-
-def length_schedule(g: Graph, include_zero: bool = False) -> ThresholdSchedule:
+def length_schedule(g: Graph, include_zero: bool = False) -> tuple[float, ...]:
     """Distinct ascending edge lengths of g; 0 is prepended on request."""
     if g.lengths is None:
         raise ValueError("graph has no edge lengths")
-    by_len: dict[float, list[tuple[int, int]]] = {}
-    for e, ln in zip(g.edges, g.lengths):
-        by_len.setdefault(ln, []).append(e)
-    lengths = sorted(by_len)
+    lengths = sorted(set(g.lengths))
     if include_zero and (not lengths or lengths[0] > 0.0):
-        return ThresholdSchedule(
-            (0.0, *lengths),
-            ((), *(tuple(sorted(by_len[ln])) for ln in lengths)),
-        )
-    return ThresholdSchedule(
-        tuple(lengths),
-        tuple(tuple(sorted(by_len[ln])) for ln in lengths),
-    )
+        lengths.insert(0, 0.0)
+    return tuple(lengths)

@@ -1,13 +1,15 @@
-"""Top-level solvers: minimum bottleneck 2-connected networks with
+"""Top-level solver: minimum bottleneck 2-connected networks with
 k = 0, 1 or 2 Steiner points.
 
-All three run a binary search with incumbent tracking over the ordered
-edge lengths of the 2-relative neighbourhood graph.  A threshold is
-infeasible when the leaf/isolated-block counter exceeds 5k (plus, for
-k = 1, when the threshold graph is disconnected); otherwise the optimal
-k-block closure of the threshold graph prices it at max(closure radius,
-threshold).  The k = 2 schedule is prepended with 0 because an optimal
-network minus its Steiner points may be edgeless.
+Every k runs one pipeline: a binary search with incumbent tracking over the
+ordered edge lengths of the 2-relative neighbourhood graph, pricing each
+threshold graph G_t, then one assembly of G_t* plus the k Steiner points
+and their edges.  For k = 0 a threshold is feasible exactly when G_t is
+2-connected.  For k >= 1 it is infeasible when the leaf/isolated-block
+counter exceeds 5k (plus, for k = 1, when G_t is disconnected); otherwise
+the optimal k-block closure of G_t prices it at max(closure radius, t).
+The k = 2 schedule is prepended with 0 because an optimal network minus
+its Steiner points may be edgeless.
 """
 
 from __future__ import annotations
@@ -16,12 +18,20 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .closure1 import OneBlockClosure, optimal_1block_closure
-from .closure2 import EmbeddedClosure, optimal_2block_closure, separate_coincident
+from .closure1 import optimal_1block_closure
+from .closure2 import optimal_2block_closure, separate_coincident
 from .geom import Point2, distance, geometry_eps
 from .graph import Graph, b_count, is_biconnected, is_connected, make_graph
 from .rng import build_2rng, length_schedule, threshold_subgraph
 from .scsd import ScsdContext
+
+# (feasible, closure radius, (G_t, Steiner points, Steiner edges)); Steiner
+# point i has index n + i in the edges
+Evaluation = tuple[bool, float, object]
+
+
+def _max_edge(points: Sequence[Point2], edges: Sequence[tuple[int, int]]) -> float:
+    return max(distance(points[u], points[v]) for u, v in edges)
 
 
 @dataclass(frozen=True)
@@ -42,8 +52,7 @@ class SolutionNetwork:
         return self.terminals + self.steiner
 
     def recomputed_bottleneck(self) -> float:
-        pts = self.all_points()
-        return max(distance(pts[u], pts[v]) for u, v in self.edges)
+        return _max_edge(self.all_points(), self.edges)
 
     def as_graph(self) -> Graph:
         pts = self.all_points()
@@ -72,17 +81,8 @@ class ThresholdEval:
     objective: float | None
 
 
-def _check_input(points: Sequence[Point2]) -> tuple[Point2, ...]:
-    pts = tuple(points)
-    if len(pts) < 2:
-        raise ValueError("need at least 2 points")
-    if len({p.as_tuple() for p in pts}) != len(pts):
-        raise ValueError("duplicate points")
-    return pts
-
-
 def _binary_search(lengths: Sequence[float],
-                   evaluate: Callable[[float], tuple[bool, float, object]]):
+                   evaluate: Callable[[float], Evaluation]):
     """Classical lo/hi index search recording the best feasible objective.
 
     Infeasibility is monotone below (the block counter only grows on edge
@@ -108,115 +108,93 @@ def _binary_search(lengths: Sequence[float],
     return best
 
 
-def mbsn0(points: Sequence[Point2]) -> SolutionNetwork:
-    """Minimum bottleneck 2-connected spanning network (no Steiner points):
-    the least threshold at which the 2-RNG threshold subgraph is 2-connected."""
-    pts = _check_input(points)
-    r = build_2rng(pts)
-    sched = length_schedule(r)
-    lo, hi = 0, len(sched.lengths) - 1
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        g = threshold_subgraph(r, sched.lengths[mid])
-        if is_biconnected(g):
-            best = (sched.lengths[mid], g)
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    assert best is not None, "full 2-RNG must be 2-connected"
-    t, g = best
-    return SolutionNetwork(pts, (), g.edges, 0, t, t)
+def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float], Evaluation]:
+    """Prices one threshold of the 2-RNG ``r``; for k >= 1 every probe shares
+    one global colour-disk context."""
+    if k == 0:
+        def evaluate(t: float) -> Evaluation:
+            g = threshold_subgraph(r, t)
+            return is_biconnected(g), 0.0, (g, (), ())
 
+        return evaluate
 
-def _eval_k1(r: Graph, pts: tuple[Point2, ...], ctx: ScsdContext):
-    def evaluate(t: float):
-        g = threshold_subgraph(r, t)
-        if not is_connected(g) or b_count(g) > 5:
-            return False, math.inf, None
-        clo = optimal_1block_closure(g, pts, ctx)
-        return True, clo.radius, clo
-
-    return evaluate
-
-
-def mbsn1(points: Sequence[Point2]) -> SolutionNetwork:
-    pts = _check_input(points)
-    r = build_2rng(pts)
+    n = len(pts)
     ctx = ScsdContext(pts)
-    sched = length_schedule(r)
-    obj, t_star, clo = _binary_search(sched.lengths, _eval_k1(r, pts, ctx))
-    assert isinstance(clo, OneBlockClosure)
-    s_star = separate_coincident(pts, [clo.steiner],
-                                 [[pts[v] for v in clo.steiner_edges]], [])[0]
-    final = mbsn0(list(pts) + [s_star])
-    return SolutionNetwork(pts, (s_star,), final.edges, 1, t_star,
-                           final.bottleneck)
+    if k == 1:
+        def evaluate(t: float) -> Evaluation:
+            g = threshold_subgraph(r, t)
+            if not is_connected(g) or b_count(g) > 5:
+                return False, math.inf, None
+            clo = optimal_1block_closure(g, pts, ctx)
+            # the disk centre may sit on a terminal; nudge it off
+            s = separate_coincident(pts, [clo.steiner],
+                                    [[pts[v] for v in clo.steiner_edges]], [])[0]
+            return True, clo.radius, (g, (s,), tuple((v, n) for v in clo.steiner_edges))
 
+        return evaluate
 
-def _eval_k2(r: Graph, pts: tuple[Point2, ...], ctx: ScsdContext):
-    def evaluate(t: float):
+    index = {"s1": n, "s2": n + 1}
+
+    def evaluate(t: float) -> Evaluation:
         g = threshold_subgraph(r, t)
         if b_count(g) > 10:
             return False, math.inf, None
         emb = optimal_2block_closure(g, pts, ctx)
-        return True, emb.radius, (g, emb)
+        edges = tuple((index[a], index[b] if isinstance(b, str) else b)
+                      for a, b in emb.steiner_edges)
+        return True, emb.radius, (g, (emb.s1, emb.s2), edges)
 
     return evaluate
 
 
-def _assemble_k2(pts: tuple[Point2, ...], g: Graph, emb: EmbeddedClosure,
-                 t_star: float) -> SolutionNetwork:
-    n = len(pts)
-    idx = {"s1": n, "s2": n + 1}
-    edges = list(g.edges)
-    for a, b in emb.steiner_edges:
-        u = idx[a]
-        v = idx[b] if isinstance(b, str) else b
-        edges.append((u, v) if u < v else (v, u))
-    net = SolutionNetwork(pts, (emb.s1, emb.s2), tuple(sorted(set(edges))),
-                          2, t_star, 0.0)
-    return SolutionNetwork(pts, net.steiner, net.edges, 2, t_star,
-                           net.recomputed_bottleneck())
+def _pipeline(points: Sequence[Point2], k: int) -> tuple[
+        tuple[Point2, ...], tuple[float, ...], Callable[[float], Evaluation]]:
+    """The terminals, the threshold schedule and the per-threshold evaluator."""
+    if k not in (0, 1, 2):
+        raise ValueError("k must be 0, 1 or 2")
+    pts = tuple(points)
+    r = build_2rng(pts)  # raises on fewer than 2 or duplicate points
+    return pts, length_schedule(r, include_zero=k == 2), _evaluator(r, pts, k)
+
+
+def _assemble(pts: tuple[Point2, ...], t: float, payload) -> SolutionNetwork:
+    """G_t plus the Steiner points and their edges."""
+    g, steiner, steiner_edges = payload
+    edges = tuple(sorted((min(e), max(e)) for e in (*g.edges, *steiner_edges)))
+    return SolutionNetwork(pts, steiner, edges, len(steiner), t,
+                           _max_edge(pts + steiner, edges))
+
+
+def solve(points: Sequence[Point2], k: int) -> SolutionNetwork:
+    """Minimum bottleneck 2-connected network on the points plus k Steiner
+    points; raises ValueError for k outside 0..2, fewer than 2 points or
+    duplicate points."""
+    pts, lengths, evaluate = _pipeline(points, k)
+    _, t_star, payload = _binary_search(lengths, evaluate)
+    return _assemble(pts, t_star, payload)
+
+
+def mbsn0(points: Sequence[Point2]) -> SolutionNetwork:
+    """Minimum bottleneck 2-connected spanning network (no Steiner points):
+    the least threshold at which the 2-RNG threshold subgraph is 2-connected."""
+    return solve(points, 0)
+
+
+def mbsn1(points: Sequence[Point2]) -> SolutionNetwork:
+    return solve(points, 1)
 
 
 def mbsn2(points: Sequence[Point2]) -> SolutionNetwork:
-    pts = _check_input(points)
-    r = build_2rng(pts)
-    ctx = ScsdContext(pts)
-    sched = length_schedule(r, include_zero=True)
-    obj, t_star, payload = _binary_search(sched.lengths, _eval_k2(r, pts, ctx))
-    g, emb = payload
-    return _assemble_k2(pts, g, emb, t_star)
+    return solve(points, 2)
 
 
 def threshold_scan(points: Sequence[Point2], k: int) -> list[ThresholdEval]:
     """Exhaustive per-threshold evaluation over the whole schedule; used to
     verify that the binary search returns the same objective."""
-    pts = _check_input(points)
-    r = build_2rng(pts)
-    ctx = ScsdContext(pts)
-    if k == 1:
-        sched = length_schedule(r)
-        evaluate = _eval_k1(r, pts, ctx)
-    elif k == 2:
-        sched = length_schedule(r, include_zero=True)
-        evaluate = _eval_k2(r, pts, ctx)
-    else:
-        raise ValueError("threshold_scan supports k in {1, 2}")
+    _, lengths, evaluate = _pipeline(points, k)
     out = []
-    for t in sched.lengths:
+    for t in lengths:
         feasible, radius, _ = evaluate(t)
         out.append(ThresholdEval(t, feasible, radius if feasible else None,
                                  max(radius, t) if feasible else None))
     return out
-
-
-def solve(points: Sequence[Point2], k: int) -> SolutionNetwork:
-    if k == 0:
-        return mbsn0(points)
-    if k == 1:
-        return mbsn1(points)
-    if k == 2:
-        return mbsn2(points)
-    raise ValueError("k must be 0, 1 or 2")

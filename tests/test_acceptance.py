@@ -150,7 +150,7 @@ def test_criterion_6_structural_monotonicity():
     while done < 100:
         pts = random_points(rng, rng.randint(3, 12))
         r = build_2rng(pts)
-        ts = length_schedule(r).lengths
+        ts = length_schedule(r)
         if len(ts) < 2:
             continue
         i = rng.randrange(len(ts) - 1)
@@ -164,7 +164,7 @@ def test_criterion_6_structural_monotonicity():
     while done < 100:
         pts = random_points(rng, rng.randint(2, 10))
         r = build_2rng(pts)
-        ts = (0.0,) + length_schedule(r).lengths
+        ts = (0.0,) + length_schedule(r)
         i = rng.randrange(len(ts) - 1)
         j = rng.randrange(i + 1, len(ts))
         g1, g2 = threshold_subgraph(r, ts[i]), threshold_subgraph(r, ts[j])

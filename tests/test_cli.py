@@ -84,8 +84,14 @@ def test_solve_rejects_bad_input(tmp_path):
     bad2 = tmp_path / "bad2.json"
     bad2.write_text('{"points": [[0, 0]]}')
     assert main(["solve", "--input", str(bad2), "--k", "0"]) == 2
+    bools = tmp_path / "bools.json"
+    bools.write_text('{"points": [[true, false], [0, 1]]}')
+    assert main(["solve", "--input", str(bools), "--k", "0"]) == 2
+    with pytest.raises(ValueError):
+        load_instance(bools)
     inst = _write_instance(tmp_path / "ok.json", [Point2(0, 0), Point2(1, 0)])
     assert main(["solve", "--input", inst, "--k", "5"]) == 2
+    assert main(["verify", "--input", inst, "--k", "5"]) == 2
 
 
 def test_verify_pass(tmp_path):

@@ -68,7 +68,7 @@ def test_radius_monotone_across_thresholds():
     while done < 100:
         pts = random_points(rng, rng.randint(3, 14))
         r = build_2rng(pts)
-        ts = length_schedule(r).lengths
+        ts = length_schedule(r)
         pairs = [(a, b) for i, a in enumerate(ts) for b in ts[i + 1:]]
         if not pairs:
             continue
@@ -92,7 +92,7 @@ def test_optimality_against_grid():
     while done < 40:
         pts = random_points(rng, rng.randint(3, 10))
         r = build_2rng(pts)
-        ts = length_schedule(r).lengths
+        ts = length_schedule(r)
         g = threshold_subgraph(r, ts[rng.randrange(len(ts))])
         if not is_connected(g) or is_biconnected(g):
             continue

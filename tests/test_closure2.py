@@ -1,8 +1,11 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
+from mbsn import closure2
 from mbsn.closure2 import (classify, enumerate_partitions, locate_case1,
                            locate_case2, locate_case3, optimal_2block_closure)
 from mbsn.geom import Point2, distance
@@ -183,7 +186,7 @@ def test_case2_monotone_split_radii():
         n = rng.randint(4, 9)
         pts = random_points(rng, n)
         r = build_2rng(pts)
-        ts = length_schedule(r).lengths
+        ts = length_schedule(r)
         g = threshold_subgraph(r, ts[rng.randrange(len(ts))])
         if not is_connected(g) or is_biconnected(g):
             continue
@@ -222,7 +225,7 @@ def test_embedded_closures_biconnected_random():
     while done < 120:
         pts = random_points(rng, rng.randint(2, 12))
         r = build_2rng(pts)
-        ts = (0.0,) + length_schedule(r).lengths
+        ts = (0.0,) + length_schedule(r)
         g = threshold_subgraph(r, ts[rng.randrange(len(ts))])
         from mbsn.graph import b_count
         if b_count(g) > 10:
@@ -248,7 +251,7 @@ def test_radius_monotone_across_thresholds():
     while done < 100:
         pts = random_points(rng, rng.randint(2, 10))
         r = build_2rng(pts)
-        ts = (0.0,) + length_schedule(r).lengths
+        ts = (0.0,) + length_schedule(r)
         i = rng.randrange(len(ts) - 1)
         j = rng.randrange(i + 1, len(ts))
         g1, g2 = threshold_subgraph(r, ts[i]), threshold_subgraph(r, ts[j])
@@ -267,7 +270,7 @@ def test_closure_beats_every_enumerated_candidate():
     while done < 30:
         pts = random_points(rng, rng.randint(3, 9))
         r = build_2rng(pts)
-        ts = length_schedule(r).lengths
+        ts = length_schedule(r)
         g = threshold_subgraph(r, ts[rng.randrange(len(ts))])
         from mbsn.graph import b_count
         if b_count(g) > 10 or is_biconnected(g):
@@ -281,6 +284,28 @@ def test_closure_beats_every_enumerated_candidate():
                    "case3": locate_case3}[topo.case_tag](g, pts, topo, ctx)
             assert best.radius <= emb.radius + 1e-9
         done += 1
+
+
+def test_closure_releases_its_context_without_the_cycle_collector():
+    # the pin search must not leave a reference cycle that keeps the shared
+    # context (and its distance matrix) alive until the next collection
+    g = geometric_graph(DUMBBELL, [(0, 1), (2, 3)])
+    ctx = ScsdContext(DUMBBELL)
+    ref = weakref.ref(ctx)
+    gc.disable()
+    try:
+        optimal_2block_closure(g, DUMBBELL, ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_pin_search_raises_past_its_limit(monkeypatch):
+    g = geometric_graph(DUMBBELL, [(0, 1), (2, 3)])
+    monkeypatch.setattr(closure2, "_PIN_LIMIT", 1)
+    with pytest.raises(RuntimeError):
+        optimal_2block_closure(g, DUMBBELL)
 
 
 def test_crossing_edges_structural_form():

@@ -79,15 +79,21 @@ def test_threshold_monotone():
 
 def test_length_schedule():
     pts = [Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(0, 1)]
-    sched = length_schedule(build_2rng(pts))
-    assert sched.lengths == (1.0,)
-    assert len(sched.source_edges[0]) == 4
+    assert length_schedule(build_2rng(pts)) == (1.0,)  # four equal sides, one value
 
     two = build_2rng([Point2(0, 0), Point2(10, 0)])
-    sched = length_schedule(two, include_zero=True)
-    assert sched.lengths == (0.0, 10.0)
-    assert sched.source_edges == ((), ((0, 1),))
+    assert length_schedule(two) == (10.0,)
+    assert length_schedule(two, include_zero=True) == (0.0, 10.0)
 
     side = 2.0
     eq = build_2rng([Point2(0, 0), Point2(side, 0), Point2(side / 2, side * math.sqrt(3) / 2)])
-    assert length_schedule(eq).lengths == pytest.approx((2.0,))
+    assert length_schedule(eq) == pytest.approx((2.0,))
+
+    rng = random.Random(81)
+    for _ in range(20):
+        g = build_2rng(random_points(rng, rng.randint(2, 15)))
+        sched = length_schedule(g)
+        assert isinstance(sched, tuple)
+        assert all(a < b for a, b in zip(sched, sched[1:]))
+        assert set(sched) == set(g.lengths)
+        assert length_schedule(g, include_zero=True) == (0.0, *sched)

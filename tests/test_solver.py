@@ -4,6 +4,7 @@ import random
 import pytest
 
 from mbsn.geom import Point2, distance
+from mbsn.rng import build_2rng, threshold_subgraph
 from mbsn.solver import mbsn0, mbsn1, mbsn2, solve, threshold_scan
 
 from conftest import random_points
@@ -110,13 +111,17 @@ def test_sandwich_and_invariants_random():
             assert net.bottleneck == pytest.approx(net.recomputed_bottleneck(), abs=1e-12)
         assert n2.bottleneck <= n1.bottleneck + 1e-9
         assert n1.bottleneck <= n0.bottleneck + 1e-9
+        # the k = 1 network is its threshold graph plus the Steiner star
+        g_t = set(threshold_subgraph(build_2rng(pts), n1.threshold).edges)
+        assert g_t <= set(n1.edges)
+        assert all(len(pts) in e for e in set(n1.edges) - g_t)
 
 
 def test_binary_search_equals_exhaustive_scan():
     rng = random.Random(64)
     for _ in range(20):
         pts = random_points(rng, rng.randint(2, 8))
-        for k, net in ((1, mbsn1(pts)), (2, mbsn2(pts))):
+        for k, net in ((0, mbsn0(pts)), (1, mbsn1(pts)), (2, mbsn2(pts))):
             objs = [e.objective for e in threshold_scan(pts, k) if e.feasible]
             assert min(objs) == pytest.approx(net.bottleneck, abs=1e-7)
 
