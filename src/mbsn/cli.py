@@ -217,24 +217,32 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _bench_row(n: int, args: argparse.Namespace) -> tuple[int, float, float]:
+    """Median solve time in ms and the bottleneck of one generated instance."""
+    pts = generate_instance(n, args.seed + n, "uniform")
+    times = []
+    for _ in range(args.repeats):
+        t0 = time.perf_counter()
+        net = solve(pts, args.k)
+        times.append((time.perf_counter() - t0) * 1000.0)
+    ms = statistics.median(times)
+    log.info("bench k=%d n=%d median=%.2f ms bottleneck=%r", args.k, n, ms, net.bottleneck)
+    return n, ms, net.bottleneck
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if sizes != sorted(sizes):
-        print("error: sizes must ascend", file=sys.stderr)
+    # sizes ascend, so a size below 2 fails in generate_instance and a bad
+    # k in solve before any instance is timed
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+        if sizes != sorted(sizes):
+            raise ValueError("sizes must ascend")
+        if args.repeats < 1:
+            raise ValueError("repeats must be at least 1")
+        rows = [_bench_row(n, args) for n in sizes]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    rows = []
-    for n in sizes:
-        pts = generate_instance(n, args.seed + n, "uniform")
-        times = []
-        bottleneck = None
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            net = solve(pts, args.k)
-            times.append((time.perf_counter() - t0) * 1000.0)
-            bottleneck = net.bottleneck
-        rows.append((n, statistics.median(times), bottleneck))
-        log.info("bench k=%d n=%d median=%.2f ms bottleneck=%r",
-                 args.k, n, rows[-1][1], bottleneck)
     if len(rows) >= 2:
         lx = [math.log(r[0]) for r in rows]
         ly = [math.log(max(r[1], 1e-9)) for r in rows]

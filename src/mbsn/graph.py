@@ -204,14 +204,16 @@ def block_cut_forest(g: Graph) -> BlockCutForest:
 
 
 def is_biconnected(g: Graph) -> bool:
-    """2-connectivity with the convention that K1 and K2 are 2-connected."""
+    """2-connectivity with the convention that K1 and K2 are 2-connected.
+
+    For n >= 3 one block decomposition decides: a disconnected graph has at
+    least two blocks, since every component, even an isolated vertex, holds
+    one."""
     n = g.vertex_count
     if n <= 1:
         return True
     if n == 2:
         return len(g.edges) == 1
-    if not is_connected(g):
-        return False
     return len(block_cut_forest(g).blocks) == 1
 
 

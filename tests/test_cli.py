@@ -123,6 +123,23 @@ def test_bench_rejects_unsorted_sizes(tmp_path):
                  "--csv", str(csv)]) == 2
 
 
+@pytest.mark.parametrize("sizes,k,repeats", [
+    ("8", "5", "1"),       # k outside 0..2
+    ("8", "-1", "1"),
+    ("8.5", "0", "1"),     # non-integer size
+    ("8,x", "0", "1"),
+    ("1,8", "0", "1"),     # size below 2
+    ("0", "0", "1"),
+    ("8", "0", "0"),       # no repeat to take a median of
+])
+def test_bench_rejects_bad_arguments(tmp_path, capsys, sizes, k, repeats):
+    csv = tmp_path / "bench.csv"
+    assert main(["bench", "--sizes", sizes, "--repeats", repeats, "--k", k,
+                 "--csv", str(csv)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not csv.exists()
+
+
 def test_generate_instance_validation():
     with pytest.raises(ValueError):
         generate_instance(1, 0, "uniform")

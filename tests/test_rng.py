@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from mbsn.geom import Point2, geometry_eps
+from mbsn.cli import generate_instance
+from mbsn.geom import Point2, bbox_diagonal, geometry_eps
 from mbsn.graph import is_biconnected
-from mbsn.rng import build_2rng, length_schedule, threshold_subgraph
+from mbsn.rng import _WITNESSES, build_2rng, length_schedule, threshold_subgraph
 
 from conftest import naive_lune_graph, random_points
 
@@ -97,3 +98,43 @@ def test_length_schedule():
         assert all(a < b for a, b in zip(sched, sched[1:]))
         assert set(sched) == set(g.lengths)
         assert length_schedule(g, include_zero=True) == (0.0, *sched)
+
+
+def _far_clusters(rng: random.Random, n: int) -> list[Point2]:
+    a = random_points(rng, n // 2, spread=0.01)
+    b = [Point2(p.x + 1000.0, p.y - 500.0) for p in random_points(rng, n - n // 2, spread=0.01)]
+    return a + b
+
+
+def _degenerate_instances() -> dict[str, list[Point2]]:
+    rng = random.Random(2026)
+    base = random_points(rng, 20)
+    diag = bbox_diagonal(base)
+    return {
+        "lattice-6x6": [Point2(i, j) for i in range(6) for j in range(6)],
+        "collinear-30": [Point2(0.5 * i, 0.25 * i) for i in range(30)],
+        "cocircular-16": [Point2(math.cos(2 * math.pi * i / 16), math.sin(2 * math.pi * i / 16))
+                          for i in range(16)],
+        "near-duplicate": base + [Point2(base[0].x + 1e-10 * diag, base[0].y)],
+        "far-clusters": _far_clusters(rng, 24),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_degenerate_instances()))
+def test_witness_filter_matches_naive_on_degenerate_inputs(name):
+    pts = _degenerate_instances()[name]
+    assert len(pts) > _WITNESSES + 1  # the witness pass can drop pairs
+    g = build_2rng(pts)
+    assert set(g.edges) == naive_lune_graph(pts, geometry_eps(pts))
+    assert g.lengths == pytest.approx(
+        [math.dist(pts[i].as_tuple(), pts[j].as_tuple()) for i, j in g.edges], rel=1e-15, abs=0)
+
+
+def test_witness_filter_matches_naive_on_random_inputs():
+    rng = random.Random(31)
+    for trial in range(10):
+        n = rng.randint(12, 60)
+        dist = "uniform" if trial % 2 == 0 else "clusters"
+        pts = generate_instance(n, rng.randrange(10**6), dist)
+        g = build_2rng(pts)
+        assert set(g.edges) == naive_lune_graph(pts, geometry_eps(pts)), (trial, n, dist)
