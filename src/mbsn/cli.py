@@ -133,12 +133,11 @@ def generate_instance(n: int, seed: int, distribution: str) -> list[Point2]:
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = random.Random(seed)
-    pts: list[Point2] = []
+    pts: dict[tuple[float, float], Point2] = {}  # insertion-ordered; drops repeats
     if distribution == "uniform":
         while len(pts) < n:
             cand = Point2(rng.random(), rng.random())
-            if all(cand.as_tuple() != p.as_tuple() for p in pts):
-                pts.append(cand)
+            pts.setdefault(cand.as_tuple(), cand)
     elif distribution == "clusters":
         group = max(2, math.ceil(n / 4))
         ngroups = math.ceil(n / group)
@@ -148,11 +147,10 @@ def generate_instance(n: int, seed: int, distribution: str) -> list[Point2]:
         while len(pts) < n:
             cx, cy = centers[len(pts) // group % ngroups]
             cand = Point2(cx + rng.gauss(0.0, 0.035), cy + rng.gauss(0.0, 0.035))
-            if all(cand.as_tuple() != p.as_tuple() for p in pts):
-                pts.append(cand)
+            pts.setdefault(cand.as_tuple(), cand)
     else:
         raise ValueError(f"unknown distribution {distribution!r}")
-    return pts
+    return list(pts.values())
 
 
 def _load_and_solve(args: argparse.Namespace) -> tuple[list[Point2], SolutionNetwork] | None:

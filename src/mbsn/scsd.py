@@ -1,11 +1,11 @@
 """Smallest colour-spanning disks and the coupled two-disk solver.
 
 A colour-spanning disk must contain at least one point of every colour
-class.  The optimum is determined by one point (radius 0), two diametral
-points, or three boundary points, so exhaustive enumeration of points,
-pair midpoints and triple circumcentres is exact.  The coupled solver
-places two adjacent disk centres whose mutual distance also counts
-towards the objective.
+class.  The optimum of c classes is the minimum enclosing disk of one
+nearest point per class: at most min(c, 3) determinators, so points, pair
+midpoints and (for c >= 3) triple circumcentres are exact candidates.  The
+coupled solver places two adjacent disk centres whose mutual distance also
+counts towards the objective.
 """
 
 from __future__ import annotations
@@ -54,37 +54,52 @@ class ScsdContext:
 
     Candidates are every input point (sorted lexicographically so ties
     resolve to the lexicographically first point), every pair midpoint and
-    every non-collinear triple circumcentre.  Queries pass colour classes
-    as index lists into ``points``.
+    every non-collinear triple circumcentre, in that order.  The
+    circumcentre rows are appended once, on the first query with >= 3
+    classes or the first ``objective_values`` call: a query with <= 2
+    classes is optimal at a point or a midpoint.  Queries pass colour
+    classes as index lists into ``points``.
     """
 
     def __init__(self, points: Sequence[Point2]):
         self.points = tuple(points)
         self.eps = geometry_eps(points)
         n = len(points)
-        pts = np.array([[p.x, p.y] for p in points], dtype=float).reshape(n, 2)
-        cands = [pts[np.lexsort((pts[:, 1], pts[:, 0]))]]
+        self._pts = pts = np.array([[p.x, p.y] for p in points], dtype=float).reshape(n, 2)
+        self.cand, self.dist = np.empty((0, 2)), np.empty((0, n))
+        self._class_min: dict[tuple[int, ...], np.ndarray] = {}
+        self._has_triples = n < 3
+        rows = [pts[np.lexsort((pts[:, 1], pts[:, 0]))]]
         if n >= 2:
             ii, jj = np.triu_indices(n, 1)
-            cands.append((pts[ii] + pts[jj]) / 2.0)
-        if n >= 3:
-            trips = np.array(list(itertools.combinations(range(n), 3)), dtype=int)
-            a, b, c = pts[trips[:, 0]], pts[trips[:, 1]], pts[trips[:, 2]]
-            bb, cc = b - a, c - a
-            cross = bb[:, 0] * cc[:, 1] - bb[:, 1] * cc[:, 0]
-            scale = self.eps * max(1.0, float(np.abs(pts).max())) * 2.0
-            ok = np.abs(cross) > scale
-            if ok.any():
-                bb, cc, a2, cr = bb[ok], cc[ok], a[ok], cross[ok]
-                b2 = (bb * bb).sum(axis=1)
-                c2 = (cc * cc).sum(axis=1)
-                ux = (cc[:, 1] * b2 - bb[:, 1] * c2) / (2.0 * cr)
-                uy = (bb[:, 0] * c2 - cc[:, 0] * b2) / (2.0 * cr)
-                cands.append(a2 + np.stack([ux, uy], axis=1))
-        self.cand = np.vstack(cands)
-        d = self.cand[:, None, :] - pts[None, :, :]
-        self.dist = np.hypot(d[..., 0], d[..., 1])
-        self._class_min: dict[tuple[int, ...], np.ndarray] = {}
+            rows.append((pts[ii] + pts[jj]) / 2.0)
+        self._append(np.vstack(rows))
+
+    def _append(self, rows: np.ndarray) -> None:
+        pts = self._pts
+        dist = rows[:, None, 0] - pts[None, :, 0]
+        np.hypot(dist, rows[:, None, 1] - pts[None, :, 1], out=dist)
+        self.cand = np.vstack([self.cand, rows])
+        self.dist = np.vstack([self.dist, dist])
+        self._class_min.clear()  # cached minima cover the old rows only
+
+    def _add_triples(self) -> None:
+        if self._has_triples:
+            return
+        self._has_triples = True
+        pts = self._pts
+        trips = np.array(list(itertools.combinations(range(len(pts)), 3)), dtype=int)
+        a, b, c = pts[trips[:, 0]], pts[trips[:, 1]], pts[trips[:, 2]]
+        bb, cc = b - a, c - a
+        cross = bb[:, 0] * cc[:, 1] - bb[:, 1] * cc[:, 0]
+        scale = self.eps * max(1.0, float(np.abs(pts).max())) * 2.0
+        ok = np.abs(cross) > scale
+        bb, cc, a2, cr = bb[ok], cc[ok], a[ok], cross[ok]
+        b2 = (bb * bb).sum(axis=1)
+        c2 = (cc * cc).sum(axis=1)
+        ux = (cc[:, 1] * b2 - bb[:, 1] * c2) / (2.0 * cr)
+        uy = (bb[:, 0] * c2 - cc[:, 0] * b2) / (2.0 * cr)
+        self._append(a2 + np.stack([ux, uy], axis=1))
 
     def _class_min_vector(self, cls: Sequence[int]) -> np.ndarray:
         if len(cls) == 1:
@@ -99,6 +114,10 @@ class ScsdContext:
 
     def objective_values(self, classes: Sequence[Sequence[int]]) -> np.ndarray:
         """max-over-classes of min-distance, evaluated at every candidate."""
+        self._add_triples()
+        return self._objective(classes)
+
+    def _objective(self, classes: Sequence[Sequence[int]]) -> np.ndarray:
         if any(len(c) == 0 for c in classes):
             raise ValueError("empty colour class")
         f = None
@@ -110,7 +129,7 @@ class ScsdContext:
     def best_center(self, classes: Sequence[Sequence[int]]) -> tuple[float, Point2, tuple[int, ...]]:
         """Minimise max-over-classes of min-distance; returns radius, centre,
         and one nearest vertex index per class (ties lexicographic by point)."""
-        f = self.objective_values(classes)
+        f = self.objective_values(classes) if len(classes) >= 3 else self._objective(classes)
         i = int(np.argmin(f))
         center = Point2(float(self.cand[i, 0]), float(self.cand[i, 1]))
         picks = tuple(self.nearest_in_class(center, cls) for cls in classes)

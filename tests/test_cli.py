@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -145,3 +146,29 @@ def test_generate_instance_validation():
         generate_instance(1, 0, "uniform")
     with pytest.raises(ValueError):
         generate_instance(4, 0, "weird")
+
+
+def _generate_quadratic(n, seed, distribution):
+    """The generator's rule written out the slow way: each drawn point is
+    compared with every point kept so far."""
+    rng = random.Random(seed)
+    pts = []
+    while len(pts) < n:
+        if distribution == "uniform":
+            cand = Point2(rng.random(), rng.random())
+        else:
+            group = max(2, math.ceil(n / 4))
+            ngroups = math.ceil(n / group)
+            i = len(pts) // group % ngroups
+            cx = 0.5 + 0.38 * math.cos(2 * math.pi * i / ngroups)
+            cy = 0.5 + 0.38 * math.sin(2 * math.pi * i / ngroups)
+            cand = Point2(cx + rng.gauss(0.0, 0.035), cy + rng.gauss(0.0, 0.035))
+        if all(cand.as_tuple() != p.as_tuple() for p in pts):
+            pts.append(cand)
+    return pts
+
+
+@pytest.mark.parametrize("n,seed", [(2, 0), (7, 3), (64, 11), (300, 5)])
+@pytest.mark.parametrize("distribution", ["uniform", "clusters"])
+def test_generate_instance_matches_quadratic_rule(n, seed, distribution):
+    assert generate_instance(n, seed, distribution) == _generate_quadratic(n, seed, distribution)

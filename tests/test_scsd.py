@@ -1,11 +1,13 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
-from mbsn.geom import Point2, distance
-from mbsn.scsd import (ColorSystem, color_system, class_radius, coupled_two_disk,
-                       nearest_per_color, smallest_color_spanning_disk)
+from mbsn.geom import Point2, distance, geometry_eps
+from mbsn.scsd import (ColorSystem, ScsdContext, color_system, class_radius,
+                       coupled_two_disk, nearest_per_color, smallest_color_spanning_disk)
 
 from conftest import grid_min_spanning_radius
 
@@ -161,3 +163,103 @@ def test_coupled_against_grid_oracle():
             max(f1[i], f2[j], math.dist(pts[i], pts[j]))
             for i in range(len(pts)) for j in range(len(pts)))
         assert r <= best + 1e-9, trial
+
+
+def _eager_best_center(points, classes):
+    """Every candidate enumerated up front, in the context's row order:
+    points lexsorted, pair midpoints in triu order, non-collinear triple
+    circumcentres in combinations order; first minimum wins."""
+    pts = np.array([p.as_tuple() for p in points], dtype=float)
+    rows = [pts[np.lexsort((pts[:, 1], pts[:, 0]))]]
+    ii, jj = np.triu_indices(len(pts), 1)
+    rows.append((pts[ii] + pts[jj]) / 2.0)
+    scale = geometry_eps(points) * max(1.0, float(np.abs(pts).max())) * 2.0
+    for i, j, k in itertools.combinations(range(len(pts)), 3):
+        bb, cc = pts[j] - pts[i], pts[k] - pts[i]
+        cr = bb[0] * cc[1] - bb[1] * cc[0]
+        if abs(cr) > scale:
+            b2, c2 = bb[0] * bb[0] + bb[1] * bb[1], cc[0] * cc[0] + cc[1] * cc[1]
+            ux = (cc[1] * b2 - bb[1] * c2) / (2.0 * cr)
+            uy = (bb[0] * c2 - cc[0] * b2) / (2.0 * cr)
+            rows.append((pts[i] + np.array([ux, uy]))[None, :])
+    cand = np.vstack(rows)
+    dist = np.hypot(cand[:, None, 0] - pts[None, :, 0], cand[:, None, 1] - pts[None, :, 1])
+    f = np.max([dist[:, cls].min(axis=1) for cls in classes], axis=0)
+    i = int(np.argmin(f))
+    center = Point2(float(cand[i, 0]), float(cand[i, 1]))
+    picks = tuple(min(cls, key=lambda v: (math.hypot(points[v].x - center.x,
+                                                     points[v].y - center.y),
+                                          points[v].x, points[v].y))
+                  for cls in classes)
+    return float(f[i]), center, picks
+
+
+def _random_classes(rng, n, c):
+    """c nonempty classes over a random subset of range(n)."""
+    idx = rng.sample(range(n), rng.randint(c, n))
+    classes = [[v] for v in idx[:c]]
+    for v in idx[c:]:
+        classes[rng.randrange(c)].append(v)
+    return [sorted(cls) for cls in classes]
+
+
+def _degenerate_sets():
+    yield [Point2(float(x), float(y)) for x in range(5) for y in range(5)]
+    yield [Point2(0.5 + 0.1 * i, 0.25 + 0.2 * i) for i in range(12)]
+    yield [Point2(0.5 + 0.3 * math.cos(2 * math.pi * i / 12),
+                  0.5 + 0.3 * math.sin(2 * math.pi * i / 12)) for i in range(12)]
+
+
+def test_lazy_context_equals_eager_enumeration():
+    rng = random.Random(404)
+    sets = [[Point2(rng.random(), rng.random()) for _ in range(rng.randint(3, 16))]
+            for _ in range(8)] + list(_degenerate_sets())
+    for points in sets:
+        for _ in range(12):
+            classes = _random_classes(rng, len(points), rng.randint(1, min(5, len(points))))
+            got = ScsdContext(points).best_center(classes)
+            assert got == _eager_best_center(points, classes), (points, classes)
+
+
+def test_context_rows_grow_once_and_stay_consistent():
+    rng = random.Random(405)
+    points = [Point2(rng.random(), rng.random()) for _ in range(14)]
+    two = [[0, 1, 2, 3], [4, 5, 6]]
+    four = [[0, 1, 2, 3], [7, 8], [9, 10, 11], [12, 13]]  # shares a cached class
+    ctx = ScsdContext(points)
+    for classes in (two, four, two, [[4, 5, 6], [9, 10]]):
+        assert ctx.best_center(classes) == ScsdContext(points).best_center(classes)
+
+
+def test_context_row_counts():
+    rng = random.Random(406)
+    lattice = [Point2(float(x), float(y)) for x in range(4) for y in range(4)]
+    for points in ([Point2(rng.random(), rng.random()) for _ in range(11)], lattice):
+        n = len(points)
+        ctx = ScsdContext(points)
+        ctx.best_center([[0, 1], [2, 3, 4]])
+        ctx.best_center([list(range(n))])
+        assert len(ctx.cand) == ctx.dist.shape[0] == n + n * (n - 1) // 2
+        # one row per point, per pair and per non-collinear triple: the
+        # anchor set of coupled_two_disk
+        triples = sum(1 for a, b, c in itertools.combinations(points, 3)
+                      if (b.x - a.x) * (c.y - a.y) != (b.y - a.y) * (c.x - a.x))
+        for c in (ScsdContext(points), ctx):
+            assert len(c.objective_values([[0], [1, 2]])) == n + n * (n - 1) // 2 + triples
+
+
+def test_class_min_cache_cap_is_a_pure_memo():
+    rng = random.Random(407)
+    points = [Point2(rng.random(), rng.random()) for _ in range(18)]
+    ctx = ScsdContext(points)
+    ctx.best_center([[0], [1], [2]])  # all rows present from here on
+    keys = set()
+    while len(keys) < 4300:
+        keys.add(tuple(sorted(rng.sample(range(1, 18), rng.randint(2, 9)))))
+    keys = sorted(keys)
+    for key in keys:
+        ctx.best_center([list(key), [0]])
+    assert len(ctx._class_min) == 4096
+    for key in keys[::43] + keys[-20:]:  # cached and uncached keys
+        for classes in ([list(key), [0]], [list(key), [0, 17], [5]]):
+            assert ctx.best_center(classes) == ScsdContext(points).best_center(classes)
