@@ -123,7 +123,9 @@ def main(argv: list[str]) -> int:
         "layer": "scsd.context_global",
         "what": "ScsdContext starts with the point and pair-midpoint rows and appends the "
                 "triple-circumcentre rows once, on the first query with >= 3 classes or the "
-                "first objective_values call (was: all three families built up front)",
+                "first objective_values call; of their distances it keeps one minimum per "
+                "class such a call names, and <= 2-class queries never evaluate them (was: "
+                "all three families and every centre-to-point distance built up front)",
         "parent": "611fe00",
         "change": "the commit that adds this file",
         "machine": "shared 2-core x86-64 VM, Linux, Python 3.11.7, numpy 2.4.6; "

@@ -54,11 +54,11 @@ class ScsdContext:
 
     Candidates are every input point (sorted lexicographically so ties
     resolve to the lexicographically first point), every pair midpoint and
-    every non-collinear triple circumcentre, in that order.  The
-    circumcentre rows are appended once, on the first query with >= 3
-    classes or the first ``objective_values`` call: a query with <= 2
-    classes is optimal at a point or a midpoint.  Queries pass colour
-    classes as index lists into ``points``.
+    every non-collinear triple circumcentre, in that order; classes are index
+    lists into ``points``.  A query with <= 2 classes is optimal at a point or
+    a midpoint and evaluates only those rows, whose distances are ``dist``.
+    The circumcentre rows are appended on the first query with >= 3 classes or
+    ``objective_values`` call, keeping per queried class only its min distance.
     """
 
     def __init__(self, points: Sequence[Point2]):
@@ -66,48 +66,51 @@ class ScsdContext:
         self.eps = geometry_eps(points)
         n = len(points)
         self._pts = pts = np.array([[p.x, p.y] for p in points], dtype=float).reshape(n, 2)
-        self.cand, self.dist = np.empty((0, 2)), np.empty((0, n))
-        self._class_min: dict[tuple[int, ...], np.ndarray] = {}
-        self._has_triples = n < 3
         rows = [pts[np.lexsort((pts[:, 1], pts[:, 0]))]]
         if n >= 2:
             ii, jj = np.triu_indices(n, 1)
             rows.append((pts[ii] + pts[jj]) / 2.0)
-        self._append(np.vstack(rows))
-
-    def _append(self, rows: np.ndarray) -> None:
-        pts = self._pts
-        dist = rows[:, None, 0] - pts[None, :, 0]
-        np.hypot(dist, rows[:, None, 1] - pts[None, :, 1], out=dist)
-        self.cand = np.vstack([self.cand, rows])
-        self.dist = np.vstack([self.dist, dist])
-        self._class_min.clear()  # cached minima cover the old rows only
+        self.cand = np.vstack(rows)
+        self.dist = self.cand[:, None, 0] - pts[None, :, 0]
+        np.hypot(self.dist, self.cand[:, None, 1] - pts[None, :, 1], out=self.dist)
+        self._triples: np.ndarray | None = None  # circumcentre rows, once built
+        self._class_min: dict[tuple[tuple[int, ...], bool], np.ndarray] = {}
 
     def _add_triples(self) -> None:
-        if self._has_triples:
+        if self._triples is not None:
             return
-        self._has_triples = True
         pts = self._pts
-        trips = np.array(list(itertools.combinations(range(len(pts)), 3)), dtype=int)
-        a, b, c = pts[trips[:, 0]], pts[trips[:, 1]], pts[trips[:, 2]]
-        bb, cc = b - a, c - a
+        combos = itertools.combinations(range(len(pts)), 3)
+        trips = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp).reshape(-1, 3)
+        a = pts[trips[:, 0]]
+        bb, cc = pts[trips[:, 1]] - a, pts[trips[:, 2]] - a
         cross = bb[:, 0] * cc[:, 1] - bb[:, 1] * cc[:, 0]
-        scale = self.eps * max(1.0, float(np.abs(pts).max())) * 2.0
+        scale = self.eps * max(1.0, float(np.abs(pts).max(initial=0.0))) * 2.0
         ok = np.abs(cross) > scale
         bb, cc, a2, cr = bb[ok], cc[ok], a[ok], cross[ok]
         b2 = (bb * bb).sum(axis=1)
         c2 = (cc * cc).sum(axis=1)
         ux = (cc[:, 1] * b2 - bb[:, 1] * c2) / (2.0 * cr)
         uy = (bb[:, 0] * c2 - cc[:, 0] * b2) / (2.0 * cr)
-        self._append(a2 + np.stack([ux, uy], axis=1))
+        self.cand = np.vstack([self.cand, a2 + np.stack([ux, uy], axis=1)])
+        self._triples = self.cand[len(self.dist):]
 
-    def _class_min_vector(self, cls: Sequence[int]) -> np.ndarray:
-        if len(cls) == 1:
+    def _class_min_vector(self, cls: Sequence[int], every_row: bool) -> np.ndarray:
+        """Distance to the nearest point of ``cls`` from each point and
+        midpoint row, or with ``every_row`` from each row."""
+        if len(cls) == 1 and not every_row:
             return self.dist[:, cls[0]]
-        key = tuple(cls)
+        key = (tuple(cls), every_row)
         vec = self._class_min.get(key)
         if vec is None:
             vec = self.dist[:, list(cls)].min(axis=1)
+            if every_row:
+                t, tri = self._triples, np.full(len(self.cand) - len(vec), np.inf)
+                for v in cls:  # one point at a time: no (rows, |cls|) block
+                    d = np.subtract(t[:, 0], self._pts[v, 0])
+                    np.hypot(d, t[:, 1] - self._pts[v, 1], out=d)
+                    np.minimum(tri, d, out=tri)
+                vec = np.concatenate([vec, tri])
             if len(self._class_min) < 4096:
                 self._class_min[key] = vec
         return vec
@@ -115,21 +118,21 @@ class ScsdContext:
     def objective_values(self, classes: Sequence[Sequence[int]]) -> np.ndarray:
         """max-over-classes of min-distance, evaluated at every candidate."""
         self._add_triples()
-        return self._objective(classes)
+        return self._objective(classes, True)
 
-    def _objective(self, classes: Sequence[Sequence[int]]) -> np.ndarray:
+    def _objective(self, classes: Sequence[Sequence[int]], every_row: bool) -> np.ndarray:
         if any(len(c) == 0 for c in classes):
             raise ValueError("empty colour class")
         f = None
         for cls in classes:
-            m = self._class_min_vector(cls)
+            m = self._class_min_vector(cls, every_row)
             f = m if f is None else np.maximum(f, m)
         return f
 
     def best_center(self, classes: Sequence[Sequence[int]]) -> tuple[float, Point2, tuple[int, ...]]:
         """Minimise max-over-classes of min-distance; returns radius, centre,
         and one nearest vertex index per class (ties lexicographic by point)."""
-        f = self.objective_values(classes) if len(classes) >= 3 else self._objective(classes)
+        f = self.objective_values(classes) if len(classes) > 2 else self._objective(classes, False)
         i = int(np.argmin(f))
         center = Point2(float(self.cand[i, 0]), float(self.cand[i, 1]))
         picks = tuple(self.nearest_in_class(center, cls) for cls in classes)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,10 +166,10 @@ def test_coupled_against_grid_oracle():
         assert r <= best + 1e-9, trial
 
 
-def _eager_best_center(points, classes):
+def _eager_rows(points):
     """Every candidate enumerated up front, in the context's row order:
     points lexsorted, pair midpoints in triu order, non-collinear triple
-    circumcentres in combinations order; first minimum wins."""
+    circumcentres in combinations order."""
     pts = np.array([p.as_tuple() for p in points], dtype=float)
     rows = [pts[np.lexsort((pts[:, 1], pts[:, 0]))]]
     ii, jj = np.triu_indices(len(pts), 1)
@@ -182,9 +183,18 @@ def _eager_best_center(points, classes):
             ux = (cc[1] * b2 - bb[1] * c2) / (2.0 * cr)
             uy = (bb[0] * c2 - cc[0] * b2) / (2.0 * cr)
             rows.append((pts[i] + np.array([ux, uy]))[None, :])
-    cand = np.vstack(rows)
+    return pts, np.vstack(rows)
+
+
+def _eager_objective(points, classes):
+    pts, cand = _eager_rows(points)
     dist = np.hypot(cand[:, None, 0] - pts[None, :, 0], cand[:, None, 1] - pts[None, :, 1])
-    f = np.max([dist[:, cls].min(axis=1) for cls in classes], axis=0)
+    return cand, np.max([dist[:, cls].min(axis=1) for cls in classes], axis=0)
+
+
+def _eager_best_center(points, classes):
+    """The optimum over the eager rows; first minimum wins."""
+    cand, f = _eager_objective(points, classes)
     i = int(np.argmin(f))
     center = Point2(float(cand[i, 0]), float(cand[i, 1]))
     picks = tuple(min(cls, key=lambda v: (math.hypot(points[v].x - center.x,
@@ -263,3 +273,49 @@ def test_class_min_cache_cap_is_a_pure_memo():
     for key in keys[::43] + keys[-20:]:  # cached and uncached keys
         for classes in ([list(key), [0]], [list(key), [0, 17], [5]]):
             assert ctx.best_center(classes) == ScsdContext(points).best_center(classes)
+
+
+def test_objective_values_equal_eager_rows():
+    # every row, in order and bit for bit, including the circumcentre
+    # block built per class; small n, a lattice, collinear and cocircular
+    rng = random.Random(408)
+    sets = [[Point2(rng.random(), rng.random()) for _ in range(n)] for n in (3, 4, 5, 9, 17)]
+    for points in sets + list(_degenerate_sets()):
+        for _ in range(4):
+            classes = _random_classes(rng, len(points), rng.randint(1, min(4, len(points))))
+            ctx = ScsdContext(points)
+            ctx.best_center(classes)
+            cand, f = _eager_objective(points, classes)
+            assert np.array_equal(ctx.objective_values(classes), f)
+            assert np.array_equal(ctx.cand, cand)
+
+
+def test_small_queries_skip_the_circumcentre_rows():
+    rng = random.Random(409)
+    points = [Point2(rng.random(), rng.random()) for _ in range(20)]
+    ctx = ScsdContext(points)
+    wide = [[0, 1, 2], [3], [4, 5]]
+    ctx.best_center(wide)
+    for classes in ([list(range(6, 20)), [0, 1, 2]], [[7, 8]], [[3], [4, 5]]):
+        assert ctx.best_center(classes) == ScsdContext(points).best_center(classes)
+    # only the >= 3-class query evaluated circumcentre distances
+    assert {key for key, every_row in ctx._class_min if every_row} == {(0, 1, 2), (3,), (4, 5)}
+
+
+def test_wide_query_memory_stays_below_the_dense_block():
+    # a 4-class query with a 90-point class on 96 points: the dense
+    # circumcentre block would be C(96,3) x 96 doubles, 110 MB
+    rng = random.Random(410)
+    points = [Point2(rng.random(), rng.random()) for _ in range(96)]
+    ctx = ScsdContext(points)
+    classes = [list(range(90)), [90, 91], [92], [93, 94, 95]]
+    tracemalloc.start()
+    try:
+        got = ctx.best_center(classes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 55 * 2**20
+    r, center, picks = got
+    assert r == pytest.approx(max(min(distance(center, points[v]) for v in cls)
+                                  for cls in classes), abs=1e-12)
