@@ -1,9 +1,11 @@
-"""Write BENCH_scsd.json: the lazily grown ScsdContext against its parent.
+"""Write BENCH_<topic>.json: this checkout against a parent checkout.
 
-    mkdir ../parent && git archive 611fe00 | tar -x -C ../parent
-    python3 bench/bench_scsd.py ../parent
+    mkdir ../parent && git archive PARENT_COMMIT | tar -x -C ../parent
+    python3 bench/bench_scsd.py ../parent                   # BENCH_scsd.json
+    python3 bench/bench_scsd.py ../parent --topic k2pins    # BENCH_k2pins.json
 
-Run it from the root of this checkout.  It makes, one process at a time:
+Run it from the root of this checkout; ``--output`` names another file.
+Every topic makes, one process at a time:
 
 * alternating parent/change pairs of ``perfbench/run.py --trace 0`` on
   k0-large, k1-large and k2-mid (seeds 11-20, 36 s each; pair i runs the
@@ -11,16 +13,25 @@ Run it from the root of this checkout.  It makes, one process at a time:
   (q3 - q1) / median of every end-to-end metric, and the per-instance
   bottlenecks of both sides compared;
 * one ``--trace 1`` run per workload and side at seed 1, keeping the
-  ``scsd`` layer metrics;
-* k = 1 solves at n = 128 and 256 (uniform, the ``mbsn bench`` instance
-  seed n and seeds 1-3), each in a fresh interpreter capped at 3 GB of
-  address space, with time, peak RSS, bottleneck, the largest number of
-  classes of one disk query and the final candidate rows of the solver's
-  context.
+  topic's layer metrics.
+
+Then its own rows, each in a fresh interpreter capped at 3 GB of address
+space:
+
+* ``scsd``: k = 1 solves at n = 128 and 256 (uniform, the ``mbsn bench``
+  instance seed n and seeds 1-3), with time, peak RSS, bottleneck, the
+  largest number of classes of one disk query and the final candidate rows
+  of the solver's context;
+* ``k2pins``: k = 2 solves at uniform n = 64 (seeds 1-3) and clustered
+  n = 48 (seeds 1-2), and the 64 k2-mid instances of seeds 1-2 in one
+  process, twice a side in alternating order (the faster run counts), with
+  time, peak RSS, ``best_center`` calls and whether the bottleneck, Steiner
+  points and edges equal the parent's.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import statistics
 import subprocess
@@ -30,20 +41,20 @@ from pathlib import Path
 WORKLOADS = ("k0-large", "k1-large", "k2-mid")
 SEEDS = range(11, 21)
 METRICS = ("solve_s", "solve_ms_p50", "peak_rss_mb", "setup_s")
-TRACED = ("scsd.context_global.calls", "scsd.context_global.self_s",
-          "scsd.context_global.candidates", "scsd.context_global.dist_mb",
-          "scsd.context_local.self_s", "scsd.best_center.calls", "scsd.best_center.self_s",
-          "scsd.self_s", "trace.solve_s")
 AS_LIMIT = 3 << 30
 
-# one k = 1 solve; prints time, peak RSS, bottleneck, widest query and rows
-K1_SOLVE = """
+# the start of every row's interpreter: capped address space, mbsn from src/
+PRELUDE = """
 import json, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
 sys.path.insert(0, "src")
 from mbsn import scsd
 from mbsn.cli import generate_instance
 from mbsn.solver import solve
+""".format(limit=AS_LIMIT)
+
+# one k = 1 solve; prints time, peak RSS, bottleneck, widest query and rows
+K1_SOLVE = PRELUDE + """
 seen = {{"classes": 0, "rows": 0}}
 query = scsd.ScsdContext.best_center
 def best_center(ctx, classes):
@@ -106,20 +117,70 @@ def untraced(parent: Path, change: Path, workload: str) -> dict:
     return {"seeds": list(SEEDS), "runs": runs, "summary": summary}
 
 
-def k1_row(checkout: Path, n: int, seed: int) -> dict:
-    code = K1_SOLVE.format(limit=AS_LIMIT, n=n, seed=seed)
+# k = 2 solves of (n, seed, distribution) instances; prints one line per
+# instance and a total with the best_center calls and the peak RSS
+K2_SOLVE = PRELUDE + """
+calls = [0]
+query = scsd.ScsdContext.best_center
+def best_center(ctx, classes):
+    calls[0] += 1
+    return query(ctx, classes)
+scsd.ScsdContext.best_center = best_center
+total = 0.0
+for n, seed, dist in {shapes!r}:
+    pts = generate_instance(n, seed, dist)
+    t0 = time.perf_counter()
+    net = solve(pts, 2)
+    t = time.perf_counter() - t0
+    total += t
+    print(json.dumps({{"key": f"{{dist}}-n{{n}}-s{{seed}}", "time_s": round(t, 4),
+                      "answer": [net.bottleneck, [p.as_tuple() for p in net.steiner],
+                                 net.edges]}}))
+print(json.dumps({{"time_s": round(total, 4), "best_center_calls": calls[0],
+                  "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}}))
+"""
+
+
+def run_code(checkout: Path, code: str) -> list[dict]:
     out = subprocess.run([sys.executable, "-c", code], cwd=checkout,
                          capture_output=True, text=True, check=True).stdout
-    return json.loads(out.splitlines()[-1])
+    return [json.loads(line) for line in out.splitlines()]
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
-    parent, change = Path(argv[0]).resolve(), Path.cwd()
-    doc = {
-        "topic": "scsd",
+def k1_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+    rows = {}
+    for n in (128, 256):
+        for seed in (n, 1, 2, 3):
+            code = K1_SOLVE.format(n=n, seed=seed)
+            rows[f"uniform-n{n}-s{seed}"] = {side: run_code(path, code)[-1] for side, path
+                                             in (("parent", parent), ("change", change))}
+    solved = [v for v in rows.values() if all(isinstance(s["bottleneck"], float) for s in v.values())]
+    return rows, all(v["parent"]["bottleneck"] == v["change"]["bottleneck"] for v in solved)
+
+
+def k2_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+    groups = {"k2-mid seeds 1-2": [(28, s * 1000 + i, "clusters") for s in (1, 2) for i in range(32)]}
+    groups.update({f"uniform-n64-s{s}": [(64, s, "uniform")] for s in (1, 2, 3)})
+    groups.update({f"clusters-n48-s{s}": [(48, s, "clusters")] for s in (1, 2)})
+    rows = {}
+    sides = {"parent": parent, "change": change}
+    for name, shapes in groups.items():
+        code = K2_SOLVE.format(shapes=shapes)
+        # two runs a side, parent first then change first; the faster counts
+        runs = {side: [] for side in sides}
+        for order in (("parent", "change"), ("change", "parent")):
+            for side in order:
+                runs[side].append(run_code(sides[side], code))
+        res = {side: min(r, key=lambda lines: lines[-1]["time_s"]) for side, r in runs.items()}
+        answers = [a["answer"] == b["answer"] for a, b in zip(res["parent"][:-1], res["change"][:-1])]
+        rows[name] = {side: lines[-1] for side, lines in res.items()}
+        rows[name].update(instances=len(answers), answers_identical=sum(answers))
+        print(name, {side: lines[-1]["time_s"] for side, lines in res.items()}, flush=True)
+    return rows, all(v["answers_identical"] == v["instances"] for v in rows.values())
+
+
+TOPICS = {
+    "scsd": {
         "layer": "scsd.context_global",
         "what": "ScsdContext starts with the point and pair-midpoint rows and appends the "
                 "triple-circumcentre rows once, on the first query with >= 3 classes or the "
@@ -127,35 +188,68 @@ def main(argv: list[str]) -> int:
                 "class such a call names, and <= 2-class queries never evaluate them (was: "
                 "all three families and every centre-to-point distance built up front)",
         "parent": "611fe00",
+        "traced": ("scsd.context_global.calls", "scsd.context_global.self_s",
+                   "scsd.context_global.candidates", "scsd.context_global.dist_mb",
+                   "scsd.context_local.self_s", "scsd.best_center.calls",
+                   "scsd.best_center.self_s", "scsd.self_s", "trace.solve_s"),
+        "rows": ("k1_large_n", k1_rows),
+    },
+    "k2pins": {
+        "layer": "closure2 pin search (closure2.locate_case1/3) and scsd.coupled_two_disk",
+        "what": "closure2._locate_pair answers each distinct class tuple once per call "
+                "(a dict local to the call; classes built as tuples), and "
+                "coupled_two_disk's consider evaluates |s1 s2|, then f1(s1), then f2(s2), "
+                "returning as soon as one term reaches the incumbent (was: every query "
+                "asked again for every pin choice, every candidate fully evaluated)",
+        "parent": "1b2905d",
+        "traced": ("scsd.best_center.calls", "scsd.best_center.self_s",
+                   "scsd.coupled_two_disk.calls", "scsd.coupled_two_disk.self_s",
+                   "scsd.coupled_two_disk.incl_s", "closure2.locate_case1.incl_s",
+                   "closure2.locate_case3.incl_s", "closure2.self_s", "scsd.self_s",
+                   "trace.solve_s"),
+        "rows": ("k2_n", k2_rows),
+    },
+}
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="a checkout of the parent commit")
+    ap.add_argument("--topic", choices=sorted(TOPICS), default="scsd")
+    ap.add_argument("--output", type=Path, help="default: BENCH_<topic>.json")
+    args = ap.parse_args(argv)
+    topic = TOPICS[args.topic]
+    output = args.output or Path(f"BENCH_{args.topic}.json")
+    parent, change = args.parent.resolve(), Path.cwd()
+    rows_key, make_rows = topic["rows"]
+    doc = {
+        "topic": args.topic,
+        "layer": topic["layer"],
+        "what": topic["what"],
+        "parent": topic["parent"],
         "change": "the commit that adds this file",
         "machine": "shared 2-core x86-64 VM, Linux, Python 3.11.7, numpy 2.4.6; "
                    "one process at a time, numerical libraries at one thread",
-        "command": "python3 bench/bench_scsd.py ../parent (see its docstring)",
+        "command": f"python3 bench/bench_scsd.py ../parent --topic {args.topic} "
+                   "(see its docstring)",
         "spread": "(q3 - q1) / median over the runs of one side; change_better_in "
                   "counts pairs where the change's value is lower",
         "untraced": {w: untraced(parent, change, w) for w in WORKLOADS},
         "traced_seed1": {},
-        "k1_large_n": {},
     }
     for w in WORKLOADS:
         doc["traced_seed1"][w] = {}
         for side, path in (("parent", parent), ("change", change)):
             r = run_bench(path, w, 1, 1)
-            doc["traced_seed1"][w][side] = dict({k: r["metrics"][k] for k in TRACED},
+            doc["traced_seed1"][w][side] = dict({k: r["metrics"][k] for k in topic["traced"]},
                                                 trace_skipped=r["detail"].get("trace_skipped"))
-    for n in (128, 256):
-        for seed in (n, 1, 2, 3):
-            doc["k1_large_n"][f"uniform-n{n}-s{seed}"] = {
-                side: k1_row(path, n, seed) for side, path in (("parent", parent), ("change", change))}
+    doc[rows_key], rows_same = make_rows(parent, change)
     pairs = [r for w in WORKLOADS for r in doc["untraced"][w]["runs"]]
-    rows = [v for v in doc["k1_large_n"].values()
-            if all(isinstance(s["bottleneck"], float) for s in v.values())]
-    doc["all_bottlenecks_identical"] = (
-        all(r["bottlenecks_identical"] == r["bottlenecks"] for r in pairs)
-        and all(v["parent"]["bottleneck"] == v["change"]["bottleneck"] for v in rows))
+    doc["all_bottlenecks_identical"] = rows_same and all(
+        r["bottlenecks_identical"] == r["bottlenecks"] for r in pairs)
     doc["failed"] = sum(r[s]["failed"] for r in pairs for s in ("parent", "change"))
-    Path("BENCH_scsd.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    print("wrote BENCH_scsd.json; bottlenecks identical:", doc["all_bottlenecks_identical"])
+    output.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {output}; bottlenecks identical:", doc["all_bottlenecks_identical"])
     return 0
 
 

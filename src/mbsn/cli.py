@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .geom import Point2, distance, geometry_eps
+from .geom import Point2, bbox_diagonal, distance
 from .oracle import domain_contains, oracle_k1, oracle_k2, oracle_mbsn0
 from .solver import SolutionNetwork, solve
 
@@ -186,17 +186,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
     pts, net = solved
     tol = args.resolution
+    # brackets scale with the instance, like geometry_eps: the bounding-box
+    # diagonal in units of the unit square's, so 1e-12 and 1e-9 there
+    unit = bbox_diagonal(pts) / math.sqrt(2.0)
+    lo, hi = 1e-12 * unit, 1e-9 * unit
     if args.k == 0:
         oracle_val = oracle_mbsn0(pts)
         err = 0.0
-        ok = abs(net.bottleneck - oracle_val) <= 1e-12
+        ok = abs(net.bottleneck - oracle_val) <= lo
     elif args.k == 1:
         oracle_val, s, err = oracle_k1(pts, tol)
-        ok = (oracle_val - err - 1e-12 <= net.bottleneck <= oracle_val + 1e-9)
+        ok = (oracle_val - err - lo <= net.bottleneck <= oracle_val + hi)
         ok = ok and all(domain_contains(pts, sp) for sp in net.steiner)
     else:
         oracle_val, s1, s2, err = oracle_k2(pts, tol)
-        ok = (oracle_val - err - 1e-12 <= net.bottleneck <= oracle_val + 1e-9)
+        ok = (oracle_val - err - lo <= net.bottleneck <= oracle_val + hi)
         ok = ok and all(domain_contains(pts, sp) for sp in net.steiner)
     verdict = "pass" if ok else "FAIL"
     print(f"k={args.k} solver={net.bottleneck!r} oracle={oracle_val!r} "

@@ -236,23 +236,36 @@ def _locate_pair(ctx: ScsdContext,
     protection choices: a block may be pinned so that one Steiner point uses
     a specific vertex while the other keeps the rest of the block.  More
     than ``_PIN_LIMIT`` distinct choices raise instead of truncating.
+
+    Different pin choices often ask the same disk query, and an answer
+    depends only on ``ctx``'s points and the class lists, so each distinct
+    class tuple is answered once per call.
     """
     zsets = [tuple(sorted(z)) for z in zsets]
     nz = len(zsets)
+    shared = tuple((v,) for v in singles)
+    base1 = tuple(tuple(c) for c in base1) + shared
+    base2 = tuple(tuple(c) for c in base2) + shared
     best: list = [math.inf, None]
+    answers: dict = {}  # class tuple -> ctx.best_center of it
 
-    def build_classes(side_first: int, pins) -> tuple[list | None, list | None]:
+    def query(classes: tuple[tuple[int, ...], ...]):
+        out = answers.get(classes)
+        if out is None:
+            out = answers[classes] = ctx.best_center(classes)
+        return out
+
+    def build_classes(side_first: int, pins) -> tuple[list, list]:
         first, second = [], []
         for z, pin in zip(zsets, pins):
             if pin is None:
-                first.append(list(z))
+                first.append(z)
                 second.append(None)  # filled after the first disk picks
             else:
                 side, y = pin
-                mine = [y] if side == side_first else [v for v in z if v != y]
-                theirs = [v for v in z if v != y] if side == side_first else [y]
-                first.append(mine)
-                second.append(theirs)
+                rest = tuple(v for v in z if v != y)
+                first.append((y,) if side == side_first else rest)
+                second.append(rest if side == side_first else (y,))
         return first, second
 
     def evaluate(pins) -> list[tuple[int, int]]:
@@ -261,20 +274,20 @@ def _locate_pair(ctx: ScsdContext,
             base_f = base1 if side_first == 1 else base2
             base_s = base2 if side_first == 1 else base1
             zf, zs = build_classes(side_first, pins)
-            classes_f = [list(c) for c in base_f] + [[v] for v in singles] + zf
+            classes_f = base_f + tuple(zf)
             if any(not c for c in classes_f):
                 continue
-            rf, cf, picks_f = ctx.best_center(classes_f)
-            zpicks_f = picks_f[len(base_f) + len(singles):]
+            rf, cf, picks_f = query(classes_f)
+            zpicks_f = picks_f[len(base_f):]
             zs_filled = []
             for zi, cls in enumerate(zs):
                 if cls is None:
-                    cls = [v for v in zsets[zi] if v != zpicks_f[zi]]
+                    cls = tuple(v for v in zsets[zi] if v != zpicks_f[zi])
                 zs_filled.append(cls)
-            classes_s = [list(c) for c in base_s] + [[v] for v in singles] + zs_filled
+            classes_s = base_s + tuple(zs_filled)
             if any(not c for c in classes_s):
                 continue
-            rs, cs_, picks_s = ctx.best_center(classes_s)
+            rs, cs_, picks_s = query(classes_s)
             r = max(rf, rs)
             if side_first == 1:
                 cand = (r, cf, cs_, picks_f, picks_s)
@@ -282,7 +295,7 @@ def _locate_pair(ctx: ScsdContext,
                 cand = (r, cs_, cf, picks_s, picks_f)
             if cand[0] < best[0]:
                 best[0], best[1] = cand[0], cand[1:]
-            zpicks_s = picks_s[len(base_s) + len(singles):]
+            zpicks_s = picks_s[len(base_s):]
             for zi in range(nz):
                 if pins[zi] is None:
                     branch_picks.append((zi, zpicks_f[zi]))
@@ -319,8 +332,8 @@ def locate_case1(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
     """Cases 1 and 3: two independent disks, each also reaching the
     components covered only by the other Steiner point."""
     assert topo.case_tag in ("case1", "case3")
-    base1 = [list(c) for c in topo.side1_classes] + [list(c) for c in topo.covered_by_s2]
-    base2 = [list(c) for c in topo.side2_classes] + [list(c) for c in topo.covered_by_s1]
+    base1 = topo.side1_classes + topo.covered_by_s2
+    base2 = topo.side2_classes + topo.covered_by_s1
     r, c1, c2, picks1, picks2 = _locate_pair(ctx or ScsdContext(points), base1, base2,
                                              topo.isolated_vertices, topo.isolated_multis)
     edges = {("s1", v) for v in picks1} | {("s2", v) for v in picks2}

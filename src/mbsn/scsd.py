@@ -19,6 +19,12 @@ import numpy as np
 
 from .geom import Circle, Point2, circumcenter, distance, geometry_eps, real_quartic_roots
 
+# bounds on one context's memo of per-class distance vectors: entries, and
+# doubles held (128 MB; one vector over every row is C(n,3) doubles, 22 MB at
+# n = 256, so the five vectors of a 5-class query there still fit)
+_CLASS_MIN_ENTRIES = 4096
+_CLASS_MIN_DOUBLES = 1 << 24
+
 
 @dataclass(frozen=True)
 class ColorSystem:
@@ -59,6 +65,8 @@ class ScsdContext:
     a midpoint and evaluates only those rows, whose distances are ``dist``.
     The circumcentre rows are appended on the first query with >= 3 classes or
     ``objective_values`` call, keeping per queried class only its min distance.
+    Per-class vectors are memoised up to ``_CLASS_MIN_ENTRIES`` vectors and
+    ``_CLASS_MIN_DOUBLES`` doubles; past either bound a query recomputes its own.
     """
 
     def __init__(self, points: Sequence[Point2]):
@@ -75,6 +83,7 @@ class ScsdContext:
         np.hypot(self.dist, self.cand[:, None, 1] - pts[None, :, 1], out=self.dist)
         self._triples: np.ndarray | None = None  # circumcentre rows, once built
         self._class_min: dict[tuple[tuple[int, ...], bool], np.ndarray] = {}
+        self._class_min_doubles = 0
 
     def _add_triples(self) -> None:
         if self._triples is not None:
@@ -111,8 +120,10 @@ class ScsdContext:
                     np.hypot(d, t[:, 1] - self._pts[v, 1], out=d)
                     np.minimum(tri, d, out=tri)
                 vec = np.concatenate([vec, tri])
-            if len(self._class_min) < 4096:
+            if (len(self._class_min) < _CLASS_MIN_ENTRIES
+                    and self._class_min_doubles + vec.size <= _CLASS_MIN_DOUBLES):
                 self._class_min[key] = vec
+                self._class_min_doubles += vec.size
         return vec
 
     def objective_values(self, classes: Sequence[Sequence[int]]) -> np.ndarray:
@@ -228,8 +239,15 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem) -> tuple[Point2, Point2
     best: list = [math.inf, None, None]
 
     def consider(s1: Point2, s2: Point2) -> None:
-        val = max(class_radius(cs1, s1), class_radius(cs2, s2), distance(s1, s2))
-        if val < best[0] - 0.0:
+        # cheapest term first; a term >= the incumbent already rules the pair out
+        val = distance(s1, s2)
+        if val >= best[0]:
+            return
+        val = max(val, class_radius(cs1, s1))
+        if val >= best[0]:
+            return
+        val = max(val, class_radius(cs2, s2))
+        if val < best[0]:
             best[0], best[1], best[2] = val, s1, s2
 
     r1 = smallest_color_spanning_disk(cs1)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mbsn import cli
 from mbsn.cli import (generate_instance, load_instance, load_solution, main,
                       save_instance)
 from mbsn.geom import Point2, distance
@@ -105,6 +106,34 @@ def test_verify_pass(tmp_path):
     db = _write_instance(tmp_path / "db.json",
                          [Point2(0, 0), Point2(0, 1), Point2(10, 0), Point2(10, 1)])
     assert main(["verify", "--input", db, "--k", "2", "--resolution", "1e-2"]) == 0
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e6])
+def test_verify_pass_at_other_scales(tmp_path, scale):
+    # the same instances as test_verify_pass, scaled; the oracle's target
+    # error scales with them
+    def inst(name, pts):
+        return _write_instance(tmp_path / name, [Point2(scale * x, scale * y) for x, y in pts])
+
+    tri = inst("tri.json", [(0, 0), (10, 0), (5, 1)])
+    assert main(["verify", "--input", tri, "--k", "0"]) == 0
+    assert main(["verify", "--input", tri, "--k", "1", "--resolution", repr(1e-3 * scale)]) == 0
+    sq = inst("sq.json", [(0, 0), (1, 0), (1, 1), (0, 1)])
+    assert main(["verify", "--input", sq, "--k", "0"]) == 0
+    db = inst("db.json", [(0, 0), (0, 1), (10, 0), (10, 1)])
+    assert main(["verify", "--input", db, "--k", "2", "--resolution", repr(1e-2 * scale)]) == 0
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+def test_verify_brackets_scale_with_the_instance(tmp_path, monkeypatch, scale):
+    # the k = 0 bracket is 1e-12 on the unit square and scales with the
+    # instance: an oracle off by half of it passes, by twice it fails
+    sq = _write_instance(tmp_path / "sq.json", [Point2(scale * x, scale * y)
+                                                for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]])
+    exact = cli.oracle_mbsn0
+    for factor, code in ((0.5, 0), (2.0, 3)):
+        monkeypatch.setattr(cli, "oracle_mbsn0", lambda pts: exact(pts) + factor * 1e-12 * scale)
+        assert main(["verify", "--input", sq, "--k", "0"]) == code
 
 
 def test_bench_csv(tmp_path):

@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from mbsn import closure2
+from mbsn.cli import generate_instance
 from mbsn.closure2 import (classify, enumerate_partitions, locate_case1,
                            locate_case2, locate_case3, optimal_2block_closure)
 from mbsn.geom import Point2, distance
@@ -13,6 +14,7 @@ from mbsn.graph import (block_cut_forest, geometric_graph, is_biconnected,
                         is_connected, make_graph)
 from mbsn.rng import build_2rng, length_schedule, threshold_subgraph
 from mbsn.scsd import ScsdContext
+from mbsn.solver import solve
 
 from conftest import random_points
 
@@ -306,6 +308,42 @@ def test_pin_search_raises_past_its_limit(monkeypatch):
     monkeypatch.setattr(closure2, "_PIN_LIMIT", 1)
     with pytest.raises(RuntimeError):
         optimal_2block_closure(g, DUMBBELL)
+
+
+class _RecordingContext(ScsdContext):
+    """A context that records the class lists of its disk queries."""
+
+    def __init__(self, points):
+        super().__init__(points)
+        self.keys = []
+
+    def best_center(self, classes):
+        self.keys.append(tuple(tuple(c) for c in classes))
+        return super().best_center(classes)
+
+
+def test_pin_search_asks_each_disk_query_once(monkeypatch):
+    # every case-1/3 closure of these solves, at the thresholds they probe,
+    # runs on its own recording context: no class list may be asked twice
+    # within one pair search, and the answer equals the one on the solve's
+    # shared context, whatever that context was asked before
+    calls = []
+    original = closure2.locate_case1
+
+    def recorded(g, points, topo, ctx):
+        rec = _RecordingContext(points)
+        emb = original(g, points, topo, rec)
+        assert emb == original(g, points, topo, ctx)
+        assert len(set(rec.keys)) == len(rec.keys), topo.partition
+        calls.append((len(topo.isolated_multis), len(rec.keys)))
+        return emb
+
+    monkeypatch.setattr(closure2, "locate_case1", recorded)
+    monkeypatch.setattr(closure2, "locate_case3", recorded)
+    for seed in range(1000, 1004):
+        solve(generate_instance(28, seed, "clusters"), 2)
+    # the pin search branched: isolated multi-vertex blocks, many queries
+    assert max(q for m, q in calls if m) > 20
 
 
 def test_crossing_edges_structural_form():

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mbsn import scsd
 from mbsn.geom import Point2, distance, geometry_eps
 from mbsn.scsd import (ColorSystem, ScsdContext, color_system, class_radius,
                        coupled_two_disk, nearest_per_color, smallest_color_spanning_disk)
@@ -319,3 +320,38 @@ def test_wide_query_memory_stays_below_the_dense_block():
     r, center, picks = got
     assert r == pytest.approx(max(min(distance(center, points[v]) for v in cls)
                                   for cls in classes), abs=1e-12)
+
+
+def test_class_min_doubles_bound_is_a_pure_memo():
+    # at n = 128 a vector over every row holds 349632 doubles, so the
+    # doubles bound binds after 47 vectors, long before the entry cap
+    rng = random.Random(411)
+    points = [Point2(rng.random(), rng.random()) for _ in range(128)]
+    ctx = ScsdContext(points)
+    queries = [[sorted(rng.sample(range(128), rng.randint(1, 4))) for _ in range(3)]
+               for _ in range(20)]
+    for classes in queries:
+        ctx.best_center(classes)
+    held = sum(vec.size for vec in ctx._class_min.values())
+    assert held == ctx._class_min_doubles <= scsd._CLASS_MIN_DOUBLES
+    assert len(ctx._class_min) < scsd._CLASS_MIN_ENTRIES
+    kept = [all((tuple(c), True) in ctx._class_min for c in q) for q in queries]
+    assert kept[0] and not all(kept)  # some vectors past the bound were not kept
+    for classes in queries[:2] + queries[-2:] + [queries[kept.index(False)]]:
+        assert ctx.best_center(classes) == ScsdContext(points).best_center(classes)
+
+
+def test_coupled_radius_is_the_objective_of_its_pair():
+    # the reported radius is the full objective of the returned pair, bit
+    # for bit: no partially evaluated candidate value is ever recorded
+    rng = random.Random(412)
+    sets = [[Point2(rng.random(), rng.random()) for _ in range(8)] for _ in range(6)]
+    for points in sets + list(_degenerate_sets()):
+        for _ in range(4):
+            sample = rng.sample(points, min(8, len(points)))
+            classes = _random_classes(rng, len(sample), rng.randint(2, 4))
+            cut = rng.randint(1, len(classes) - 1)
+            cs1 = color_system([[sample[v] for v in c] for c in classes[:cut]])
+            cs2 = color_system([[sample[v] for v in c] for c in classes[cut:]])
+            s1, s2, r = coupled_two_disk(cs1, cs2)
+            assert r == max(class_radius(cs1, s1), class_radius(cs2, s2), distance(s1, s2))
