@@ -195,13 +195,13 @@ TOPICS = {
         "rows": ("k1_large_n", k1_rows),
     },
     "k2pins": {
-        "layer": "closure2 pin search (closure2.locate_case1/3) and scsd.coupled_two_disk",
-        "what": "closure2._locate_pair answers each distinct class tuple once per call "
-                "(a dict local to the call; classes built as tuples), and "
-                "coupled_two_disk's consider evaluates |s1 s2|, then f1(s1), then f2(s2), "
-                "returning as soon as one term reaches the incumbent (was: every query "
-                "asked again for every pin choice, every candidate fully evaluated)",
-        "parent": "1b2905d",
+        "layer": "closure2 pair search (closure2.locate_case1/3)",
+        "what": "closure2._locate_pair is a depth-first branch-and-bound over s1's "
+                "witness in each isolated multi-vertex block, each node bounded by its "
+                "two disk queries with the free blocks whole, s1's pick tried first "
+                "(was: greedy placement, then a search over pin choices with a "
+                "per-call answer dict, raising past 20000 choices)",
+        "parent": "d41b40d",
         "traced": ("scsd.best_center.calls", "scsd.best_center.self_s",
                    "scsd.coupled_two_disk.calls", "scsd.coupled_two_disk.self_s",
                    "scsd.coupled_two_disk.incl_s", "closure2.locate_case1.incl_s",

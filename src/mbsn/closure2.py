@@ -3,9 +3,9 @@ points, classify the resulting base topology, and optimally embed the
 cheapest critical topology.
 
 Case 1: the base topology is already 2-connected; the two centres are
-located by independent colour-spanning disks, with a bounded branching
-discipline that keeps the two Steiner points attached to distinct
-vertices of every multi-vertex isolated block.
+located by independent colour-spanning disks that must reach distinct
+vertices of every multi-vertex isolated block, found exactly by a
+branch-and-bound over s1's witness vertex in each such block.
 
 Case 2 (connected input, base topology a path of blocks): either two
 crossing Steiner edges chosen by scanning a split index along the block
@@ -29,8 +29,6 @@ from .graph import (Graph, BlockCutForest, block_cut_forest, connected_component
 from .scsd import ColorSystem, ScsdContext, coupled_two_disk
 
 SteinerEdge = tuple[str, object]  # ('s1', v) | ('s2', v) | ('s1', 's2')
-
-_PIN_LIMIT = 20000  # distinct pin choices allowed in _locate_pair (largest seen: 1105)
 
 
 @dataclass(frozen=True)
@@ -230,101 +228,51 @@ def _locate_pair(ctx: ScsdContext,
                  singles: Sequence[int],
                  zsets: Sequence[Sequence[int]]):
     """Two independent disks whose chosen neighbours must differ inside every
-    multi-vertex isolated block.
+    multi-vertex isolated block Z_1..Z_m.
 
-    Greedy sequential placement in both orders, then a search over
-    protection choices: a block may be pinned so that one Steiner point uses
-    a specific vertex while the other keeps the rest of the block.  More
-    than ``_PIN_LIMIT`` distinct choices raise instead of truncating.
+    Exact by conditioning on s1's witness, as in ``_distinct_disk``: s1
+    reaches y_j and s2 reaches Z_j minus y_j, so the answer is the minimum
+    over y in Z_1 x ... x Z_m of max(r(base1 + {y_j}), r(base2 + Z_j - {y_j})).
+    A depth-first branch-and-bound fixes y_1, y_2, ... in turn.  A node
+    leaves its free blocks whole on both sides, and shrinking a class never
+    lowers r, so its two radii bound every leaf below it; it is pruned when
+    that bound reaches the incumbent.  Children try s1's pick at the node
+    first (its disk stays optimal there, so it is passed down unasked), then
+    the rest of the block in ascending order: the first leaf is the greedy
+    pair that places s1 first and gives s2 the rest of every block.
 
-    Different pin choices often ask the same disk query, and an answer
-    depends only on ``ctx``'s points and the class lists, so each distinct
-    class tuple is answered once per call.
+    Tie rule: the first optimal witness vector in this order wins.  Nodes
+    ask distinct class lists; only with base1 == base2 do the root's two
+    coincide (asked once) and mirror images of two-vertex blocks repeat.
+    At most five blocks keep the search finite; it has no cap.
     """
     zsets = [tuple(sorted(z)) for z in zsets]
-    nz = len(zsets)
     shared = tuple((v,) for v in singles)
     base1 = tuple(tuple(c) for c in base1) + shared
     base2 = tuple(tuple(c) for c in base2) + shared
-    best: list = [math.inf, None]
-    answers: dict = {}  # class tuple -> ctx.best_center of it
-
-    def query(classes: tuple[tuple[int, ...], ...]):
-        out = answers.get(classes)
-        if out is None:
-            out = answers[classes] = ctx.best_center(classes)
-        return out
-
-    def build_classes(side_first: int, pins) -> tuple[list, list]:
-        first, second = [], []
-        for z, pin in zip(zsets, pins):
-            if pin is None:
-                first.append(z)
-                second.append(None)  # filled after the first disk picks
-            else:
-                side, y = pin
-                rest = tuple(v for v in z if v != y)
-                first.append((y,) if side == side_first else rest)
-                second.append(rest if side == side_first else (y,))
-        return first, second
-
-    def evaluate(pins) -> list[tuple[int, int]]:
-        branch_picks: list[tuple[int, int]] = []
-        for side_first in (1, 2):
-            base_f = base1 if side_first == 1 else base2
-            base_s = base2 if side_first == 1 else base1
-            zf, zs = build_classes(side_first, pins)
-            classes_f = base_f + tuple(zf)
-            if any(not c for c in classes_f):
-                continue
-            rf, cf, picks_f = query(classes_f)
-            zpicks_f = picks_f[len(base_f):]
-            zs_filled = []
-            for zi, cls in enumerate(zs):
-                if cls is None:
-                    cls = tuple(v for v in zsets[zi] if v != zpicks_f[zi])
-                zs_filled.append(cls)
-            classes_s = base_s + tuple(zs_filled)
-            if any(not c for c in classes_s):
-                continue
-            rs, cs_, picks_s = query(classes_s)
-            r = max(rf, rs)
-            if side_first == 1:
-                cand = (r, cf, cs_, picks_f, picks_s)
-            else:
-                cand = (r, cs_, cf, picks_s, picks_f)
-            if cand[0] < best[0]:
-                best[0], best[1] = cand[0], cand[1:]
-            zpicks_s = picks_s[len(base_s):]
-            for zi in range(nz):
-                if pins[zi] is None:
-                    branch_picks.append((zi, zpicks_f[zi]))
-                    branch_picks.append((zi, zpicks_s[zi]))
-        return sorted(set(branch_picks))
-
-    # depth-first over pin choices, children pushed in reverse so they are
-    # visited in the order they are generated
-    seen: set = set()
-    stack = [[None] * nz]
+    best_r, best_pair = math.inf, None
+    stack = [((), None)]  # (y_1..y_i, s1's answer when known)
     while stack:
-        pins = stack.pop()
-        key = tuple(pins)
-        if key in seen:
+        ys, side1 = stack.pop()
+        i = len(ys)
+        free = tuple(zsets[i:])
+        if side1 is None:
+            side1 = ctx.best_center(base1 + tuple((y,) for y in ys) + free)
+        if side1[0] >= best_r:
             continue
-        if len(seen) > _PIN_LIMIT:
-            raise RuntimeError(f"pin search exceeded {_PIN_LIMIT} protection choices")
-        seen.add(key)
-        children = []
-        for zi, y in evaluate(pins):
-            for side in (1, 2):
-                nxt = list(pins)
-                nxt[zi] = (side, y)
-                children.append(nxt)
-        stack.extend(reversed(children))
-    if best[1] is None:
-        raise ValueError("no feasible Steiner pair (a colour class was emptied)")
-    c1, c2, picks1, picks2 = best[1]
-    return best[0], c1, c2, picks1, picks2
+        classes2 = base2 + tuple(tuple(v for v in z if v != y) for z, y in zip(zsets, ys)) + free
+        side2 = side1 if not ys and base1 == base2 else ctx.best_center(classes2)
+        r = max(side1[0], side2[0])
+        if r >= best_r:
+            continue
+        if not free:
+            best_r, best_pair = r, (side1, side2)
+            continue
+        pick = side1[2][len(base1) + i]
+        rest = [(ys + (y,), None) for y in zsets[i] if y != pick]
+        stack.extend(reversed([(ys + (pick,), side1)] + rest))
+    (_, c1, picks1), (_, c2, picks2) = best_pair
+    return best_r, c1, c2, picks1, picks2
 
 
 def locate_case1(g: Graph, points: Sequence[Point2], topo: CriticalTopology,

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -303,11 +304,89 @@ def test_closure_releases_its_context_without_the_cycle_collector():
         gc.enable()
 
 
-def test_pin_search_raises_past_its_limit(monkeypatch):
-    g = geometric_graph(DUMBBELL, [(0, 1), (2, 3)])
-    monkeypatch.setattr(closure2, "_PIN_LIMIT", 1)
-    with pytest.raises(RuntimeError):
-        optimal_2block_closure(g, DUMBBELL)
+def _classes(base1, base2, singles, zsets):
+    shared = tuple((v,) for v in singles)
+    return (tuple(map(tuple, base1)) + shared, tuple(map(tuple, base2)) + shared,
+            [tuple(sorted(z)) for z in zsets])
+
+
+def _enumerated_radius(ctx, base1, base2, singles, zsets):
+    """Unpruned witness enumeration: the minimum over y in Z_1 x ... x Z_m
+    of max(r(base1 + {y_j}), r(base2 + Z_j - {y_j}))."""
+    b1, b2, zs = _classes(base1, base2, singles, zsets)
+    best = math.inf
+    for ys in itertools.product(*zs):
+        r1 = ctx.best_center(b1 + tuple((y,) for y in ys))[0]
+        r2 = ctx.best_center(b2 + tuple(tuple(v for v in z if v != y)
+                                        for z, y in zip(zs, ys)))[0]
+        best = min(best, max(r1, r2))
+    return best
+
+
+def _greedy_pair(ctx, base1, base2, singles, zsets):
+    """s1 placed first with every block whole; s2 gets the rest of each."""
+    b1, b2, zs = _classes(base1, base2, singles, zsets)
+    r1, c1, picks1 = ctx.best_center(b1 + tuple(zs))
+    ys = picks1[len(b1):]
+    r2, c2, picks2 = ctx.best_center(b2 + tuple(tuple(v for v in z if v != y)
+                                                 for z, y in zip(zs, ys)))
+    return max(r1, r2), c1, c2, picks1, picks2
+
+
+def _check_pair(ctx, base1, base2, singles, zsets) -> bool:
+    """Check _locate_pair against the enumeration and the tie rule; True
+    when the greedy pair is not optimal."""
+    got = closure2._locate_pair(ctx, base1, base2, singles, zsets)
+    r, c1, c2, picks1, picks2 = got
+    assert r == _enumerated_radius(ctx, base1, base2, singles, zsets)
+    for c, picks in ((c1, picks1), (c2, picks2)):
+        assert max(distance(c, ctx.points[v]) for v in picks) <= r + 1e-12
+    off1, off2 = len(base1) + len(singles), len(base2) + len(singles)
+    for j, z in enumerate(zsets):
+        y1, y2 = picks1[off1 + j], picks2[off2 + j]
+        assert y1 in z and y2 in z and y1 != y2
+    greedy = _greedy_pair(ctx, base1, base2, singles, zsets)
+    if greedy[0] == r:
+        assert got == greedy  # tie rule: the first optimal leaf is the greedy one
+    return greedy[0] > r
+
+
+def test_pair_search_matches_witness_enumeration_on_solves(monkeypatch):
+    calls = []
+    original = closure2._locate_pair
+
+    def recorded(ctx, *args):
+        calls.append((ctx, args))
+        return original(ctx, *args)
+
+    monkeypatch.setattr(closure2, "_locate_pair", recorded)
+    for seed in range(1000, 1004):
+        solve(generate_instance(28, seed, "clusters"), 2)
+    monkeypatch.undo()
+    assert max(len(args[3]) for _, args in calls) >= 4
+    for ctx, args in calls:
+        _check_pair(ctx, *args)
+
+
+def test_pair_search_matches_witness_enumeration_on_synthetic_blocks():
+    # s1's greedy pick (0,0) leaves s2 the far vertex: 5.5 against 3
+    pts = [Point2(0, 0), Point2(10, 0), Point2(4, 0), Point2(-1, 0)]
+    ctx = ScsdContext(pts)
+    assert _check_pair(ctx, [[2]], [[3]], [], [[0, 1]])
+    assert closure2._locate_pair(ctx, [[2]], [[3]], [], [[0, 1]])[0] == 3.0
+    rng = random.Random(7)
+    for case in range(6):
+        sizes = [rng.randint(2, 7) for _ in range(3 + case % 2)]
+        pts = random_points(rng, sum(sizes) + 6)
+        order = list(range(len(pts)))
+        rng.shuffle(order)
+        zsets = []
+        for size in sizes:
+            zsets.append(order[:size])
+            order = order[size:]
+        base1 = [order[0:2], order[2:3]]
+        base2 = [order[3:5]]
+        _check_pair(ScsdContext(pts), base1, base2, order[5:], zsets)
 
 
 class _RecordingContext(ScsdContext):
