@@ -3,6 +3,7 @@
     mkdir ../parent && git archive PARENT_COMMIT | tar -x -C ../parent
     python3 bench/bench_scsd.py ../parent                   # BENCH_scsd.json
     python3 bench/bench_scsd.py ../parent --topic k2pins    # BENCH_k2pins.json
+    python3 bench/bench_scsd.py ../parent --topic k2closure # BENCH_k2closure.json
 
 Run it from the root of this checkout; ``--output`` names another file.
 Every topic makes, one process at a time:
@@ -22,11 +23,16 @@ space:
   instance seed n and seeds 1-3), with time, peak RSS, bottleneck, the
   largest number of classes of one disk query and the final candidate rows
   of the solver's context;
-* ``k2pins``: k = 2 solves at uniform n = 64 (seeds 1-3) and clustered
-  n = 48 (seeds 1-2), and the 64 k2-mid instances of seeds 1-2 in one
-  process, twice a side in alternating order (the faster run counts), with
-  time, peak RSS, ``best_center`` calls and whether the bottleneck, Steiner
-  points and edges equal the parent's.
+* ``k2pins`` and ``k2closure``: k = 2 solves at uniform n = 64 (seeds 1-3)
+  and clustered n = 48 (seeds 1-2), the 64 k2-mid instances of seeds 1-2 in
+  one process, and all five larger instances in one process, twice a side in
+  alternating order (the faster run counts), with time, peak RSS,
+  ``best_center`` calls, anchored solves of the coupled two-disk solver, and
+  per instance whether the bottleneck (within 1e-12) and the whole answer
+  (bottleneck, Steiner points and edges) equal the parent's.
+
+``all_bottlenecks_identical`` compares bottlenecks only; whole-answer
+identity is reported per row as ``answers_identical``.
 """
 
 from __future__ import annotations
@@ -118,14 +124,19 @@ def untraced(parent: Path, change: Path, workload: str) -> dict:
 
 
 # k = 2 solves of (n, seed, distribution) instances; prints one line per
-# instance and a total with the best_center calls and the peak RSS
+# instance and a total with the best_center calls, the anchored solves of
+# the coupled two-disk solver and the peak RSS
 K2_SOLVE = PRELUDE + """
-calls = [0]
-query = scsd.ScsdContext.best_center
+calls = [0, 0]
+query, anchored = scsd.ScsdContext.best_center, scsd._anchored_center
 def best_center(ctx, classes):
     calls[0] += 1
     return query(ctx, classes)
+def anchored_center(cs, anchor):
+    calls[1] += 1
+    return anchored(cs, anchor)
 scsd.ScsdContext.best_center = best_center
+scsd._anchored_center = anchored_center
 total = 0.0
 for n, seed, dist in {shapes!r}:
     pts = generate_instance(n, seed, dist)
@@ -137,6 +148,7 @@ for n, seed, dist in {shapes!r}:
                       "answer": [net.bottleneck, [p.as_tuple() for p in net.steiner],
                                  net.edges]}}))
 print(json.dumps({{"time_s": round(total, 4), "best_center_calls": calls[0],
+                  "anchored_solves": calls[1],
                   "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}}))
 """
 
@@ -162,6 +174,8 @@ def k2_rows(parent: Path, change: Path) -> tuple[dict, bool]:
     groups = {"k2-mid seeds 1-2": [(28, s * 1000 + i, "clusters") for s in (1, 2) for i in range(32)]}
     groups.update({f"uniform-n64-s{s}": [(64, s, "uniform")] for s in (1, 2, 3)})
     groups.update({f"clusters-n48-s{s}": [(48, s, "clusters")] for s in (1, 2)})
+    groups["five larger, one process"] = [shape for name, shapes in groups.items()
+                                          if not name.startswith("k2-mid") for shape in shapes]
     rows = {}
     sides = {"parent": parent, "change": change}
     for name, shapes in groups.items():
@@ -172,11 +186,14 @@ def k2_rows(parent: Path, change: Path) -> tuple[dict, bool]:
             for side in order:
                 runs[side].append(run_code(sides[side], code))
         res = {side: min(r, key=lambda lines: lines[-1]["time_s"]) for side, r in runs.items()}
-        answers = [a["answer"] == b["answer"] for a, b in zip(res["parent"][:-1], res["change"][:-1])]
+        pairs = list(zip(res["parent"][:-1], res["change"][:-1]))
         rows[name] = {side: lines[-1] for side, lines in res.items()}
-        rows[name].update(instances=len(answers), answers_identical=sum(answers))
+        rows[name].update(instances=len(pairs),
+                          bottlenecks_identical=sum(abs(a["answer"][0] - b["answer"][0]) <= 1e-12
+                                                    for a, b in pairs),
+                          answers_identical=sum(a["answer"] == b["answer"] for a, b in pairs))
         print(name, {side: lines[-1]["time_s"] for side, lines in res.items()}, flush=True)
-    return rows, all(v["answers_identical"] == v["instances"] for v in rows.values())
+    return rows, all(v["bottlenecks_identical"] == v["instances"] for v in rows.values())
 
 
 TOPICS = {
@@ -207,6 +224,23 @@ TOPICS = {
                    "scsd.coupled_two_disk.incl_s", "closure2.locate_case1.incl_s",
                    "closure2.locate_case3.incl_s", "closure2.self_s", "scsd.self_s",
                    "trace.solve_s"),
+        "rows": ("k2_n", k2_rows),
+    },
+    "k2closure": {
+        "layer": "closure2 pair search (closure2.locate_case1/3) and scsd.coupled_two_disk",
+        "what": "closure2._locate_pair folds each node's radii from vectors built once per "
+                "call (base classes, vertex columns, each block's minimum and runner-up, "
+                "the free blocks' suffix maxima) instead of one best_center query per "
+                "node; coupled_two_disk tries every anchor below the incumbent and skips "
+                "one when max(f_a, f_b / 2) >= incumbent + eps (was: the first 64 anchors "
+                "by f_a, the first always solved)",
+        "parent": "39c9cb5",
+        "traced": ("scsd.best_center.calls", "scsd.best_center.self_s",
+                   "scsd.smallest_color_spanning_disk.calls",
+                   "scsd.coupled_two_disk.calls", "scsd.coupled_two_disk.self_s",
+                   "scsd.coupled_two_disk.incl_s", "closure2.locate_case1.incl_s",
+                   "closure2.locate_case2.incl_s", "closure2.locate_case3.incl_s",
+                   "closure2.self_s", "scsd.self_s", "trace.solve_s"),
         "rows": ("k2_n", k2_rows),
     },
 }

@@ -19,9 +19,12 @@ the Case 1 discipline runs with those components as additional colours.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .geom import Point2, distance, geometry_eps
 from .graph import (Graph, BlockCutForest, block_cut_forest, connected_components,
@@ -241,37 +244,60 @@ def _locate_pair(ctx: ScsdContext,
     the rest of the block in ascending order: the first leaf is the greedy
     pair that places s1 first and gives s2 the rest of every block.
 
-    Tie rule: the first optimal witness vector in this order wins.  Nodes
-    ask distinct class lists; only with base1 == base2 do the root's two
-    coincide (asked once) and mirror images of two-vertex blocks repeat.
-    At most five blocks keep the search finite; it has no cap.
+    Tie rule: the first optimal witness vector in this order wins.  Radii
+    are ``best_center``'s, folded from vectors built once per call.  At most
+    five blocks keep the search finite; it has no cap.
     """
     zsets = [tuple(sorted(z)) for z in zsets]
     shared = tuple((v,) for v in singles)
-    base1 = tuple(tuple(c) for c in base1) + shared
-    base2 = tuple(tuple(c) for c in base2) + shared
-    best_r, best_pair = math.inf, None
-    stack = [((), None)]  # (y_1..y_i, s1's answer when known)
+    sides, row_sets = [], {}  # per row set (every row past two classes): blocks, suffix maxima
+    for base in (base1, base2):
+        base = tuple(tuple(c) for c in base) + shared
+        wide = len(base) + len(zsets) > 2
+        if wide not in row_sets:
+            blocks = []
+            for z in zsets:  # vertex columns, their minimum and runner-up
+                cols = [ctx.class_vector((v,), wide) for v in z]
+                whole, second = cols[0].copy(), np.full(len(cols[0]), np.inf)
+                for c in cols[1:]:
+                    np.minimum(second, np.maximum(c, whole), out=second)
+                    np.minimum(whole, c, out=whole)
+                blocks.append((cols, whole, second))
+            tail = list(itertools.accumulate((b[1] for b in blocks[::-1]), np.maximum))
+            row_sets[wide] = blocks, tail[::-1] + [None]
+        fold = ctx.objective(base, wide) if base else np.zeros_like(row_sets[wide][1][0])
+        sides.append((base, fold) + row_sets[wide])
+    (base1, fold1, blocks1, tail1), (base2, fold2, blocks2, tail2) = sides
+    best_r, best = math.inf, None
+    stack = [((), fold1, fold2, None)]  # (witness positions, parent's prefixes, s1's answer)
     while stack:
-        ys, side1 = stack.pop()
-        i = len(ys)
-        free = tuple(zsets[i:])
+        ts, q1, q2, side1 = stack.pop()
+        i = len(ts)
+        if i:
+            q1 = np.maximum(q1, blocks1[i - 1][0][ts[-1]])
         if side1 is None:
-            side1 = ctx.best_center(base1 + tuple((y,) for y in ys) + free)
+            f = q1 if tail1[i] is None else np.maximum(q1, tail1[i])
+            side1 = float(f.min()), int(f.argmin())
         if side1[0] >= best_r:
             continue
-        classes2 = base2 + tuple(tuple(v for v in z if v != y) for z, y in zip(zsets, ys)) + free
-        side2 = side1 if not ys and base1 == base2 else ctx.best_center(classes2)
+        if i:  # the block minus y: the runner-up where y's column is the minimum
+            cols, whole, second = blocks2[i - 1]
+            q2 = np.maximum(q2, np.where(cols[ts[-1]] == whole, second, whole))
+        f = q2 if tail2[i] is None else np.maximum(q2, tail2[i])
+        side2 = float(f.min()), int(f.argmin())
         r = max(side1[0], side2[0])
         if r >= best_r:
             continue
-        if not free:
-            best_r, best_pair = r, (side1, side2)
+        if i == len(zsets):
+            best_r, best = r, (side1[1], side2[1], ts)
             continue
-        pick = side1[2][len(base1) + i]
-        rest = [(ys + (y,), None) for y in zsets[i] if y != pick]
-        stack.extend(reversed([(ys + (pick,), side1)] + rest))
-    (_, c1, picks1), (_, c2, picks2) = best_pair
+        pick = zsets[i].index(ctx.nearest_in_class(ctx.center(side1[1]), zsets[i]))
+        rest = [(ts + (t,), q1, q2, None) for t in range(len(zsets[i])) if t != pick]
+        stack.extend(reversed([(ts + (pick,), q1, q2, side1)] + rest))
+    c1, c2, ts = ctx.center(best[0]), ctx.center(best[1]), best[2]
+    rests = tuple(z[:t] + z[t + 1:] for z, t in zip(zsets, ts))
+    picks1 = tuple(ctx.nearest_in_class(c1, c) for c in base1) + tuple(z[t] for z, t in zip(zsets, ts))
+    picks2 = tuple(ctx.nearest_in_class(c2, c) for c in base2 + rests)
     return best_r, c1, c2, picks1, picks2
 
 

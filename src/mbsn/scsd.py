@@ -10,6 +10,7 @@ counts towards the objective.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,10 +39,6 @@ class ColorSystem:
         if any(not cls for cls in self.classes):
             raise ValueError("empty colour class")
 
-    @property
-    def total_points(self) -> int:
-        return sum(len(c) for c in self.classes)
-
 
 def color_system(classes: Sequence[Sequence[Point2]]) -> ColorSystem:
     return ColorSystem(tuple(tuple(c) for c in classes))
@@ -64,7 +61,7 @@ class ScsdContext:
     lists into ``points``.  A query with <= 2 classes is optimal at a point or
     a midpoint and evaluates only those rows, whose distances are ``dist``.
     The circumcentre rows are appended on the first query with >= 3 classes or
-    ``objective_values`` call, keeping per queried class only its min distance.
+    every-row ``objective`` call, keeping per queried class only its min distance.
     Per-class vectors are memoised up to ``_CLASS_MIN_ENTRIES`` vectors and
     ``_CLASS_MIN_DOUBLES`` doubles; past either bound a query recomputes its own.
     """
@@ -104,7 +101,7 @@ class ScsdContext:
         self.cand = np.vstack([self.cand, a2 + np.stack([ux, uy], axis=1)])
         self._triples = self.cand[len(self.dist):]
 
-    def _class_min_vector(self, cls: Sequence[int], every_row: bool) -> np.ndarray:
+    def class_vector(self, cls: Sequence[int], every_row: bool) -> np.ndarray:
         """Distance to the nearest point of ``cls`` from each point and
         midpoint row, or with ``every_row`` from each row."""
         if len(cls) == 1 and not every_row:
@@ -114,6 +111,7 @@ class ScsdContext:
         if vec is None:
             vec = self.dist[:, list(cls)].min(axis=1)
             if every_row:
+                self._add_triples()
                 t, tri = self._triples, np.full(len(self.cand) - len(vec), np.inf)
                 for v in cls:  # one point at a time: no (rows, |cls|) block
                     d = np.subtract(t[:, 0], self._pts[v, 0])
@@ -126,28 +124,27 @@ class ScsdContext:
                 self._class_min_doubles += vec.size
         return vec
 
-    def objective_values(self, classes: Sequence[Sequence[int]]) -> np.ndarray:
-        """max-over-classes of min-distance, evaluated at every candidate."""
-        self._add_triples()
-        return self._objective(classes, True)
-
-    def _objective(self, classes: Sequence[Sequence[int]], every_row: bool) -> np.ndarray:
+    def objective(self, classes: Sequence[Sequence[int]], every_row: bool) -> np.ndarray:
+        """max-over-classes of min-distance at each point and midpoint row, or at every row."""
         if any(len(c) == 0 for c in classes):
             raise ValueError("empty colour class")
         f = None
         for cls in classes:
-            m = self._class_min_vector(cls, every_row)
+            m = self.class_vector(cls, every_row)
             f = m if f is None else np.maximum(f, m)
         return f
 
     def best_center(self, classes: Sequence[Sequence[int]]) -> tuple[float, Point2, tuple[int, ...]]:
         """Minimise max-over-classes of min-distance; returns radius, centre,
         and one nearest vertex index per class (ties lexicographic by point)."""
-        f = self.objective_values(classes) if len(classes) > 2 else self._objective(classes, False)
+        f = self.objective(classes, len(classes) > 2)
         i = int(np.argmin(f))
-        center = Point2(float(self.cand[i, 0]), float(self.cand[i, 1]))
+        center = self.center(i)
         picks = tuple(self.nearest_in_class(center, cls) for cls in classes)
         return float(f[i]), center, picks
+
+    def center(self, i: int) -> Point2:
+        return Point2(float(self.cand[i, 0]), float(self.cand[i, 1]))
 
     def nearest_in_class(self, x: Point2, cls: Sequence[int]) -> int:
         best = None
@@ -233,6 +230,11 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem) -> tuple[Point2, Point2
     centre is pinned by one or two of its own points plus the partner
     (quadratic and quartic systems), plus circumcentre/midpoint pairs.
     Every candidate is validated by direct objective evaluation.
+
+    Anchors are tried in ascending f_a with no cap: f_b is 1-Lipschitz, so a
+    pair anchored at a is worth at least LB = max(f_a(a), f_b(a) / 2), and an
+    anchor with LB >= incumbent + eps (eps covers rounding) cannot pass
+    ``consider``'s strict <.
     """
     all_pts = [p for cls in cs1.classes for p in cls] + [p for cls in cs2.classes for p in cls]
     eps = geometry_eps(all_pts)
@@ -276,17 +278,19 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem) -> tuple[Point2, Point2
     for (csa, csb, swap) in ((cs1, cs2, False), (cs2, cs1, True)):
         apts, aclasses = _flatten(csa)
         actx = ScsdContext(apts)
-        fvals = actx.objective_values(aclasses)
-        order = np.argsort(fvals, kind="stable")[:64]
+        fvals = actx.objective(aclasses, True)
+        cx, cy = actx.cand[:, 0], actx.cand[:, 1]  # f_b at each anchor, one point at a time
+        fb = functools.reduce(np.maximum, (functools.reduce(
+            np.minimum, (np.hypot(cx - p.x, cy - p.y) for p in cls)) for cls in csb.classes))
         seen_anchor: set[tuple[float, float]] = set()
-        first = True
-        for i in order:
-            # a structure whose own radius already exceeds the incumbent
+        for i in np.argsort(fvals, kind="stable"):
+            # a structure whose own radius already reaches the incumbent
             # cannot produce a better pair (ascending order, so stop)
-            if not first and fvals[i] >= best[0]:
+            if fvals[i] >= best[0]:
                 break
-            first = False
-            anchor = Point2(float(actx.cand[i, 0]), float(actx.cand[i, 1]))
+            if fb[i] / 2.0 >= best[0] + eps:
+                continue
+            anchor = actx.center(i)
             key = anchor.as_tuple()
             if key in seen_anchor:
                 continue

@@ -368,12 +368,8 @@ def test_pair_search_matches_witness_enumeration_on_solves(monkeypatch):
         _check_pair(ctx, *args)
 
 
-def test_pair_search_matches_witness_enumeration_on_synthetic_blocks():
-    # s1's greedy pick (0,0) leaves s2 the far vertex: 5.5 against 3
-    pts = [Point2(0, 0), Point2(10, 0), Point2(4, 0), Point2(-1, 0)]
-    ctx = ScsdContext(pts)
-    assert _check_pair(ctx, [[2]], [[3]], [], [[0, 1]])
-    assert closure2._locate_pair(ctx, [[2]], [[3]], [], [[0, 1]])[0] == 3.0
+def _synthetic_pairs():
+    """Pair-search calls on random blocks: (points, base1, base2, singles, zsets)."""
     rng = random.Random(7)
     for case in range(6):
         sizes = [rng.randint(2, 7) for _ in range(3 + case % 2)]
@@ -384,28 +380,103 @@ def test_pair_search_matches_witness_enumeration_on_synthetic_blocks():
         for size in sizes:
             zsets.append(order[:size])
             order = order[size:]
-        base1 = [order[0:2], order[2:3]]
-        base2 = [order[3:5]]
-        _check_pair(ScsdContext(pts), base1, base2, order[5:], zsets)
+        yield pts, [order[0:2], order[2:3]], [order[3:5]], order[5:], zsets
+
+
+def test_pair_search_matches_witness_enumeration_on_synthetic_blocks():
+    # s1's greedy pick (0,0) leaves s2 the far vertex: 5.5 against 3
+    pts = [Point2(0, 0), Point2(10, 0), Point2(4, 0), Point2(-1, 0)]
+    ctx = ScsdContext(pts)
+    assert _check_pair(ctx, [[2]], [[3]], [], [[0, 1]])
+    assert closure2._locate_pair(ctx, [[2]], [[3]], [], [[0, 1]])[0] == 3.0
+    for pts, *args in _synthetic_pairs():
+        _check_pair(ScsdContext(pts), *args)
+
+
+def _reference_pair(ctx, base1, base2, singles, zsets):
+    """The same branch-and-bound asking ``best_center`` for both disks at
+    every node (s1's answer passed down to the pick child), with each
+    node's picks taken from its answers: the per-node search that
+    ``_locate_pair`` folds from vectors built once per call."""
+    zsets = [tuple(sorted(z)) for z in zsets]
+    shared = tuple((v,) for v in singles)
+    base1 = tuple(tuple(c) for c in base1) + shared
+    base2 = tuple(tuple(c) for c in base2) + shared
+    best_r, best_pair = math.inf, None
+    stack = [((), None)]
+    while stack:
+        ys, side1 = stack.pop()
+        i = len(ys)
+        free = tuple(zsets[i:])
+        if side1 is None:
+            side1 = ctx.best_center(base1 + tuple((y,) for y in ys) + free)
+        if side1[0] >= best_r:
+            continue
+        classes2 = base2 + tuple(tuple(v for v in z if v != y) for z, y in zip(zsets, ys)) + free
+        side2 = side1 if not ys and base1 == base2 else ctx.best_center(classes2)
+        r = max(side1[0], side2[0])
+        if r >= best_r:
+            continue
+        if not free:
+            best_r, best_pair = r, (side1, side2)
+            continue
+        pick = side1[2][len(base1) + i]
+        rest = [(ys + (y,), None) for y in zsets[i] if y != pick]
+        stack.extend(reversed([(ys + (pick,), side1)] + rest))
+    (_, c1, picks1), (_, c2, picks2) = best_pair
+    return best_r, c1, c2, picks1, picks2
+
+
+def test_pair_search_is_byte_identical_to_per_node_queries(monkeypatch):
+    calls = []
+    original = closure2._locate_pair
+
+    def recorded(ctx, *args):
+        calls.append((ctx, args))
+        return original(ctx, *args)
+
+    monkeypatch.setattr(closure2, "_locate_pair", recorded)
+    for seed in range(1000, 1004):
+        solve(generate_instance(28, seed, "clusters"), 2)
+    monkeypatch.undo()
+    assert max(len(args[3]) for _, args in calls) >= 4
+    for pts, *args in _synthetic_pairs():
+        calls.append((ScsdContext(pts), args))
+    # random points, and a lattice whose equal distances tie many rows
+    for pts in (random_points(random.Random(3), 12),
+                [Point2(float(x), float(y)) for x in range(4) for y in range(3)]):
+        for args in (([[2]], [[3]], [], [[0, 1]]),  # two classes a side: point and midpoint rows
+                     ([[4, 5], [6]], [], [], [[0, 1, 7]]),  # three classes against one
+                     ([[4, 5]], [[4, 5]], [6], [[0, 1], [2, 3]]),  # base1 == base2
+                     ([], [], [], [[0, 1, 8], [2, 3], [9, 10, 11]]),  # only blocks
+                     ([], [], [], [[0, 4], [1, 3]])):  # lattice: a unit square's diagonals
+            calls.append((ScsdContext(pts), args))
+    for ctx, args in calls:
+        assert closure2._locate_pair(ctx, *args) == _reference_pair(ctx, *args), args
 
 
 class _RecordingContext(ScsdContext):
-    """A context that records the class lists of its disk queries."""
+    """A context that records the class vectors asked of it, and those it
+    had to build."""
 
     def __init__(self, points):
         super().__init__(points)
-        self.keys = []
+        self.asked, self.built = [], []
 
-    def best_center(self, classes):
-        self.keys.append(tuple(tuple(c) for c in classes))
-        return super().best_center(classes)
+    def class_vector(self, cls, every_row):
+        key = (tuple(cls), every_row)
+        self.asked.append(key)
+        if key not in self._class_min and (len(cls) > 1 or every_row):
+            self.built.append(key)
+        return super().class_vector(cls, every_row)
 
 
-def test_pin_search_asks_each_disk_query_once(monkeypatch):
+def test_pair_search_builds_each_vector_once(monkeypatch):
     # every case-1/3 closure of these solves, at the thresholds they probe,
-    # runs on its own recording context: no class list may be asked twice
-    # within one pair search, and the answer equals the one on the solve's
-    # shared context, whatever that context was asked before
+    # runs on its own recording context: no class vector is built twice, each
+    # block vertex's column is asked once per row set (so each block's
+    # minimum and runner-up are built once), and the answer equals the one on
+    # the solve's shared context, whatever that context was asked before
     calls = []
     original = closure2.locate_case1
 
@@ -413,16 +484,20 @@ def test_pin_search_asks_each_disk_query_once(monkeypatch):
         rec = _RecordingContext(points)
         emb = original(g, points, topo, rec)
         assert emb == original(g, points, topo, ctx)
-        assert len(set(rec.keys)) == len(rec.keys), topo.partition
-        calls.append((len(topo.isolated_multis), len(rec.keys)))
+        assert len(set(rec.built)) == len(rec.built), topo.partition
+        block_vertices = {v for z in topo.isolated_multis for v in z}
+        columns = [key for key in rec.asked if key[0][0] in block_vertices]
+        assert len(set(columns)) == len(columns), topo.partition
+        assert {key[0][0] for key in columns} == block_vertices
+        calls.append((len(topo.isolated_multis), len(columns)))
         return emb
 
     monkeypatch.setattr(closure2, "locate_case1", recorded)
     monkeypatch.setattr(closure2, "locate_case3", recorded)
     for seed in range(1000, 1004):
         solve(generate_instance(28, seed, "clusters"), 2)
-    # the pin search branched: isolated multi-vertex blocks, many queries
-    assert max(q for m, q in calls if m) > 20
+    # the pair search branched over several blocks with many vertices
+    assert max(m for m, _ in calls) >= 4 and max(c for _, c in calls) > 20
 
 
 def test_crossing_edges_structural_form():

@@ -256,7 +256,7 @@ def test_context_row_counts():
         triples = sum(1 for a, b, c in itertools.combinations(points, 3)
                       if (b.x - a.x) * (c.y - a.y) != (b.y - a.y) * (c.x - a.x))
         for c in (ScsdContext(points), ctx):
-            assert len(c.objective_values([[0], [1, 2]])) == n + n * (n - 1) // 2 + triples
+            assert len(c.objective([[0], [1, 2]], True)) == n + n * (n - 1) // 2 + triples
 
 
 def test_class_min_cache_cap_is_a_pure_memo():
@@ -287,7 +287,7 @@ def test_objective_values_equal_eager_rows():
             ctx = ScsdContext(points)
             ctx.best_center(classes)
             cand, f = _eager_objective(points, classes)
-            assert np.array_equal(ctx.objective_values(classes), f)
+            assert np.array_equal(ctx.objective(classes, True), f)
             assert np.array_equal(ctx.cand, cand)
 
 
@@ -355,3 +355,74 @@ def test_coupled_radius_is_the_objective_of_its_pair():
             cs2 = color_system([[sample[v] for v in c] for c in classes[cut:]])
             s1, s2, r = coupled_two_disk(cs1, cs2)
             assert r == max(class_radius(cs1, s1), class_radius(cs2, s2), distance(s1, s2))
+
+
+def _lattice_pair(seed):
+    """Two colour systems of 10-14 distinct lattice points each: a dense
+    two-colour block, and a sparser one of 2-4 colours shifted beside it."""
+    rng = random.Random(seed)
+
+    def side(q, w, ox, oy):
+        cells = rng.sample([(x, y) for x in range(w) for y in range(w)], rng.randint(10, 14))
+        classes = [[] for _ in range(q)]
+        for j, (x, y) in enumerate(cells):
+            classes[j % q].append(Point2(float(x + ox), float(y + oy)))
+        return color_system(classes)
+
+    return side(2, 4, 0, 0), side(rng.randint(2, 4), 5, rng.randint(4, 7), rng.randint(0, 3))
+
+
+def _exhaustive_anchored(cs1, cs2):
+    """The best anchored pair over every anchor row of both sides, with no
+    skip and no cap."""
+    best = math.inf
+    for csa, csb, swap in ((cs1, cs2, False), (cs2, cs1, True)):
+        pts, classes = scsd._flatten(csa)
+        ctx = ScsdContext(pts)
+        ctx.objective(classes, True)
+        for i in range(len(ctx.cand)):
+            a = ctx.center(i)
+            z = scsd._anchored_center(csb, a)[1]
+            s1, s2 = (z, a) if swap else (a, z)
+            best = min(best, max(distance(s1, s2), class_radius(cs1, s1), class_radius(cs2, s2)))
+    return best
+
+
+def _grid_coupled(cs1, cs2, k=32):
+    """A numpy grid upper bound on the coupled optimum: both centres on a
+    k x k grid over the points' box."""
+    pts = np.array([p.as_tuple() for cs in (cs1, cs2) for c in cs.classes for p in c])
+    xs = np.linspace(pts[:, 0].min() - 0.5, pts[:, 0].max() + 0.5, k)
+    ys = np.linspace(pts[:, 1].min() - 0.5, pts[:, 1].max() + 0.5, k)
+    grid = np.array([(x, y) for x in xs for y in ys])
+
+    def f(cs):
+        return np.max([np.min([np.hypot(grid[:, 0] - p.x, grid[:, 1] - p.y) for p in c], axis=0)
+                       for c in cs.classes], axis=0)
+
+    d = np.hypot(grid[:, None, 0] - grid[None, :, 0], grid[:, None, 1] - grid[None, :, 1])
+    return float(np.maximum(np.maximum(f(cs1)[:, None], f(cs2)[None, :]), d).min())
+
+
+def test_coupled_anchor_bound_against_exhaustive_anchors(monkeypatch):
+    # 10-14 points a side, with more than 64 anchor rows below the optimum
+    # (so a cap at 64 anchors would be in force); in these systems the best
+    # anchor has f_b(a) above the incumbent, so a bound without the /2
+    # would skip it
+    for seed in (102,):
+        cs1, cs2 = _lattice_pair(seed)
+        _, _, r = coupled_two_disk(cs1, cs2)
+        pts, classes = scsd._flatten(cs1)
+        assert (ScsdContext(pts).objective(classes, True) < r).sum() > 64, seed
+        assert r <= _exhaustive_anchored(cs1, cs2), seed
+        assert r <= _grid_coupled(cs1, cs2) + 1e-9, seed
+    # only a bound past the incumbent by eps may skip an anchor: (0, 4)
+    # mirrors (0, 0), whose pair is worth exactly its bound f_b / 2, so the
+    # bound of (0, 4) ties the incumbent (0, 0) leaves, and (0, 4) is solved
+    solved = []
+    anchored = scsd._anchored_center
+    monkeypatch.setattr(scsd, "_anchored_center",
+                        lambda cs, a: solved.append(a.as_tuple()) or anchored(cs, a))
+    coupled_two_disk(color_system([[Point2(-1, 0), Point2(-1, 4)], [Point2(1, 0), Point2(1, 4)]]),
+                     color_system([[Point2(0.5, 2)]]))
+    assert solved == [(0.0, 0.0), (0.0, 4.0)]
