@@ -4,6 +4,7 @@
     python3 bench/bench_scsd.py ../parent                   # BENCH_scsd.json
     python3 bench/bench_scsd.py ../parent --topic k2pins    # BENCH_k2pins.json
     python3 bench/bench_scsd.py ../parent --topic k2closure # BENCH_k2closure.json
+    python3 bench/bench_scsd.py ../parent --topic k0probes  # BENCH_k0probes.json
 
 Run it from the root of this checkout; ``--output`` names another file.
 Every topic makes, one process at a time:
@@ -29,7 +30,11 @@ space:
   alternating order (the faster run counts), with time, peak RSS,
   ``best_center`` calls, anchored solves of the coupled two-disk solver, and
   per instance whether the bottleneck (within 1e-12) and the whole answer
-  (bottleneck, Steiner points and edges) equal the parent's.
+  (bottleneck, Steiner points and edges) equal the parent's;
+* ``k0probes``: k = 0 solves at uniform n = 1024, 2048 and 4096 and
+  clustered n = 2048 (seed 1), twice a side in alternating order (the
+  faster run counts), with time, peak RSS and whether the bottleneck, the
+  threshold and the edges equal the parent's exactly.
 
 ``all_bottlenecks_identical`` compares bottlenecks only; whole-answer
 identity is reported per row as ``answers_identical``.
@@ -159,6 +164,16 @@ def run_code(checkout: Path, code: str) -> list[dict]:
     return [json.loads(line) for line in out.splitlines()]
 
 
+def faster_of_two(parent: Path, change: Path, code: str) -> dict[str, list[dict]]:
+    """Two runs a side, parent first then change first; the faster counts."""
+    sides = {"parent": parent, "change": change}
+    runs = {side: [] for side in sides}
+    for order in (("parent", "change"), ("change", "parent")):
+        for side in order:
+            runs[side].append(run_code(sides[side], code))
+    return {side: min(r, key=lambda lines: lines[-1]["time_s"]) for side, r in runs.items()}
+
+
 def k1_rows(parent: Path, change: Path) -> tuple[dict, bool]:
     rows = {}
     for n in (128, 256):
@@ -177,15 +192,8 @@ def k2_rows(parent: Path, change: Path) -> tuple[dict, bool]:
     groups["five larger, one process"] = [shape for name, shapes in groups.items()
                                           if not name.startswith("k2-mid") for shape in shapes]
     rows = {}
-    sides = {"parent": parent, "change": change}
     for name, shapes in groups.items():
-        code = K2_SOLVE.format(shapes=shapes)
-        # two runs a side, parent first then change first; the faster counts
-        runs = {side: [] for side in sides}
-        for order in (("parent", "change"), ("change", "parent")):
-            for side in order:
-                runs[side].append(run_code(sides[side], code))
-        res = {side: min(r, key=lambda lines: lines[-1]["time_s"]) for side, r in runs.items()}
+        res = faster_of_two(parent, change, K2_SOLVE.format(shapes=shapes))
         pairs = list(zip(res["parent"][:-1], res["change"][:-1]))
         rows[name] = {side: lines[-1] for side, lines in res.items()}
         rows[name].update(instances=len(pairs),
@@ -194,6 +202,32 @@ def k2_rows(parent: Path, change: Path) -> tuple[dict, bool]:
                           answers_identical=sum(a["answer"] == b["answer"] for a, b in pairs))
         print(name, {side: lines[-1]["time_s"] for side, lines in res.items()}, flush=True)
     return rows, all(v["bottlenecks_identical"] == v["instances"] for v in rows.values())
+
+
+# one k = 0 solve; prints time, peak RSS and the answer
+K0_SOLVE = PRELUDE + """
+pts = generate_instance({n}, 1, "{dist}")
+t0 = time.perf_counter()
+net = solve(pts, 0)
+t = time.perf_counter() - t0
+print(json.dumps({{"time_s": round(t, 4), "answer": [net.bottleneck, net.threshold, net.edges],
+                  "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}}))
+"""
+
+
+def k0_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+    rows = {}
+    for n, dist in ((1024, "uniform"), (2048, "uniform"), (4096, "uniform"), (2048, "clusters")):
+        res = faster_of_two(parent, change, K0_SOLVE.format(n=n, dist=dist))
+        (p,), (c,) = res["parent"], res["change"]
+        rows[f"{dist}-n{n}-s1"] = {
+            **{side: {"time_s": r["time_s"], "peak_rss_mb": r["peak_rss_mb"]}
+               for side, r in (("parent", p), ("change", c))},
+            "bottleneck_identical": p["answer"][0] == c["answer"][0],
+            "threshold_identical": p["answer"][1] == c["answer"][1],
+            "edges_identical": p["answer"][2] == c["answer"][2]}
+        print(n, dist, {side: r["time_s"] for side, r in (("parent", p), ("change", c))}, flush=True)
+    return rows, all(v["bottleneck_identical"] and v["edges_identical"] for v in rows.values())
 
 
 TOPICS = {
@@ -242,6 +276,24 @@ TOPICS = {
                    "closure2.locate_case2.incl_s", "closure2.locate_case3.incl_s",
                    "closure2.self_s", "scsd.self_s", "trace.solve_s"),
         "rows": ("k2_n", k2_rows),
+    },
+    "k0probes": {
+        "layer": "solver k = 0 probes, graph.is_biconnected and rng.build_2rng",
+        "what": "k = 0 sorts the 2-RNG edges by length once and decides each probe on "
+                "the edge prefix of length <= t with one early-exit low-point pass, "
+                "which is also is_biconnected for every caller; build_2rng fills the "
+                "distance matrix with one hypot per unordered pair, a row block at a "
+                "time (was: a fresh, validated threshold Graph and a whole "
+                "BlockCutForest per probe and per is_biconnected call, and one dense "
+                "hypot over all ordered pairs)",
+        "parent": "49d00cb",
+        "traced": ("rng.build_2rng.self_s", "rng.threshold_subgraph.calls",
+                   "graph.is_biconnected.calls", "graph.is_biconnected.self_s",
+                   "graph.block_cut_forest.calls", "graph.block_cut_forest.self_s",
+                   "graph.Graph.__post_init__.calls", "closure2.classify.self_s",
+                   "solver.probes", "solver.self_s", "rng.self_s", "graph.self_s",
+                   "trace.solve_s"),
+        "rows": ("k0_n", k0_rows),
     },
 }
 

@@ -50,11 +50,10 @@ def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]],
                lengths: Iterable[float] | None = None) -> Graph:
     """Normalise edge orientation and ordering; lengths follow their edges."""
     es = [(u, v) if u < v else (v, u) for u, v in edges]
+    order = sorted(range(len(es)), key=lambda i: es[i])
     if lengths is None:
-        order = sorted(range(len(es)), key=lambda i: es[i])
         return Graph(vertex_count, tuple(es[i] for i in order))
     ls = list(lengths)
-    order = sorted(range(len(es)), key=lambda i: es[i])
     return Graph(vertex_count, tuple(es[i] for i in order), tuple(ls[i] for i in order))
 
 
@@ -164,16 +163,8 @@ def block_cut_forest(g: Graph) -> BlockCutForest:
         if root_children >= 2:
             cut[root] = True
 
-    block_sets: list[tuple[int, ...]] = []
-    for blk in raw_blocks:
-        vs: set[int] = set()
-        for u, v in blk:
-            vs.add(u)
-            vs.add(v)
-        block_sets.append(tuple(sorted(vs)))
-    for v in range(n):
-        if not adj[v]:
-            block_sets.append((v,))
+    block_sets = [tuple(sorted({v for e in blk for v in e})) for blk in raw_blocks]
+    block_sets += [(v,) for v in range(n) if not adj[v]]
     block_sets.sort()
 
     cut_vs = frozenset(v for v in range(n) if cut[v])
@@ -204,17 +195,47 @@ def block_cut_forest(g: Graph) -> BlockCutForest:
 
 
 def is_biconnected(g: Graph) -> bool:
-    """2-connectivity with the convention that K1 and K2 are 2-connected.
+    """2-connectivity with the convention that K1 and K2 are 2-connected."""
+    return is_biconnected_edges(g.vertex_count, g.edges)
 
-    For n >= 3 one block decomposition decides: a disconnected graph has at
-    least two blocks, since every component, even an isolated vertex, holds
-    one."""
-    n = g.vertex_count
-    if n <= 1:
-        return True
-    if n == 2:
-        return len(g.edges) == 1
-    return len(block_cut_forest(g).blocks) == 1
+
+def is_biconnected_edges(n: int, edges: Sequence[tuple[int, int]]) -> bool:
+    """2-connectivity of vertices 0..n-1 with ``edges`` in any order and
+    orientation (K1, K2 and n = 0 count as 2-connected): one iterative
+    low-point pass from vertex 0 that stops at the first cut vertex, at a
+    second root child or with a vertex unreached."""
+    if n <= 2:
+        return n < 2 or len(edges) == 1
+    if len(edges) < n:
+        return False
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    disc = [0] + [-1] * (n - 1)
+    low = [0] * n
+    timer = 1
+    stack = [(0, -1, iter(adj[0]))]
+    while stack:
+        v, p, it = stack[-1]
+        for w in it:
+            if disc[w] == -1:
+                if v == 0 and timer > 1:
+                    return False  # a second root child: the root is a cut vertex
+                disc[w] = low[w] = timer
+                timer += 1
+                stack.append((w, v, iter(adj[w])))
+                break
+            if w != p and disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if p > 0:
+                if low[v] >= disc[p]:
+                    return False  # p separates v's subtree from the root
+                if low[v] < low[p]:
+                    low[p] = low[v]
+    return timer == n
 
 
 def b_count(g: Graph) -> int:

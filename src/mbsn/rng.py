@@ -6,8 +6,9 @@ disks of radius |pq| centred at p and q).  Points on the lune boundary,
 up to the instance tolerance, do not count as interior: r is inside the
 lune of pq when d(p, r) < d(p, q) - eps and d(q, r) < d(p, q) - eps.
 
-The graph is built in two passes over one dense distance matrix, both
-using that predicate and nothing else:
+The graph is built in two passes over one dense distance matrix, filled
+with one ``hypot`` per unordered pair, both using that predicate and
+nothing else:
 
 * Witness pass.  The ``_WITNESSES`` nearest other points of each point
   are its witnesses.  A pair pq is dropped when at least two witnesses of
@@ -36,7 +37,7 @@ from .graph import Graph, make_graph
 
 
 _WITNESSES = 8  # nearest other points per point tried before the full count
-_CHUNK = 256  # rows, or survivor pairs, tested against all points at once
+_CHUNK = 256  # rows, or survivor pairs, handled at once
 
 
 def build_2rng(points: Sequence[Point2]) -> Graph:
@@ -49,7 +50,13 @@ def build_2rng(points: Sequence[Point2]) -> Graph:
     eps = geometry_eps(points)
     x = np.array([p.x for p in points])
     y = np.array([p.y for p in points])
-    dist = np.hypot(x[:, None] - x, y[:, None] - y)
+    # one hypot per unordered pair, mirrored below the diagonal: x_j - x_i is
+    # exactly -(x_i - x_j) and hypot ignores signs: the dense matrix, bit for bit
+    dist = np.empty((n, n))
+    for s in range(0, n, _CHUNK):
+        blk = np.hypot(x[s:s + _CHUNK, None] - x[s:], y[s:s + _CHUNK, None] - y[s:])
+        dist[s:s + _CHUNK, s:] = blk
+        dist[s:, s:s + _CHUNK] = blk.T
 
     # witness pass: hits[i, j] counts the witnesses of i inside the lune of ij
     kw = min(_WITNESSES, n - 1)

@@ -5,28 +5,32 @@ Every k runs one pipeline: a binary search with incumbent tracking over the
 ordered edge lengths of the 2-relative neighbourhood graph, pricing each
 threshold graph G_t, then one assembly of G_t* plus the k Steiner points
 and their edges.  For k = 0 a threshold is feasible exactly when G_t is
-2-connected.  For k >= 1 it is infeasible when the leaf/isolated-block
-counter exceeds 5k (plus, for k = 1, when G_t is disconnected); otherwise
-the optimal k-block closure of G_t prices it at max(closure radius, t).
-The k = 2 schedule is prepended with 0 because an optimal network minus
-its Steiner points may be edgeless.
+2-connected; the 2-RNG edges are sorted by length once, and a probe tests
+the prefix of edges of length at most t without building a ``Graph``.  For
+k >= 1 it is infeasible when the leaf/isolated-block counter exceeds 5k
+(plus, for k = 1, when G_t is disconnected); otherwise the optimal k-block
+closure of G_t prices it at max(closure radius, t).  The k = 2 schedule is
+prepended with 0 because an optimal network minus its Steiner points may
+be edgeless.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .closure1 import optimal_1block_closure
 from .closure2 import optimal_2block_closure, separate_coincident
 from .geom import Point2, distance, geometry_eps
-from .graph import Graph, b_count, is_biconnected, is_connected, make_graph
+from .graph import (Graph, b_count, is_biconnected, is_biconnected_edges, is_connected,
+                    make_graph)
 from .rng import build_2rng, length_schedule, threshold_subgraph
 from .scsd import ScsdContext
 
-# (feasible, closure radius, (G_t, Steiner points, Steiner edges)); Steiner
-# point i has index n + i in the edges
+# (feasible, closure radius, (edges of G_t, Steiner points, Steiner edges));
+# Steiner point i has index n + i in the edges
 Evaluation = tuple[bool, float, object]
 
 
@@ -112,9 +116,13 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float], E
     """Prices one threshold of the 2-RNG ``r``; for k >= 1 every probe shares
     one global colour-disk context."""
     if k == 0:
+        order = sorted(range(len(r.edges)), key=r.lengths.__getitem__)
+        edges = [r.edges[i] for i in order]
+        lengths = [r.lengths[i] for i in order]
+
         def evaluate(t: float) -> Evaluation:
-            g = threshold_subgraph(r, t)
-            return is_biconnected(g), 0.0, (g, (), ())
+            prefix = edges[:bisect_right(lengths, t)]
+            return is_biconnected_edges(len(pts), prefix), 0.0, (prefix, (), ())
 
         return evaluate
 
@@ -129,7 +137,7 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float], E
             # the disk centre may sit on a terminal; nudge it off
             s = separate_coincident(pts, [clo.steiner],
                                     [[pts[v] for v in clo.steiner_edges]], [])[0]
-            return True, clo.radius, (g, (s,), tuple((v, n) for v in clo.steiner_edges))
+            return True, clo.radius, (g.edges, (s,), tuple((v, n) for v in clo.steiner_edges))
 
         return evaluate
 
@@ -142,7 +150,7 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float], E
         emb = optimal_2block_closure(g, pts, ctx)
         edges = tuple((index[a], index[b] if isinstance(b, str) else b)
                       for a, b in emb.steiner_edges)
-        return True, emb.radius, (g, (emb.s1, emb.s2), edges)
+        return True, emb.radius, (g.edges, (emb.s1, emb.s2), edges)
 
     return evaluate
 
@@ -158,9 +166,9 @@ def _pipeline(points: Sequence[Point2], k: int) -> tuple[
 
 
 def _assemble(pts: tuple[Point2, ...], t: float, payload) -> SolutionNetwork:
-    """G_t plus the Steiner points and their edges."""
-    g, steiner, steiner_edges = payload
-    edges = tuple(sorted((min(e), max(e)) for e in (*g.edges, *steiner_edges)))
+    """The edges of G_t plus the Steiner points and their edges."""
+    g_edges, steiner, steiner_edges = payload
+    edges = tuple(sorted((min(e), max(e)) for e in (*g_edges, *steiner_edges)))
     return SolutionNetwork(pts, steiner, edges, len(steiner), t,
                            _max_edge(pts + steiner, edges))
 

@@ -12,6 +12,7 @@ import random
 
 import numpy as np
 
+from mbsn.cli import generate_instance
 from mbsn.geom import Point2
 from mbsn.graph import Graph, make_graph
 
@@ -153,6 +154,17 @@ def random_points(rng: random.Random, n: int, spread: float = 1.0) -> list[Point
         if all(math.dist(cand.as_tuple(), p.as_tuple()) > 1e-6 for p in pts):
             pts.append(cand)
     return pts
+
+
+def chunk_boundary_instances() -> dict[str, list[Point2]]:
+    """Instances of more than one ``_CHUNK`` row block of ``build_2rng``'s
+    distance fill; the lattices have many equal lengths."""
+    return {"lattice-17x17": [Point2(i, j) for i in range(17) for j in range(17)],
+            "lattice-17x17-rect": [Point2(i, 1.5 * j) for i in range(17) for j in range(17)],
+            "uniform-257": generate_instance(257, 7, "uniform"),
+            "clusters-257": generate_instance(257, 8, "clusters"),
+            "uniform-300": generate_instance(300, 9, "uniform"),
+            "clusters-300": generate_instance(300, 10, "clusters")}
 
 
 def grid_min_spanning_radius(classes: list[list[tuple[float, float]]],

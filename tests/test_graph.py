@@ -4,7 +4,7 @@ import pytest
 
 from mbsn.geom import Point2
 from mbsn.graph import (b_count, block_cut_forest, geometric_graph, is_biconnected,
-                        is_connected, make_graph, max_edge_length)
+                        is_biconnected_edges, is_connected, make_graph, max_edge_length)
 
 from conftest import naive_b_count, naive_blocks, naive_cut_vertices, random_graph
 
@@ -134,6 +134,57 @@ def test_biconnected_iff_single_block():
         bcf = block_cut_forest(g)
         expect = is_connected(g) and len(bcf.blocks) == 1
         assert is_biconnected(g) == expect
+
+
+def _connected(n, edges):
+    seen, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        for a, b in edges:
+            for x, y in ((a, b), (b, a)):
+                if x == v and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return n == 0 or len(seen) == n
+
+
+def _cycle(vs):
+    return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+
+
+def test_biconnected_edge_list_matches_deletion_oracle():
+    """The low-point pass against cut vertices found by deletion plus a
+    connectivity check, on edge lists in shuffled order and orientation."""
+    cases = [(0, []), (1, []), (2, []), (2, [(0, 1)]), (3, _cycle([0, 1, 2])),
+             (6, _cycle([0, 1, 2]) + _cycle([3, 4, 5])),  # two disjoint cycles
+             (8, _cycle([0, 1, 2, 3]) + _cycle([4, 5, 6, 7])),
+             (5, _cycle([0, 1, 2]) + _cycle([0, 3, 4])),  # the root is the cut vertex
+             (5, _cycle([1, 2, 3]) + _cycle([1, 4, 0])),  # a non-root cut vertex
+             (7, _cycle([0, 1, 2]) + _cycle([3, 4, 5]) + [(2, 3), (6, 0), (6, 1)]),  # bridge
+             (5, [(a, b) for a in range(4) for b in range(a + 1, 4)]),  # K4 + isolated vertex
+             (5, [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]),  # isolated root
+             (6, _cycle([0, 1, 2, 3, 4, 5]) + [(0, 3)])]
+    rng = random.Random(2024)
+    for _ in range(600):
+        n = rng.randint(0, 16)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.8))
+        cases.append((n, list(g.edges)))
+    seen = {True: 0, False: 0}
+    for n, edges in cases:
+        g = make_graph(n, edges)
+        if n <= 1:
+            expect = True
+        elif n == 2:
+            expect = len(g.edges) == 1
+        else:
+            expect = _connected(n, g.edges) and not naive_cut_vertices(g)
+        assert is_biconnected(g) == expect, (n, edges)
+        for _ in range(3):
+            shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+            rng.shuffle(shuffled)
+            assert is_biconnected_edges(n, shuffled) == expect, (n, shuffled)
+        seen[expect] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_graph_validation():

@@ -1,14 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mbsn.cli import generate_instance
 from mbsn.geom import Point2, bbox_diagonal, geometry_eps
 from mbsn.graph import is_biconnected
-from mbsn.rng import _WITNESSES, build_2rng, length_schedule, threshold_subgraph
+from mbsn.rng import _CHUNK, _WITNESSES, build_2rng, length_schedule, threshold_subgraph
 
-from conftest import naive_lune_graph, random_points
+from conftest import chunk_boundary_instances, naive_lune_graph, random_points
 
 
 def test_three_points_complete():
@@ -138,3 +139,27 @@ def test_witness_filter_matches_naive_on_random_inputs():
         pts = generate_instance(n, rng.randrange(10**6), dist)
         g = build_2rng(pts)
         assert set(g.edges) == naive_lune_graph(pts, geometry_eps(pts)), (trial, n, dist)
+
+
+def _direct_2rng(pts: list[Point2]) -> tuple[tuple, tuple]:
+    """Edges and lengths by the direct lune count over one full hypot matrix."""
+    x = np.array([p.x for p in pts])
+    y = np.array([p.y for p in pts])
+    dist = np.hypot(x[:, None] - x, y[:, None] - y)
+    eps = geometry_eps(pts)
+    keep = np.zeros(dist.shape, dtype=bool)
+    for i in range(len(pts)):
+        thr = (dist[i] - eps)[:, None]  # the lune of (i, j) in row j
+        keep[i] = ((dist[i] < thr) & (dist < thr)).sum(axis=1) < 2
+    iu, ju = np.nonzero(np.triu(keep, 1))
+    return tuple(zip(iu.tolist(), ju.tolist())), tuple(dist[iu, ju].tolist())
+
+
+@pytest.mark.parametrize("name", sorted(chunk_boundary_instances()))
+def test_2rng_across_row_blocks_equals_direct_count(name):
+    pts = chunk_boundary_instances()[name]
+    assert len(pts) > _CHUNK
+    g = build_2rng(pts)
+    edges, lengths = _direct_2rng(pts)
+    assert g.edges == edges
+    assert g.lengths == lengths

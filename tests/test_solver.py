@@ -4,10 +4,11 @@ import random
 import pytest
 
 from mbsn.geom import Point2, distance
-from mbsn.rng import build_2rng, threshold_subgraph
+from mbsn.graph import block_cut_forest, is_connected
+from mbsn.rng import build_2rng, length_schedule, threshold_subgraph
 from mbsn.solver import mbsn0, mbsn1, mbsn2, solve, threshold_scan
 
-from conftest import random_points
+from conftest import chunk_boundary_instances, random_points
 
 SQUARE = [Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(0, 1)]
 TRI = [Point2(0, 0), Point2(10, 0), Point2(5, 1)]
@@ -139,3 +140,21 @@ def test_feasibility_monotone_in_threshold():
                 else:
                     assert not seen_feasible, \
                         "feasibility must be monotone in the threshold"
+
+
+@pytest.mark.parametrize("name", sorted(chunk_boundary_instances()))
+def test_k0_prefix_probes_match_threshold_graphs(name):
+    """Every k = 0 verdict equals one block and connectivity of G_t, and the
+    answer is exactly the threshold graph at t*."""
+    pts = chunk_boundary_instances()[name]
+    r = build_2rng(pts)
+    verdicts = [e.feasible for e in threshold_scan(pts, 0)]
+    expect = []
+    for t in length_schedule(r):
+        g = threshold_subgraph(r, t)
+        expect.append(is_connected(g) and len(block_cut_forest(g).blocks) == 1)
+    assert verdicts == expect
+    assert expect[-1]  # the whole 2-RNG is 2-connected
+    net = mbsn0(pts)
+    assert net.threshold == length_schedule(r)[expect.index(True)]
+    assert net.edges == threshold_subgraph(r, net.threshold).edges
