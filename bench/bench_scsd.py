@@ -5,6 +5,7 @@
     python3 bench/bench_scsd.py ../parent --topic k2pins    # BENCH_k2pins.json
     python3 bench/bench_scsd.py ../parent --topic k2closure # BENCH_k2closure.json
     python3 bench/bench_scsd.py ../parent --topic k0probes  # BENCH_k0probes.json
+    python3 bench/bench_scsd.py ../parent --topic k1local   # BENCH_k1local.json
 
 Run it from the root of this checkout; ``--output`` names another file.
 Every topic makes, one process at a time:
@@ -34,7 +35,14 @@ space:
 * ``k0probes``: k = 0 solves at uniform n = 1024, 2048 and 4096 and
   clustered n = 2048 (seed 1), twice a side in alternating order (the
   faster run counts), with time, peak RSS and whether the bottleneck, the
-  threshold and the edges equal the parent's exactly.
+  threshold and the edges equal the parent's exactly;
+* ``k1local``: k = 1 solves at uniform n = 256 (seed 256), n = 512 (seeds 1
+  and 512) and n = 1024 (seed 1), twice a side in alternating order (the
+  faster run counts), with time, peak RSS, the largest number of classes of
+  one disk query, the bottleneck, b0, the Steiner point and whether
+  ``validate()`` passed; and the k2-mid instances of seeds 1-2 in one
+  process, as in ``k2pins``, with per instance whether the bottleneck and
+  the whole answer equal the parent's.
 
 ``all_bottlenecks_identical`` compares bottlenecks only; whole-answer
 identity is reported per row as ``answers_identical``.
@@ -230,6 +238,54 @@ def k0_rows(parent: Path, change: Path) -> tuple[dict, bool]:
     return rows, all(v["bottleneck_identical"] and v["edges_identical"] for v in rows.values())
 
 
+# one k = 1 solve, then validate() and a k = 0 solve; prints time, peak RSS
+# (before the k = 0 solve), the widest query and the answer
+K1_LOCAL = PRELUDE + """
+widest = [0]
+query = scsd.ScsdContext.best_center
+def best_center(ctx, classes):
+    widest[0] = max(widest[0], len(classes))
+    return query(ctx, classes)
+scsd.ScsdContext.best_center = best_center
+pts = generate_instance({n}, {seed}, "uniform")
+t0 = time.perf_counter()
+try:
+    net = solve(pts, 1)
+    out = {{"time_s": round(time.perf_counter() - t0, 4), "bottleneck": net.bottleneck,
+            "steiner": [p.as_tuple() for p in net.steiner]}}
+except MemoryError as exc:
+    net, out = None, {{"time_s": round(time.perf_counter() - t0, 4),
+                       "bottleneck": "MemoryError: " + str(exc)}}
+out.update(classes=widest[0],
+           peak_rss_mb=round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1))
+if net is not None:
+    net.validate()
+    out.update(validated=True, b0=solve(pts, 0).bottleneck)
+print(json.dumps(out))
+"""
+
+
+def k1local_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+    rows, same = {}, True
+    for n, seed in ((256, 256), (512, 1), (512, 512), (1024, 1)):
+        res = faster_of_two(parent, change, K1_LOCAL.format(n=n, seed=seed))
+        (p,), (c,) = res["parent"], res["change"]
+        rows[f"uniform-n{n}-s{seed}"] = {"parent": p, "change": c}
+        if isinstance(p["bottleneck"], float):
+            same &= abs(p["bottleneck"] - c["bottleneck"]) <= 1e-12
+        print(n, seed, {"parent": p["time_s"], "change": c["time_s"]}, flush=True)
+    shapes = [(28, s * 1000 + i, "clusters") for s in (1, 2) for i in range(32)]
+    res = faster_of_two(parent, change, K2_SOLVE.format(shapes=shapes))
+    pairs = list(zip(res["parent"][:-1], res["change"][:-1]))
+    row = rows["k2-mid seeds 1-2"] = {side: lines[-1] for side, lines in res.items()}
+    row.update(instances=len(pairs),
+               bottlenecks_identical=sum(abs(a["answer"][0] - b["answer"][0]) <= 1e-12
+                                         for a, b in pairs),
+               answers_identical=sum(a["answer"] == b["answer"] for a, b in pairs))
+    print("k2-mid seeds 1-2", {side: row[side]["time_s"] for side in res}, flush=True)
+    return rows, same and row["bottlenecks_identical"] == row["instances"]
+
+
 TOPICS = {
     "scsd": {
         "layer": "scsd.context_global",
@@ -294,6 +350,29 @@ TOPICS = {
                    "solver.probes", "solver.self_s", "rng.self_s", "graph.self_s",
                    "trace.solve_s"),
         "rows": ("k0_n", k0_rows),
+    },
+    "k1local": {
+        "layer": "scsd (ScsdContext.best_center) and the k >= 1 probes' block decomposition",
+        "what": "ScsdContext.best_center evaluates only the query's own candidates: its "
+                "points, the midpoints of class-distinct pairs within 2R (R the best point "
+                "value, with two classes at most half the closest such pair's distance) and, "
+                "with >= 3 classes, circumcentres of class-distinct triples pairwise within "
+                "2R' (R' the best point or midpoint value), reading point values from the "
+                "n x n matrix dist; the context keeps no (n + C(n,2)) x n block, builds its "
+                "point and midpoint rows on first use, and class_vector builds per-vertex "
+                "columns on demand; a k >= 1 probe builds one BlockCutForest for b_count "
+                "and its closure (was: every candidate row's distances to every point built "
+                "in ScsdContext.__init__, all C(n,3) circumcentre rows on the first query "
+                "with >= 3 classes, and two decompositions per probe).  The tracer wraps no "
+                "solver-level block_cut_forest site, so graph.block_cut_forest.calls counts "
+                "only the closures' own calls on the change side",
+        "parent": "c22555e",
+        "traced": ("scsd.context_global.self_s", "scsd.context_global.candidates",
+                   "scsd.context_global.dist_mb", "scsd.best_center.calls",
+                   "scsd.best_center.self_s", "graph.block_cut_forest.calls",
+                   "graph.block_cut_forest.self_s", "graph.b_count.calls", "scsd.self_s",
+                   "graph.self_s", "solver.self_s", "trace.solve_s"),
+        "rows": ("k1local_rows", k1local_rows),
     },
 }
 

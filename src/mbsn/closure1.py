@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geom import Point2
-from .graph import Graph, block_cut_forest, is_biconnected, is_connected
+from .graph import BlockCutForest, Graph, block_cut_forest, is_biconnected, is_connected
 from .scsd import ScsdContext
 
 
@@ -26,8 +26,9 @@ class OneBlockClosure:
 
 
 def optimal_1block_closure(g: Graph, points: Sequence[Point2],
-                           ctx: ScsdContext | None = None) -> OneBlockClosure:
-    """Raises ValueError on disconnected input (no 1-block closure exists)."""
+                           ctx: ScsdContext | None = None,
+                           bcf: BlockCutForest | None = None) -> OneBlockClosure:
+    """Raises ValueError on disconnected input; ``bcf`` is g's forest, if known."""
     if not is_connected(g):
         raise ValueError("1-block closure requires a connected graph")
     if is_biconnected(g):
@@ -41,7 +42,7 @@ def optimal_1block_closure(g: Graph, points: Sequence[Point2],
         return OneBlockClosure(mid, (u, v), ln / 2.0)
     if ctx is None:
         ctx = ScsdContext(points)
-    bcf = block_cut_forest(g)
+    bcf = bcf or block_cut_forest(g)
     classes = [list(bcf.interiors[b]) for b in bcf.leaf_blocks]
     r, center, picks = ctx.best_center(classes)
     return OneBlockClosure(center, tuple(picks), r)

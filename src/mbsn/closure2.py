@@ -145,15 +145,16 @@ def _block_path(base_topology: Graph, n: int) -> BlockPath:
     )
 
 
-def classify(g: Graph, partition: Partition, bcf: BlockCutForest | None = None) -> CriticalTopology:
-    """Build the abstract base topology for one partition and tag the case."""
-    if bcf is None:
-        bcf = block_cut_forest(g)
+def classify(g: Graph, partition: Partition, bcf: BlockCutForest | None = None,
+             comps: list[list[int]] | None = None) -> CriticalTopology:
+    """Build the abstract base topology for one partition and tag the case;
+    ``bcf`` and ``comps`` are g's forest and components, if known."""
+    bcf = bcf or block_cut_forest(g)
     leaf_ids = set(bcf.leaf_blocks)
     s1set, s2set = set(partition.side1), set(partition.side2)
     if s1set | s2set != leaf_ids or s1set & s2set:
         raise ValueError("partition does not match the leaf blocks")
-    comps = connected_components(g)
+    comps = comps or connected_components(g)
     connected = len(comps) <= 1
     if connected and (not partition.side1 or not partition.side2):
         raise ValueError("one-sided partition on a connected graph")
@@ -507,16 +508,18 @@ def _separate_embedding(emb: EmbeddedClosure, points: Sequence[Point2]) -> Embed
 
 
 def optimal_2block_closure(g: Graph, points: Sequence[Point2],
-                           ctx: ScsdContext | None = None) -> EmbeddedClosure:
+                           ctx: ScsdContext | None = None,
+                           bcf: BlockCutForest | None = None) -> EmbeddedClosure:
     """Minimum over all partitions and applicable cases; Steiner points are
-    nudged apart when the optimiser returns coincident locations."""
+    nudged apart when the optimiser returns coincident locations.  ``bcf``
+    is g's block cut-vertex forest, if known."""
     n = g.vertex_count
     if n < 1:
         raise ValueError("empty instance")
     if ctx is None:
         ctx = ScsdContext(points)
-
-    if is_biconnected(g):
+    bcf = bcf or block_cut_forest(g)
+    if len(bcf.blocks) == 1:  # g is 2-connected, K1 and K2 included
         if not g.edges:
             # single vertex: a 4-cycle through two zero-cost Steiner points
             emb = EmbeddedClosure(0.0, points[0], points[0],
@@ -531,11 +534,10 @@ def optimal_2block_closure(g: Graph, points: Sequence[Point2],
                               (("s1", u), ("s1", "s2"), ("s2", v)), "block", None)
         return _separate_embedding(emb, points)
 
-    bcf = block_cut_forest(g)
-    connected = is_connected(g)
+    comps = connected_components(g)
     best: EmbeddedClosure | None = None
-    for part in enumerate_partitions(bcf, connected):
-        topo = classify(g, part, bcf)
+    for part in enumerate_partitions(bcf, is_connected(g)):
+        topo = classify(g, part, bcf, comps)
         if topo.case_tag == "case1":
             emb = locate_case1(g, points, topo, ctx)
         elif topo.case_tag == "case2":

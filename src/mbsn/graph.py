@@ -238,9 +238,9 @@ def is_biconnected_edges(n: int, edges: Sequence[tuple[int, int]]) -> bool:
     return timer == n
 
 
-def b_count(g: Graph) -> int:
-    """Leaf blocks plus twice the isolated blocks, summed over components."""
-    bcf = block_cut_forest(g)
+def b_count(g: Graph, bcf: BlockCutForest | None = None) -> int:
+    """Leaf blocks plus twice the isolated blocks of g (or of its forest ``bcf``)."""
+    bcf = bcf or block_cut_forest(g)
     return len(bcf.leaf_blocks) + 2 * len(bcf.isolated_blocks)
 
 

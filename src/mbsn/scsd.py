@@ -3,9 +3,10 @@
 A colour-spanning disk must contain at least one point of every colour
 class.  The optimum of c classes is the minimum enclosing disk of one
 nearest point per class: at most min(c, 3) determinators, so points, pair
-midpoints and (for c >= 3) triple circumcentres are exact candidates.  The
-coupled solver places two adjacent disk centres whose mutual distance also
-counts towards the objective.
+midpoints and (for c >= 3) triple circumcentres are exact candidates, and a
+query needs only those made of its own points.  The coupled solver places
+two adjacent disk centres whose mutual distance also counts towards the
+objective.
 """
 
 from __future__ import annotations
@@ -52,18 +53,16 @@ class ScsdResult:
 
 
 class ScsdContext:
-    """Candidate centres and centre-to-point distances shared across many
-    disk queries on one fixed point set.
+    """Colour-disk queries on one fixed point set; classes are index lists
+    into ``points``, and ``dist`` is their n x n distance matrix.
 
-    Candidates are every input point (sorted lexicographically so ties
-    resolve to the lexicographically first point), every pair midpoint and
-    every non-collinear triple circumcentre, in that order; classes are index
-    lists into ``points``.  A query with <= 2 classes is optimal at a point or
-    a midpoint and evaluates only those rows, whose distances are ``dist``.
-    The circumcentre rows are appended on the first query with >= 3 classes or
-    every-row ``objective`` call, keeping per queried class only its min distance.
-    Per-class vectors are memoised up to ``_CLASS_MIN_ENTRIES`` vectors and
-    ``_CLASS_MIN_DOUBLES`` doubles; past either bound a query recomputes its own.
+    ``best_center`` evaluates only the query's own candidates.  The rows
+    ``cand``, built on first use, serve the k = 2 pair search and the coupled
+    solver's anchors: every point (lexicographically sorted), every pair
+    midpoint and, from the first every-row ``objective`` call on, every
+    non-collinear triple circumcentre.  ``class_vector`` builds per-vertex
+    columns over them on demand; class vectors are memoised up to
+    ``_CLASS_MIN_ENTRIES`` vectors and ``_CLASS_MIN_DOUBLES`` doubles.
     """
 
     def __init__(self, points: Sequence[Point2]):
@@ -71,53 +70,54 @@ class ScsdContext:
         self.eps = geometry_eps(points)
         n = len(points)
         self._pts = pts = np.array([[p.x, p.y] for p in points], dtype=float).reshape(n, 2)
-        rows = [pts[np.lexsort((pts[:, 1], pts[:, 0]))]]
-        if n >= 2:
-            ii, jj = np.triu_indices(n, 1)
-            rows.append((pts[ii] + pts[jj]) / 2.0)
-        self.cand = np.vstack(rows)
-        self.dist = self.cand[:, None, 0] - pts[None, :, 0]
-        np.hypot(self.dist, self.cand[:, None, 1] - pts[None, :, 1], out=self.dist)
+        self._base_rows = n * (n + 1) // 2  # points and pair midpoints
+        self.dist = pts[:, None, 0] - pts[None, :, 0]
+        np.hypot(self.dist, pts[:, None, 1] - pts[None, :, 1], out=self.dist)
+        # collinearity rule of every circumcentre the context builds
+        self._collinear = self.eps * max(1.0, float(np.abs(pts).max(initial=0.0))) * 2.0
         self._triples: np.ndarray | None = None  # circumcentre rows, once built
         self._class_min: dict[tuple[tuple[int, ...], bool], np.ndarray] = {}
         self._class_min_doubles = 0
 
-    def _add_triples(self) -> None:
-        if self._triples is not None:
-            return
+    @functools.cached_property
+    def cand(self) -> np.ndarray:
         pts = self._pts
-        combos = itertools.combinations(range(len(pts)), 3)
-        trips = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp).reshape(-1, 3)
-        a = pts[trips[:, 0]]
-        bb, cc = pts[trips[:, 1]] - a, pts[trips[:, 2]] - a
+        ii, jj = np.triu_indices(len(pts), 1)
+        return np.vstack([pts[np.lexsort((pts[:, 1], pts[:, 0]))], (pts[ii] + pts[jj]) / 2.0])
+
+    def _circumcentres(self, i: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Circumcentres of the non-collinear triples (i, j, k), in order."""
+        a = self._pts[i]
+        bb, cc = self._pts[j] - a, self._pts[k] - a
         cross = bb[:, 0] * cc[:, 1] - bb[:, 1] * cc[:, 0]
-        scale = self.eps * max(1.0, float(np.abs(pts).max(initial=0.0))) * 2.0
-        ok = np.abs(cross) > scale
-        bb, cc, a2, cr = bb[ok], cc[ok], a[ok], cross[ok]
-        b2 = (bb * bb).sum(axis=1)
-        c2 = (cc * cc).sum(axis=1)
+        ok = np.abs(cross) > self._collinear
+        bb, cc, a, cr = bb[ok], cc[ok], a[ok], cross[ok]
+        b2, c2 = (bb * bb).sum(axis=1), (cc * cc).sum(axis=1)
         ux = (cc[:, 1] * b2 - bb[:, 1] * c2) / (2.0 * cr)
         uy = (bb[:, 0] * c2 - cc[:, 0] * b2) / (2.0 * cr)
-        self.cand = np.vstack([self.cand, a2 + np.stack([ux, uy], axis=1)])
-        self._triples = self.cand[len(self.dist):]
+        return a + np.stack([ux, uy], axis=1)
+
+    def _add_triples(self) -> None:
+        if self._triples is None:
+            combos = itertools.combinations(range(len(self._pts)), 3)
+            trips = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp).reshape(-1, 3)
+            self.cand = np.vstack([self.cand, self._circumcentres(*trips.T)])
+            self._triples = self.cand[self._base_rows:]
 
     def class_vector(self, cls: Sequence[int], every_row: bool) -> np.ndarray:
         """Distance to the nearest point of ``cls`` from each point and
-        midpoint row, or with ``every_row`` from each row."""
-        if len(cls) == 1 and not every_row:
-            return self.dist[:, cls[0]]
+        midpoint row, or with ``every_row`` from each row: the minimum of
+        the class's per-vertex columns."""
         key = (tuple(cls), every_row)
         vec = self._class_min.get(key)
         if vec is None:
-            vec = self.dist[:, list(cls)].min(axis=1)
             if every_row:
                 self._add_triples()
-                t, tri = self._triples, np.full(len(self.cand) - len(vec), np.inf)
-                for v in cls:  # one point at a time: no (rows, |cls|) block
-                    d = np.subtract(t[:, 0], self._pts[v, 0])
-                    np.hypot(d, t[:, 1] - self._pts[v, 1], out=d)
-                    np.minimum(tri, d, out=tri)
-                vec = np.concatenate([vec, tri])
+            rows = self.cand if every_row else self.cand[:self._base_rows]
+            for v in cls:  # one column at a time: no (rows, |cls|) block
+                d = np.subtract(rows[:, 0], self._pts[v, 0])
+                np.hypot(d, rows[:, 1] - self._pts[v, 1], out=d)
+                vec = d if vec is None else np.minimum(vec, d, out=vec)
             if (len(self._class_min) < _CLASS_MIN_ENTRIES
                     and self._class_min_doubles + vec.size <= _CLASS_MIN_DOUBLES):
                 self._class_min[key] = vec
@@ -128,20 +128,65 @@ class ScsdContext:
         """max-over-classes of min-distance at each point and midpoint row, or at every row."""
         if any(len(c) == 0 for c in classes):
             raise ValueError("empty colour class")
-        f = None
-        for cls in classes:
-            m = self.class_vector(cls, every_row)
-            f = m if f is None else np.maximum(f, m)
-        return f
+        return functools.reduce(np.maximum, (self.class_vector(c, every_row) for c in classes))
 
     def best_center(self, classes: Sequence[Sequence[int]]) -> tuple[float, Point2, tuple[int, ...]]:
         """Minimise max-over-classes of min-distance; returns radius, centre,
-        and one nearest vertex index per class (ties lexicographic by point)."""
-        f = self.objective(classes, len(classes) > 2)
-        i = int(np.argmin(f))
-        center = self.center(i)
-        picks = tuple(self.nearest_in_class(center, cls) for cls in classes)
-        return float(f[i]), center, picks
+        and one nearest vertex index per class (ties lexicographic by point).
+
+        Only the query's own candidates are valued, one candidates x class
+        points block per family: its points; midpoints of pairs that can stand
+        for two classes and lie within 2R, R the best point value (with two
+        classes, R <= half the closest such pair's distance, so only the
+        closest pairs); with >= 3 classes, circumcentres of such triples
+        pairwise within 2R', R' the best point or midpoint value.  Exact: the
+        optimum's determinators stand for different classes on a circle of
+        radius r* <= R' <= R.  Tie rule: the first minimal candidate wins, in
+        the order points (lexicographic), (i, j) midpoints, (i, j, k)
+        circumcentres.
+        """
+        if any(len(c) == 0 for c in classes):
+            raise ValueError("empty colour class")
+        owner: dict[int, int] = {}  # a query point's class; a unique negative label when in several
+        for b, c in enumerate(classes):
+            for v in c:
+                owner[v] = b if owner.get(v, b) == b else -1 - v
+        ids = sorted(owner)
+        u, own = np.array(ids), np.array([owner[v] for v in ids])
+        flat = np.fromiter(itertools.chain.from_iterable(classes), np.intp)  # class by class
+        pts, cols, rows = self._pts.take(u, 0), self._pts.take(flat, 0), self.dist.take(u, 0)
+        starts = [0, *itertools.accumulate(map(len, classes[:-1]))]
+
+        def values(block: np.ndarray) -> np.ndarray:  # candidates x class columns
+            return np.minimum.reduceat(block, starts, axis=1).max(axis=1)
+
+        f = values(rows.take(flat, 1))
+        r = float(f.min())
+        center = min(self.points[ids[t]].as_tuple() for t in np.nonzero(f == r)[0])
+        for triples in (False, True) if len(classes) > 2 else (False,):
+            if r == 0.0:
+                break  # a zero radius at a point is final
+            d = rows.take(u, 1)
+            i, j = np.nonzero(d <= 2.0 * r + self.eps)
+            keep = (i < j) & (own.take(i) != own.take(j))  # pairs i < j of two classes
+            i, j = i[keep], j[keep]
+            if len(classes) == 2 and len(i):  # R <= half the closest pair's distance
+                keep = d[i, j] <= d[i, j].min() + self.eps
+                i, j = i[keep], j[keep]
+            if triples:
+                near = np.zeros((len(u), len(u)), dtype=bool)
+                near[i, j] = True
+                t, k = np.nonzero(near[i] & near[j])
+                c = self._circumcentres(u[i[t]], u[j[t]], u[k])
+            else:
+                c = (pts.take(i, 0) + pts.take(j, 0)) / 2.0
+            if len(c):
+                f = values(np.hypot(c[:, :1] - cols[:, 0], c[:, 1:] - cols[:, 1]))
+                t = int(f.argmin())
+                if f[t] < r:
+                    r, center = float(f[t]), (float(c[t, 0]), float(c[t, 1]))
+        center = Point2(*center)
+        return r, center, tuple(self.nearest_in_class(center, cls) for cls in classes)
 
     def center(self, i: int) -> Point2:
         return Point2(float(self.cand[i, 0]), float(self.cand[i, 1]))
@@ -158,15 +203,9 @@ class ScsdContext:
 
 
 def _flatten(cs: ColorSystem) -> tuple[list[Point2], list[list[int]]]:
-    pts: list[Point2] = []
-    classes: list[list[int]] = []
-    for cls in cs.classes:
-        idx = []
-        for p in cls:
-            idx.append(len(pts))
-            pts.append(p)
-        classes.append(idx)
-    return pts, classes
+    pts = [p for cls in cs.classes for p in cls]
+    ends = itertools.accumulate(map(len, cs.classes))
+    return pts, [list(range(e - len(c), e)) for c, e in zip(cs.classes, ends)]
 
 
 def class_radius(cs: ColorSystem, z: Point2) -> float:
@@ -176,10 +215,7 @@ def class_radius(cs: ColorSystem, z: Point2) -> float:
 
 def nearest_per_color(x: Point2, cs: ColorSystem) -> tuple[Point2, ...]:
     """One closest point per colour; ties broken lexicographically by (x, y)."""
-    out = []
-    for cls in cs.classes:
-        out.append(min(cls, key=lambda p: (distance(x, p), p.x, p.y)))
-    return tuple(out)
+    return tuple(min(cls, key=lambda p: (distance(x, p), p.x, p.y)) for cls in cs.classes)
 
 
 def smallest_color_spanning_disk(cs: ColorSystem) -> ScsdResult:
@@ -260,10 +296,8 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem) -> tuple[Point2, Point2
     cm = smallest_color_spanning_disk(merged).disk.center
     consider(cm, cm)
 
-    pts1 = sorted({p.as_tuple() for cls in cs1.classes for p in cls})
-    pts2 = sorted({p.as_tuple() for cls in cs2.classes for p in cls})
-    pts1 = [Point2(x, y) for x, y in pts1]
-    pts2 = [Point2(x, y) for x, y in pts2]
+    pts1, pts2 = ([Point2(*xy) for xy in sorted({p.as_tuple() for cls in cs.classes for p in cls})]
+                  for cs in (cs1, cs2))
 
     # Three collinear legs p - s1 - s2 - q, each of length |pq| / 3.
     for p in pts1:

@@ -24,8 +24,8 @@ from typing import Callable, Sequence
 from .closure1 import optimal_1block_closure
 from .closure2 import optimal_2block_closure, separate_coincident
 from .geom import Point2, distance, geometry_eps
-from .graph import (Graph, b_count, is_biconnected, is_biconnected_edges, is_connected,
-                    make_graph)
+from .graph import (Graph, b_count, block_cut_forest, is_biconnected, is_biconnected_edges,
+                    is_connected, make_graph)
 from .rng import build_2rng, length_schedule, threshold_subgraph
 from .scsd import ScsdContext
 
@@ -114,7 +114,8 @@ def _binary_search(lengths: Sequence[float],
 
 def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float], Evaluation]:
     """Prices one threshold of the 2-RNG ``r``; for k >= 1 every probe shares
-    one global colour-disk context."""
+    one global colour-disk context, and a probe's block counter and closure
+    share one block decomposition of G_t."""
     if k == 0:
         order = sorted(range(len(r.edges)), key=r.lengths.__getitem__)
         edges = [r.edges[i] for i in order]
@@ -131,9 +132,10 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float], E
     if k == 1:
         def evaluate(t: float) -> Evaluation:
             g = threshold_subgraph(r, t)
-            if not is_connected(g) or b_count(g) > 5:
+            bcf = block_cut_forest(g) if is_connected(g) else None
+            if bcf is None or b_count(g, bcf) > 5:
                 return False, math.inf, None
-            clo = optimal_1block_closure(g, pts, ctx)
+            clo = optimal_1block_closure(g, pts, ctx, bcf)
             # the disk centre may sit on a terminal; nudge it off
             s = separate_coincident(pts, [clo.steiner],
                                     [[pts[v] for v in clo.steiner_edges]], [])[0]
@@ -145,9 +147,10 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float], E
 
     def evaluate(t: float) -> Evaluation:
         g = threshold_subgraph(r, t)
-        if b_count(g) > 10:
+        bcf = block_cut_forest(g)
+        if b_count(g, bcf) > 10:
             return False, math.inf, None
-        emb = optimal_2block_closure(g, pts, ctx)
+        emb = optimal_2block_closure(g, pts, ctx, bcf)
         edges = tuple((index[a], index[b] if isinstance(b, str) else b)
                       for a, b in emb.steiner_edges)
         return True, emb.radius, (g.edges, (emb.s1, emb.s2), edges)

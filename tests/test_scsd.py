@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mbsn import scsd
-from mbsn.geom import Point2, distance, geometry_eps
+from mbsn.geom import Point2, bbox_diagonal, distance, geometry_eps
 from mbsn.scsd import (ColorSystem, ScsdContext, color_system, class_radius,
                        coupled_two_disk, nearest_per_color, smallest_color_spanning_disk)
 
@@ -221,15 +221,86 @@ def _degenerate_sets():
                   0.5 + 0.3 * math.sin(2 * math.pi * i / 12)) for i in range(12)]
 
 
+def _assert_eager_optimum(points, classes, got, rounding=False):
+    """``got`` against the eager optimum: tuple-equal when one eager row
+    attains it; otherwise the same radius, the objective at the returned
+    centre equal to it, and the centre within 1e-12 of an eager minimiser.
+    With ``rounding``, the eager minimum may also sit below the radius by
+    rounding alone, at a row outside the query's candidates: within 1e-12
+    relative, at a centre within 1e-12 of the returned one.  Returns
+    whether the optimum was tied or rounded."""
+    cand, f = _eager_objective(points, classes)
+    r, c, picks = got
+    rows = np.flatnonzero(f == f.min())
+    pts = np.array([p.as_tuple() for p in points])
+    assert r == max(np.hypot(c.x - pts[cls, 0], c.y - pts[cls, 1]).min() for cls in classes)
+    assert picks == tuple(min(cls, key=lambda v: (math.hypot(points[v].x - c.x, points[v].y - c.y),
+                                                  points[v].x, points[v].y)) for cls in classes)
+    if rounding and r > f.min():
+        assert r - f.min() <= 1e-12 * r, (points, classes)
+    elif len(rows) == 1:
+        assert got == _eager_best_center(points, classes), (points, classes)
+        return False
+    else:
+        assert r == f.min(), (points, classes)
+    assert np.hypot(cand[rows, 0] - c.x, cand[rows, 1] - c.y).min() <= 1e-12, (points, classes)
+    return True
+
+
 def test_lazy_context_equals_eager_enumeration():
+    # the query-local candidates against every row, enumerated up front
     rng = random.Random(404)
     sets = [[Point2(rng.random(), rng.random()) for _ in range(rng.randint(3, 16))]
             for _ in range(8)] + list(_degenerate_sets())
     for points in sets:
         for _ in range(12):
             classes = _random_classes(rng, len(points), rng.randint(1, min(5, len(points))))
-            got = ScsdContext(points).best_center(classes)
-            assert got == _eager_best_center(points, classes), (points, classes)
+            _assert_eager_optimum(points, classes, ScsdContext(points).best_center(classes))
+
+
+def _property_sets(rng):
+    """Degenerate point sets: (name, points)."""
+    for _ in range(4):
+        w = rng.randint(3, 5)
+        grid = [(x, y) for x in range(w) for y in range(w)]
+        cells = rng.sample(grid, rng.randint(4, min(14, w * w)))
+        yield "lattice", [Point2(float(x), float(y)) for x, y in cells]
+    for _ in range(3):
+        a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
+        ts = sorted(rng.sample(range(40), rng.randint(4, 10)))
+        yield "collinear", [Point2(a + 0.25 * t, b - 0.5 * t) for t in ts]
+    for _ in range(3):
+        angles = rng.sample(range(24), rng.randint(4, 10))
+        yield "cocircular", [Point2(0.5 + 0.3 * math.cos(math.pi * t / 12),
+                                    0.5 + 0.3 * math.sin(math.pi * t / 12)) for t in angles]
+    for _ in range(3):
+        base = [Point2(rng.random(), rng.random()) for _ in range(rng.randint(3, 7))]
+        gap = 1e-10 * bbox_diagonal(base)
+        twins = [Point2(p.x + gap, p.y) for p in rng.sample(base, 2)]
+        yield "near-duplicate", base + twins
+    for _ in range(3):
+        centres = [(0.0, 0.0), (1e3, 0.0), (0.0, 1e3)][:rng.randint(2, 3)]
+        yield "far clusters", [Point2(cx + 0.01 * rng.random(), cy + 0.01 * rng.random())
+                               for cx, cy in centres for _ in range(rng.randint(2, 4))]
+
+
+def test_best_center_property_against_eager_rows():
+    # lattices, collinear and cocircular sets, near-duplicate pairs at
+    # 1e-10 of the diagonal and far clusters; the classes are disjoint, or
+    # side classes plus an h1 that contains them, as case 2 asks
+    rng = random.Random(413)
+    ties = queries = 0
+    for name, points in _property_sets(rng):
+        ctx = ScsdContext(points)
+        for _ in range(8):
+            classes = _random_classes(rng, len(points), rng.randint(1, min(4, len(points))))
+            if rng.random() < 0.5:
+                h1 = sorted(set(rng.sample(range(len(points)), rng.randint(1, len(points))))
+                            | {v for c in classes[:rng.randint(1, len(classes))] for v in c})
+                classes = classes + [h1]
+            ties += _assert_eager_optimum(points, classes, ctx.best_center(classes), True)
+            queries += 1
+    assert queries == 128 and 0 < ties < queries
 
 
 def test_context_rows_grow_once_and_stay_consistent():
@@ -248,9 +319,9 @@ def test_context_row_counts():
     for points in ([Point2(rng.random(), rng.random()) for _ in range(11)], lattice):
         n = len(points)
         ctx = ScsdContext(points)
-        ctx.best_center([[0, 1], [2, 3, 4]])
-        ctx.best_center([list(range(n))])
-        assert len(ctx.cand) == ctx.dist.shape[0] == n + n * (n - 1) // 2
+        ctx.objective([[0, 1], [2, 3, 4]], False)
+        ctx.objective([list(range(n))], False)
+        assert len(ctx.cand) == n + n * (n - 1) // 2 and ctx.dist.shape == (n, n)
         # one row per point, per pair and per non-collinear triple: the
         # anchor set of coupled_two_disk
         triples = sum(1 for a, b, c in itertools.combinations(points, 3)
@@ -263,16 +334,19 @@ def test_class_min_cache_cap_is_a_pure_memo():
     rng = random.Random(407)
     points = [Point2(rng.random(), rng.random()) for _ in range(18)]
     ctx = ScsdContext(points)
-    ctx.best_center([[0], [1], [2]])  # all rows present from here on
+    ctx.objective([[0], [1], [2]], True)  # all rows present from here on
     keys = set()
     while len(keys) < 4300:
         keys.add(tuple(sorted(rng.sample(range(1, 18), rng.randint(2, 9)))))
     keys = sorted(keys)
     for key in keys:
-        ctx.best_center([list(key), [0]])
+        ctx.objective([list(key), [0]], False)
     assert len(ctx._class_min) == 4096
     for key in keys[::43] + keys[-20:]:  # cached and uncached keys
         for classes in ([list(key), [0]], [list(key), [0, 17], [5]]):
+            for every_row in (False, True):
+                assert np.array_equal(ctx.objective(classes, every_row),
+                                      ScsdContext(points).objective(classes, every_row))
             assert ctx.best_center(classes) == ScsdContext(points).best_center(classes)
 
 
@@ -292,14 +366,20 @@ def test_objective_values_equal_eager_rows():
 
 
 def test_small_queries_skip_the_circumcentre_rows():
+    # best_center builds no rows and keeps no vectors, whatever its class
+    # count; only every-row objective calls append the circumcentre rows
     rng = random.Random(409)
     points = [Point2(rng.random(), rng.random()) for _ in range(20)]
     ctx = ScsdContext(points)
     wide = [[0, 1, 2], [3], [4, 5]]
-    ctx.best_center(wide)
-    for classes in ([list(range(6, 20)), [0, 1, 2]], [[7, 8]], [[3], [4, 5]]):
+    for classes in (wide, [list(range(6, 20)), [0, 1, 2]], [[7, 8]], [[3], [4, 5]]):
         assert ctx.best_center(classes) == ScsdContext(points).best_center(classes)
-    # only the >= 3-class query evaluated circumcentre distances
+    assert ctx._triples is None and not ctx._class_min and "cand" not in vars(ctx)
+    ctx.objective(wide, True)
+    for classes in ([list(range(6, 20)), [0, 1, 2]], [[7, 8]], [[3], [4, 5]]):
+        assert np.array_equal(ctx.objective(classes, False),
+                              ScsdContext(points).objective(classes, False))
+    # only the every-row call evaluated circumcentre distances
     assert {key for key, every_row in ctx._class_min if every_row} == {(0, 1, 2), (3,), (4, 5)}
 
 
@@ -331,14 +411,16 @@ def test_class_min_doubles_bound_is_a_pure_memo():
     queries = [[sorted(rng.sample(range(128), rng.randint(1, 4))) for _ in range(3)]
                for _ in range(20)]
     for classes in queries:
-        ctx.best_center(classes)
+        ctx.objective(classes, True)
     held = sum(vec.size for vec in ctx._class_min.values())
     assert held == ctx._class_min_doubles <= scsd._CLASS_MIN_DOUBLES
     assert len(ctx._class_min) < scsd._CLASS_MIN_ENTRIES
     kept = [all((tuple(c), True) in ctx._class_min for c in q) for q in queries]
     assert kept[0] and not all(kept)  # some vectors past the bound were not kept
+    fresh = ScsdContext(points)
     for classes in queries[:2] + queries[-2:] + [queries[kept.index(False)]]:
-        assert ctx.best_center(classes) == ScsdContext(points).best_center(classes)
+        assert np.array_equal(ctx.objective(classes, True), fresh.objective(classes, True))
+        assert ctx.best_center(classes) == fresh.best_center(classes)
 
 
 def test_coupled_radius_is_the_objective_of_its_pair():

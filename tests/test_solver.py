@@ -1,5 +1,10 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,3 +163,30 @@ def test_k0_prefix_probes_match_threshold_graphs(name):
     net = mbsn0(pts)
     assert net.threshold == length_schedule(r)[expect.index(True)]
     assert net.edges == threshold_subgraph(r, net.threshold).edges
+
+
+# one k = 1 solve of uniform n = 512, seed 1, with the address space capped
+# at 3 GB; prints b1, b0 and whether validate() passed
+_CAPPED_K1 = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from mbsn.cli import generate_instance
+from mbsn.solver import solve
+pts = generate_instance(512, 1, "uniform")
+net = solve(pts, 1)
+net.validate()
+print(json.dumps({"b1": net.bottleneck, "b0": solve(pts, 0).bottleneck}))
+"""
+
+
+def test_k1_n512_solves_under_a_3gb_address_cap():
+    # a k = 1 query of three or more classes evaluates only its own
+    # candidates: no dense block of every centre-to-point distance and no
+    # C(n, 3) circumcentre rows, which exceeded this cap
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_K1], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["b1"] <= out["b0"]
