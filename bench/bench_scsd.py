@@ -6,6 +6,7 @@
     python3 bench/bench_scsd.py ../parent --topic k2closure # BENCH_k2closure.json
     python3 bench/bench_scsd.py ../parent --topic k0probes  # BENCH_k0probes.json
     python3 bench/bench_scsd.py ../parent --topic k1local   # BENCH_k1local.json
+    python3 bench/bench_scsd.py ../parent --topic k2cut     # BENCH_k2cut.json
 
 Run it from the root of this checkout; ``--output`` names another file.
 Every topic makes, one process at a time:
@@ -42,7 +43,14 @@ space:
   one disk query, the bottleneck, b0, the Steiner point and whether
   ``validate()`` passed; and the k2-mid instances of seeds 1-2 in one
   process, as in ``k2pins``, with per instance whether the bottleneck and
-  the whole answer equal the parent's.
+  the whole answer equal the parent's;
+* ``k2cut``: as ``k2pins``, on the k2-mid instances of seeds 1-2 and of
+  seeds 11-20 (each set in one process), uniform n = 64 and 128 (seeds 1-3)
+  and clustered n = 48 and 128 (seed 1), the whole answer now with the
+  threshold; plus, from one more run of the change alone, the k = 2 probes
+  above their cutoff, the partitions skipped by their lower bound, the pair
+  searches that returned nothing below their bound, the rows each side of a
+  pair search dropped, and the coupled solves cut.
 
 ``all_bottlenecks_identical`` compares bottlenecks only; whole-answer
 identity is reported per row as ``answers_identical``.
@@ -159,7 +167,7 @@ for n, seed, dist in {shapes!r}:
     total += t
     print(json.dumps({{"key": f"{{dist}}-n{{n}}-s{{seed}}", "time_s": round(t, 4),
                       "answer": [net.bottleneck, [p.as_tuple() for p in net.steiner],
-                                 net.edges]}}))
+                                 net.edges, net.threshold]}}))
 print(json.dumps({{"time_s": round(total, 4), "best_center_calls": calls[0],
                   "anchored_solves": calls[1],
                   "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}}))
@@ -210,6 +218,75 @@ def k2_rows(parent: Path, change: Path) -> tuple[dict, bool]:
                           answers_identical=sum(a["answer"] == b["answer"] for a, b in pairs))
         print(name, {side: lines[-1]["time_s"] for side, lines in res.items()}, flush=True)
     return rows, all(v["bottlenecks_identical"] == v["instances"] for v in rows.values())
+
+
+# k = 2 solves of (n, seed, distribution) instances, untimed; prints what
+# the certified cuts dropped: probes above their cutoff, partitions skipped,
+# pair searches and coupled solves with nothing below their bound, and the
+# rows of each pair-search side whose root value (every block whole) reaches
+# the bound, out of all
+K2_CUTS = PRELUDE + """
+import math
+from mbsn import closure2, solver
+c = dict(probes=0, probes_above=0, partitions=0, partitions_skipped=0, pair_searches=0,
+         pair_searches_cut=0, rows=0, rows_dropped=0, coupled=0, coupled_cut=0)
+closure, enum, classify = solver.optimal_2block_closure, closure2.enumerate_partitions, closure2.classify
+pair, coupled = closure2._locate_pair, closure2.coupled_two_disk
+def optimal_2block_closure(*args):
+    out = closure(*args)
+    c["probes"] += 1
+    c["probes_above"] += out is None
+    return out
+def enumerate_partitions(*args):
+    out = enum(*args)
+    c["partitions"] += len(out)
+    c["partitions_skipped"] += len(out)
+    return out
+def classify_(*args):
+    c["partitions_skipped"] -= 1
+    return classify(*args)
+def locate_pair(ctx, base1, base2, singles, zsets, bound=math.inf):
+    for base in (base1, base2):
+        classes = [tuple(x) for x in base] + [(v,) for v in singles] + [tuple(z) for z in zsets]
+        root = ctx.objective(classes, len(classes) > 2)
+        c["rows"] += len(root)
+        c["rows_dropped"] += int((root >= bound).sum())
+    out = pair(ctx, base1, base2, singles, zsets, bound)
+    c["pair_searches"] += 1
+    c["pair_searches_cut"] += out is None
+    return out
+def coupled_two_disk(*args):
+    out = coupled(*args)
+    c["coupled"] += 1
+    c["coupled_cut"] += out is None
+    return out
+solver.optimal_2block_closure = optimal_2block_closure
+closure2.enumerate_partitions, closure2.classify = enumerate_partitions, classify_
+closure2._locate_pair, closure2.coupled_two_disk = locate_pair, coupled_two_disk
+for n, seed, dist in {shapes!r}:
+    solve(generate_instance(n, seed, dist), 2)
+print(json.dumps(c))
+"""
+
+
+def k2cut_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+    groups = {f"k2-mid seeds {a}-{b}": [(28, s * 1000 + i, "clusters")
+                                        for s in range(a, b + 1) for i in range(32)]
+              for a, b in ((1, 2), (11, 20))}
+    groups.update({f"uniform-n{n}-s{s}": [(n, s, "uniform")] for n in (64, 128) for s in (1, 2, 3)})
+    groups.update({f"clusters-n{n}-s1": [(n, 1, "clusters")] for n in (48, 128)})
+    rows = {}
+    for name, shapes in groups.items():
+        res = faster_of_two(parent, change, K2_SOLVE.format(shapes=shapes))
+        pairs = list(zip(res["parent"][:-1], res["change"][:-1]))
+        rows[name] = {side: lines[-1] for side, lines in res.items()}
+        rows[name].update(instances=len(pairs),
+                          bottlenecks_identical=sum(abs(a["answer"][0] - b["answer"][0]) <= 1e-12
+                                                    for a, b in pairs),
+                          answers_identical=sum(a["answer"] == b["answer"] for a, b in pairs),
+                          cuts=run_code(change, K2_CUTS.format(shapes=shapes))[-1])
+        print(name, {side: lines[-1]["time_s"] for side, lines in res.items()}, flush=True)
+    return rows, all(v["answers_identical"] == v["instances"] for v in rows.values())
 
 
 # one k = 0 solve; prints time, peak RSS and the answer
@@ -373,6 +450,30 @@ TOPICS = {
                    "graph.block_cut_forest.self_s", "graph.b_count.calls", "scsd.self_s",
                    "graph.self_s", "solver.self_s", "trace.solve_s"),
         "rows": ("k1local_rows", k1local_rows),
+    },
+    "k2cut": {
+        "layer": "solver k = 2 probes, closure2 (partition loop, pair search, case 2) and "
+                 "scsd.coupled_two_disk",
+        "what": "the k = 2 search is cut at a certified incumbent: solve finds b0, the k = 0 "
+                "optimum on the same 2-RNG, and each probe gets the cutoff max(t+, min(best, "
+                "b0+)), above which its closure may answer ABOVE; each partition is priced "
+                "against min(cutoff, best partition so far) and skipped when half the least "
+                "distance between two classes of one side reaches it; the pair search starts "
+                "its incumbent there and drops each side's rows whose root value reaches it; "
+                "coupled_two_disk starts its incumbent at min(bound, case 2_1's radius) and "
+                "returns at once when max(f1, f2) reaches it; _distinct_disk asks no "
+                "unconditioned query and skips a witness whose half nearest-neighbour "
+                "distance is the least one + eps or more (was: every probe priced every "
+                "partition in full, with incumbents starting at infinity)",
+        "parent": "cd3c359",
+        "traced": ("scsd.best_center.calls", "scsd.best_center.self_s",
+                   "scsd.smallest_color_spanning_disk.calls",
+                   "scsd.coupled_two_disk.calls", "scsd.coupled_two_disk.self_s",
+                   "scsd.coupled_two_disk.incl_s", "closure2.partitions",
+                   "closure2.classify.calls", "closure2.locate_case1.incl_s",
+                   "closure2.locate_case2.incl_s", "closure2.locate_case3.incl_s",
+                   "closure2.self_s", "scsd.self_s", "solver.self_s", "trace.solve_s"),
+        "rows": ("k2_n", k2cut_rows),
     },
 }
 

@@ -230,9 +230,11 @@ def _locate_pair(ctx: ScsdContext,
                  base1: Sequence[Sequence[int]],
                  base2: Sequence[Sequence[int]],
                  singles: Sequence[int],
-                 zsets: Sequence[Sequence[int]]):
+                 zsets: Sequence[Sequence[int]],
+                 bound: float = math.inf):
     """Two independent disks whose chosen neighbours must differ inside every
-    multi-vertex isolated block Z_1..Z_m.
+    multi-vertex isolated block Z_1..Z_m; None when no pair goes strictly
+    below ``bound``.
 
     Exact by conditioning on s1's witness, as in ``_distinct_disk``: s1
     reaches y_j and s2 reaches Z_j minus y_j, so the answer is the minimum
@@ -247,7 +249,10 @@ def _locate_pair(ctx: ScsdContext,
 
     Tie rule: the first optimal witness vector in this order wins.  Radii
     are ``best_center``'s, folded from vectors built once per call.  At most
-    five blocks keep the search finite; it has no cap.
+    five blocks keep the search finite; it has no cap.  The incumbent starts
+    at ``bound``, and a side drops its rows whose root value (every block
+    whole) reaches it: node values only grow down the tree, so they never
+    win, and the kept rows keep their order, and so the tie rule.
     """
     zsets = [tuple(sorted(z)) for z in zsets]
     shared = tuple((v,) for v in singles)
@@ -266,16 +271,21 @@ def _locate_pair(ctx: ScsdContext,
                 blocks.append((cols, whole, second))
             tail = list(itertools.accumulate((b[1] for b in blocks[::-1]), np.maximum))
             row_sets[wide] = blocks, tail[::-1] + [None]
-        fold = ctx.objective(base, wide) if base else np.zeros_like(row_sets[wide][1][0])
-        sides.append((base, fold) + row_sets[wide])
-    (base1, fold1, blocks1, tail1), (base2, fold2, blocks2, tail2) = sides
-    best_r, best = math.inf, None
+        blocks, tail = row_sets[wide]
+        fold = ctx.objective(base, wide) if base else np.zeros_like(tail[0])
+        keep = np.flatnonzero((fold if tail[0] is None else np.maximum(fold, tail[0])) < bound)
+        if not len(keep):
+            return None
+        blocks = [(cols, whole[keep], second[keep]) for cols, whole, second in blocks]
+        sides.append((base, fold[keep], blocks, [None if t is None else t[keep] for t in tail], keep))
+    (base1, fold1, blocks1, tail1, keep1), (base2, fold2, blocks2, tail2, keep2) = sides
+    best_r, best = bound, None
     stack = [((), fold1, fold2, None)]  # (witness positions, parent's prefixes, s1's answer)
     while stack:
         ts, q1, q2, side1 = stack.pop()
         i = len(ts)
         if i:
-            q1 = np.maximum(q1, blocks1[i - 1][0][ts[-1]])
+            q1 = np.maximum(q1, blocks1[i - 1][0][ts[-1]][keep1])
         if side1 is None:
             f = q1 if tail1[i] is None else np.maximum(q1, tail1[i])
             side1 = float(f.min()), int(f.argmin())
@@ -283,7 +293,7 @@ def _locate_pair(ctx: ScsdContext,
             continue
         if i:  # the block minus y: the runner-up where y's column is the minimum
             cols, whole, second = blocks2[i - 1]
-            q2 = np.maximum(q2, np.where(cols[ts[-1]] == whole, second, whole))
+            q2 = np.maximum(q2, np.where(cols[ts[-1]][keep2] == whole, second, whole))
         f = q2 if tail2[i] is None else np.maximum(q2, tail2[i])
         side2 = float(f.min()), int(f.argmin())
         r = max(side1[0], side2[0])
@@ -292,10 +302,12 @@ def _locate_pair(ctx: ScsdContext,
         if i == len(zsets):
             best_r, best = r, (side1[1], side2[1], ts)
             continue
-        pick = zsets[i].index(ctx.nearest_in_class(ctx.center(side1[1]), zsets[i]))
+        pick = zsets[i].index(ctx.nearest_in_class(ctx.center(keep1[side1[1]]), zsets[i]))
         rest = [(ts + (t,), q1, q2, None) for t in range(len(zsets[i])) if t != pick]
         stack.extend(reversed([(ts + (pick,), q1, q2, side1)] + rest))
-    c1, c2, ts = ctx.center(best[0]), ctx.center(best[1]), best[2]
+    if best is None:
+        return None
+    c1, c2, ts = ctx.center(keep1[best[0]]), ctx.center(keep2[best[1]]), best[2]
     rests = tuple(z[:t] + z[t + 1:] for z, t in zip(zsets, ts))
     picks1 = tuple(ctx.nearest_in_class(c1, c) for c in base1) + tuple(z[t] for z, t in zip(zsets, ts))
     picks2 = tuple(ctx.nearest_in_class(c2, c) for c in base2 + rests)
@@ -303,14 +315,19 @@ def _locate_pair(ctx: ScsdContext,
 
 
 def locate_case1(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
-                 ctx: ScsdContext | None = None) -> EmbeddedClosure:
+                 ctx: ScsdContext | None = None,
+                 bound: float = math.inf) -> EmbeddedClosure | None:
     """Cases 1 and 3: two independent disks, each also reaching the
-    components covered only by the other Steiner point."""
+    components covered only by the other Steiner point; None when the
+    radius cannot go strictly below ``bound``."""
     assert topo.case_tag in ("case1", "case3")
     base1 = topo.side1_classes + topo.covered_by_s2
     base2 = topo.side2_classes + topo.covered_by_s1
-    r, c1, c2, picks1, picks2 = _locate_pair(ctx or ScsdContext(points), base1, base2,
-                                             topo.isolated_vertices, topo.isolated_multis)
+    pair = _locate_pair(ctx or ScsdContext(points), base1, base2,
+                        topo.isolated_vertices, topo.isolated_multis, bound)
+    if pair is None:
+        return None
+    r, c1, c2, picks1, picks2 = pair
     edges = {("s1", v) for v in picks1} | {("s2", v) for v in picks2}
     return EmbeddedClosure(r, c1, c2, tuple(sorted(edges, key=_edge_key)),
                            topo.case_tag, topo.partition)
@@ -321,32 +338,35 @@ def locate_case1(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
 locate_case3 = locate_case1
 
 
-def _distinct_disk(ctx: ScsdContext, classes: list[list[int]], ia: int, ib: int):
-    """best_center with the extra requirement that the disk reaches two
-    distinct vertices for classes ia and ib; exact by conditioning on the
-    witness of class ia (the disk only has to reach it, so forcing the
-    class to a single vertex never loses solutions)."""
-    r, c, picks = ctx.best_center(classes)
-    if picks[ia] != picks[ib]:
-        return r, c, picks
-    best = None
-    for x in classes[ia]:
-        mod = [list(cl) for cl in classes]
-        mod[ia] = [x]
-        mod[ib] = [v for v in classes[ib] if v != x]
-        if not mod[ib]:
+def _distinct_disk(ctx: ScsdContext, cls: list[int], h: list[int]):
+    """best_center of [cls, h], cls a subset of h, with the extra requirement
+    that the disk reaches two distinct vertices; exact by conditioning on the
+    witness x of cls (forcing the class to one vertex loses no solution).
+    Unconditioned, the answer is r = 0 on a vertex both picks share, so it is
+    not asked.  Conditioned, it is half the distance from x to its nearest
+    other vertex of h; an x where that is the least one + eps or more cannot
+    win the strict <."""
+    d = ctx.dist[np.ix_(cls, h)]
+    d[np.asarray(cls)[:, None] == np.asarray(h)[None, :]] = np.inf
+    half = d.min(axis=1) / 2.0
+    skip, best = half.min() + ctx.eps, None
+    for x, hx in zip(cls, half):
+        if hx >= skip:
             continue
-        r2, c2, p2 = ctx.best_center(mod)
+        r2, c2, p2 = ctx.best_center([[x], [v for v in h if v != x]])
         if best is None or r2 < best[0]:
             best = (r2, c2, p2)
     return best
 
 
 def locate_case2(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
-                 ctx: ScsdContext | None = None) -> EmbeddedClosure:
+                 ctx: ScsdContext | None = None,
+                 bound: float = math.inf) -> EmbeddedClosure | None:
     """Better of: crossing-edge topologies scanned along the block path
     (no Steiner-Steiner edge), and the adjacent-Steiner topology embedded
-    by the coupled two-disk solver."""
+    by the coupled two-disk solver; None when neither goes strictly below
+    ``bound``.  A split whose first disk reaches the best so far asks no
+    second disk."""
     assert topo.case_tag == "case2" and topo.block_path is not None
     if ctx is None:
         ctx = ScsdContext(points)
@@ -360,12 +380,12 @@ def locate_case2(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
 
     i0 = [i for i in range(1, p + 1)
           if not (i == 1 and bp.single_edge_first) and not (i == p and bp.single_edge_last)]
-    best21 = None
+    best21, limit = None, bound
     for a in i0:
         corner1 = len(side1) == 1 and a == 2
         if corner1:
-            h1 = sorted(v for v in range(n))  # whole vertex set; attachment excluded via distinctness
-            res = _distinct_disk(ctx, side1 + [h1], 0, 1)
+            h1 = list(range(n))  # whole vertex set; attachment excluded via distinctness
+            res = _distinct_disk(ctx, side1[0], h1)
         else:
             h1 = sorted(v for cell in cells_x[a - 1:] for v in cell)
             if not h1:
@@ -374,6 +394,8 @@ def locate_case2(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
         if res is None:
             continue
         r1, c1, picks1 = res
+        if r1 >= limit:
+            continue
         hpick = picks1[-1]
         if corner1 and static_cell[hpick] == 1:
             b = 2  # the embedded attachment shifts the first cell boundary
@@ -386,8 +408,7 @@ def locate_case2(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
             r2, c2, picks2 = ctx.best_center(side2)
             h2pick = None
         elif len(side2) == 1 and b == p - 1:
-            h2 = sorted(v for v in range(n))
-            res2 = _distinct_disk(ctx, side2 + [h2], 0, 1)
+            res2 = _distinct_disk(ctx, side2[0], list(range(n)))
             if res2 is None:
                 continue
             r2, c2, picks2 = res2
@@ -402,28 +423,27 @@ def locate_case2(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
             h2pick = picks2[-1]
             picks2 = picks2[:-1]
         r = max(r1, r2)
-        if best21 is None or r < best21[0]:
+        if r < limit:
             edges: set[SteinerEdge] = {("s1", v) for v in picks1[:-1]} | {("s1", hpick)}
             edges |= {("s2", v) for v in picks2}
             if h2pick is not None:
                 edges.add(("s2", h2pick))
-            best21 = (r, c1, c2, tuple(sorted(edges, key=_edge_key)), a)
+            best21, limit = (r, c1, c2, tuple(sorted(edges, key=_edge_key)), a), r
 
     cs1 = ColorSystem(tuple(tuple(points[v] for v in c) for c in topo.side1_classes))
     cs2 = ColorSystem(tuple(tuple(points[v] for v in c) for c in topo.side2_classes))
-    s1c, s2c, rc = coupled_two_disk(cs1, cs2)
+    coupled = coupled_two_disk(cs1, cs2, limit)  # case 2_2 wins only strictly below case 2_1
+    if coupled is None:
+        return best21 and EmbeddedClosure(*best21[:4], "case2_1", topo.partition,
+                                          chosen_index=best21[4])
+    s1c, s2c, rc = coupled
     edges22: set[SteinerEdge] = {("s1", "s2")}
     for cls in side1:
         edges22.add(("s1", ctx.nearest_in_class(s1c, cls)))
     for cls in side2:
         edges22.add(("s2", ctx.nearest_in_class(s2c, cls)))
-    cand22 = (rc, s1c, s2c, tuple(sorted(edges22, key=_edge_key)))
-
-    if best21 is not None and best21[0] <= cand22[0]:
-        r, c1, c2, edges, a = best21
-        return EmbeddedClosure(r, c1, c2, edges, "case2_1", topo.partition, chosen_index=a)
-    r, c1, c2, edges = cand22
-    return EmbeddedClosure(r, c1, c2, edges, "case2_2", topo.partition)
+    return EmbeddedClosure(rc, s1c, s2c, tuple(sorted(edges22, key=_edge_key)),
+                           "case2_2", topo.partition)
 
 
 _ANGLES = [2.0 * math.pi * k / 16.0 for k in range(16)]
@@ -507,12 +527,29 @@ def _separate_embedding(emb: EmbeddedClosure, points: Sequence[Point2]) -> Embed
                            emb.partition, emb.chosen_index)
 
 
+def partition_bounds(ctx: ScsdContext, bcf: BlockCutForest):
+    """A lower bound on each partition's closure radius, as a function of the
+    partition: a side's disk reaches every class on its side (its leaf-block
+    interiors and every isolated block, whole), so its radius is at least
+    half the least distance between any two of them."""
+    half = {(a, b): ctx.dist[np.ix_(bcf.interiors[a], bcf.interiors[b])].min() / 2.0
+            for a, b in itertools.combinations(bcf.leaf_blocks + bcf.isolated_blocks, 2)}
+    return lambda part: max((half[ab] for side in (part.side1, part.side2)
+                             for ab in itertools.combinations(side + bcf.isolated_blocks, 2)),
+                            default=0.0)
+
+
 def optimal_2block_closure(g: Graph, points: Sequence[Point2],
                            ctx: ScsdContext | None = None,
-                           bcf: BlockCutForest | None = None) -> EmbeddedClosure:
+                           bcf: BlockCutForest | None = None,
+                           bound: float = math.inf) -> EmbeddedClosure | None:
     """Minimum over all partitions and applicable cases; Steiner points are
     nudged apart when the optimiser returns coincident locations.  ``bcf``
-    is g's block cut-vertex forest, if known."""
+    is g's block cut-vertex forest, if known.  Exact when the radius before
+    the nudge is below ``bound``, else possibly None: each partition is
+    priced against min(bound, best so far), since only a strictly lower
+    radius replaces the best, or skipped when its lower bound reaches that
+    + eps."""
     n = g.vertex_count
     if n < 1:
         raise ValueError("empty instance")
@@ -535,16 +572,16 @@ def optimal_2block_closure(g: Graph, points: Sequence[Point2],
         return _separate_embedding(emb, points)
 
     comps = connected_components(g)
+    lower = partition_bounds(ctx, bcf)
     best: EmbeddedClosure | None = None
     for part in enumerate_partitions(bcf, is_connected(g)):
+        limit = bound if best is None else min(bound, best.radius)
+        if lower(part) >= limit + ctx.eps:
+            continue
         topo = classify(g, part, bcf, comps)
-        if topo.case_tag == "case1":
-            emb = locate_case1(g, points, topo, ctx)
-        elif topo.case_tag == "case2":
-            emb = locate_case2(g, points, topo, ctx)
-        else:
-            emb = locate_case3(g, points, topo, ctx)
-        if best is None or emb.radius < best.radius:
+        locate = {"case1": locate_case1, "case2": locate_case2}.get(topo.case_tag, locate_case3)
+        emb = locate(g, points, topo, ctx, limit)
+        if emb is not None:
             best = emb
-    assert best is not None, "no partition produced a closure"
-    return _separate_embedding(best, points)
+    assert best is not None or bound < math.inf, "no partition produced a closure"
+    return None if best is None else _separate_embedding(best, points)

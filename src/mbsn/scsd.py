@@ -256,9 +256,11 @@ def _anchored_center(cs: ColorSystem, anchor: Point2) -> tuple[float, Point2]:
     return res.disk.radius, res.disk.center
 
 
-def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem) -> tuple[Point2, Point2, float]:
+def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem,
+                     bound: float = math.inf) -> tuple[Point2, Point2, float] | None:
     """Place adjacent centres s1, s2 minimising
-    max(f1(s1), f2(s2), |s1 s2|) where f_i is the colour-spanning objective.
+    max(f1(s1), f2(s2), |s1 s2|) where f_i is the colour-spanning objective;
+    None when no pair goes strictly below ``bound``.
 
     Candidates cover every stationary structure of the objective:
     independent optima, one centre anchored to the other, the collinear
@@ -270,11 +272,13 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem) -> tuple[Point2, Point2
     Anchors are tried in ascending f_a with no cap: f_b is 1-Lipschitz, so a
     pair anchored at a is worth at least LB = max(f_a(a), f_b(a) / 2), and an
     anchor with LB >= incumbent + eps (eps covers rounding) cannot pass
-    ``consider``'s strict <.
+    ``consider``'s strict <.  The incumbent starts at ``bound``; every pair
+    is worth at least max(min f1, min f2), so the call ends when that reaches
+    ``bound`` + eps.
     """
     all_pts = [p for cls in cs1.classes for p in cls] + [p for cls in cs2.classes for p in cls]
     eps = geometry_eps(all_pts)
-    best: list = [math.inf, None, None]
+    best: list = [bound, None, None]
 
     def consider(s1: Point2, s2: Point2) -> None:
         # cheapest term first; a term >= the incumbent already rules the pair out
@@ -290,6 +294,8 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem) -> tuple[Point2, Point2
 
     r1 = smallest_color_spanning_disk(cs1)
     r2 = smallest_color_spanning_disk(cs2)
+    if max(r1.disk.radius, r2.disk.radius) >= bound + eps:
+        return None
     consider(r1.disk.center, r2.disk.center)
 
     merged = ColorSystem(cs1.classes + cs2.classes)
@@ -426,5 +432,4 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem) -> tuple[Point2, Point2
                     consider(Point2(m1x + u * d1x, m1y + u * d1y),
                              Point2(m2x + v * d2x, m2y + v * d2y))
 
-    assert best[1] is not None and best[2] is not None
-    return best[1], best[2], best[0]
+    return None if best[1] is None else (best[1], best[2], best[0])

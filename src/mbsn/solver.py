@@ -12,6 +12,11 @@ k >= 1 it is infeasible when the leaf/isolated-block counter exceeds 5k
 closure of G_t prices it at max(closure radius, t).  The k = 2 schedule is
 prepended with 0 because an optimal network minus its Steiner points may
 be edgeless.
+
+A k = 2 probe's closure is exact only where the search needs it, else it
+may report the probe ABOVE its cutoff (``_binary_search``); the cutoff
+uses b0, the k = 0 optimum on the same 2-RNG, as a bound, since G_{b0} is
+2-connected.  ``threshold_scan`` is uncut.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .scsd import ScsdContext
 # (feasible, closure radius, (edges of G_t, Steiner points, Steiner edges));
 # Steiner point i has index n + i in the edges
 Evaluation = tuple[bool, float, object]
+ABOVE: Evaluation = (True, math.inf, None)  # feasible, radius not below the cutoff
 
 
 def _max_edge(points: Sequence[Point2], edges: Sequence[tuple[int, int]]) -> float:
@@ -85,20 +91,29 @@ class ThresholdEval:
     objective: float | None
 
 
-def _binary_search(lengths: Sequence[float],
-                   evaluate: Callable[[float], Evaluation]):
+def _binary_search(lengths: Sequence[float], evaluate: Callable[[float, float], Evaluation],
+                   b0: float = math.inf):
     """Classical lo/hi index search recording the best feasible objective.
 
     Infeasibility is monotone below (the block counter only grows on edge
     subgraphs) and the closure radius is monotone above, so each discarded
-    half is dominated by the probed value."""
+    half is dominated by the probed value.
+
+    Each probe gets the cutoff max(t+, min(best, b0+)), x+ the next float
+    above x, so its radius r is exact when r <= t, or when r < best and
+    r <= b0.  Any other r is above t: the search moves up on it, as on
+    ABOVE, and would record it only if r < best, so above b0, where the
+    optimum never is.  So every record at most b0, the last one included,
+    is made as without a cutoff, with the same payload."""
     lo, hi = 0, len(lengths) - 1
     best = None  # (objective, threshold, payload)
+    b0_up = math.nextafter(b0, math.inf)
     while lo <= hi:
         mid = (lo + hi) // 2
         t = lengths[mid]
-        feasible, radius, payload = evaluate(t)
-        if not feasible:
+        cutoff = max(math.nextafter(t, math.inf), min(best[0] if best else math.inf, b0_up))
+        feasible, radius, payload = evaluate(t, cutoff)
+        if not feasible or payload is None:  # infeasible, or ABOVE
             lo = mid + 1
             continue
         obj = max(radius, t)
@@ -112,16 +127,17 @@ def _binary_search(lengths: Sequence[float],
     return best
 
 
-def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float], Evaluation]:
+def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float, float], Evaluation]:
     """Prices one threshold of the 2-RNG ``r``; for k >= 1 every probe shares
     one global colour-disk context, and a probe's block counter and closure
-    share one block decomposition of G_t."""
+    share one block decomposition of G_t.  k = 2 returns ABOVE when the
+    closure cannot go strictly below the cutoff; k = 0 and 1 ignore it."""
     if k == 0:
         order = sorted(range(len(r.edges)), key=r.lengths.__getitem__)
         edges = [r.edges[i] for i in order]
         lengths = [r.lengths[i] for i in order]
 
-        def evaluate(t: float) -> Evaluation:
+        def evaluate(t: float, cutoff: float = math.inf) -> Evaluation:
             prefix = edges[:bisect_right(lengths, t)]
             return is_biconnected_edges(len(pts), prefix), 0.0, (prefix, (), ())
 
@@ -130,7 +146,7 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float], E
     n = len(pts)
     ctx = ScsdContext(pts)
     if k == 1:
-        def evaluate(t: float) -> Evaluation:
+        def evaluate(t: float, cutoff: float = math.inf) -> Evaluation:
             g = threshold_subgraph(r, t)
             bcf = block_cut_forest(g) if is_connected(g) else None
             if bcf is None or b_count(g, bcf) > 5:
@@ -145,12 +161,15 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float], E
 
     index = {"s1": n, "s2": n + 1}
 
-    def evaluate(t: float) -> Evaluation:
+    def evaluate(t: float, cutoff: float = math.inf) -> Evaluation:
         g = threshold_subgraph(r, t)
         bcf = block_cut_forest(g)
         if b_count(g, bcf) > 10:
             return False, math.inf, None
-        emb = optimal_2block_closure(g, pts, ctx, bcf)
+        # the cutoff bounds the radius before the nudge, which only grows it (+ eps: rounding)
+        emb = optimal_2block_closure(g, pts, ctx, bcf, cutoff + ctx.eps)
+        if emb is None:
+            return ABOVE
         edges = tuple((index[a], index[b] if isinstance(b, str) else b)
                       for a, b in emb.steiner_edges)
         return True, emb.radius, (g.edges, (emb.s1, emb.s2), edges)
@@ -159,13 +178,13 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float], E
 
 
 def _pipeline(points: Sequence[Point2], k: int) -> tuple[
-        tuple[Point2, ...], tuple[float, ...], Callable[[float], Evaluation]]:
-    """The terminals, the threshold schedule and the per-threshold evaluator."""
+        tuple[Point2, ...], Graph, tuple[float, ...], Callable[[float, float], Evaluation]]:
+    """The terminals, their 2-RNG, the threshold schedule and the evaluator."""
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")
     pts = tuple(points)
     r = build_2rng(pts)  # raises on fewer than 2 or duplicate points
-    return pts, length_schedule(r, include_zero=k == 2), _evaluator(r, pts, k)
+    return pts, r, length_schedule(r, include_zero=k == 2), _evaluator(r, pts, k)
 
 
 def _assemble(pts: tuple[Point2, ...], t: float, payload) -> SolutionNetwork:
@@ -180,8 +199,9 @@ def solve(points: Sequence[Point2], k: int) -> SolutionNetwork:
     """Minimum bottleneck 2-connected network on the points plus k Steiner
     points; raises ValueError for k outside 0..2, fewer than 2 points or
     duplicate points."""
-    pts, lengths, evaluate = _pipeline(points, k)
-    _, t_star, payload = _binary_search(lengths, evaluate)
+    pts, r, lengths, evaluate = _pipeline(points, k)
+    b0 = _binary_search(length_schedule(r), _evaluator(r, pts, 0))[0] if k == 2 else math.inf
+    _, t_star, payload = _binary_search(lengths, evaluate, b0)
     return _assemble(pts, t_star, payload)
 
 
@@ -202,7 +222,7 @@ def mbsn2(points: Sequence[Point2]) -> SolutionNetwork:
 def threshold_scan(points: Sequence[Point2], k: int) -> list[ThresholdEval]:
     """Exhaustive per-threshold evaluation over the whole schedule; used to
     verify that the binary search returns the same objective."""
-    _, lengths, evaluate = _pipeline(points, k)
+    _, _, lengths, evaluate = _pipeline(points, k)
     out = []
     for t in lengths:
         feasible, radius, _ = evaluate(t)

@@ -14,12 +14,14 @@ import pytest
 
 from mbsn.cli import cmd_bench, generate_instance
 from mbsn.closure1 import optimal_1block_closure
-from mbsn.closure2 import optimal_2block_closure
+from mbsn.closure2 import (classify, enumerate_partitions, locate_case1, locate_case2,
+                           locate_case3, optimal_2block_closure, partition_bounds)
 from mbsn.geom import Point2, distance
-from mbsn.graph import b_count, block_cut_forest, is_biconnected, is_connected, make_graph
+from mbsn.graph import (b_count, block_cut_forest, connected_components, is_biconnected,
+                        is_connected, make_graph)
 from mbsn.oracle import oracle_k1, oracle_k2, oracle_mbsn0
 from mbsn.rng import build_2rng, length_schedule, threshold_subgraph
-from mbsn.scsd import color_system, smallest_color_spanning_disk
+from mbsn.scsd import ScsdContext, color_system, smallest_color_spanning_disk
 from mbsn.solver import mbsn0, mbsn1, mbsn2, threshold_scan
 
 from conftest import (grid_min_spanning_radius, naive_b_count, naive_blocks,
@@ -198,6 +200,31 @@ def test_criterion_7_binary_search_fidelity():
             assert min(objs) == pytest.approx(net.bottleneck, abs=1e-7), (trial, k)
     print("\n[PASS] criterion 7: binary search equals exhaustive threshold scan "
           "for k=1 and k=2 on 100 instances")
+
+
+def test_partition_lower_bound_never_exceeds_the_closure_radius():
+    # every partition of G_t at a quarter and at half the k = 2 schedule of
+    # each suite 1-2 instance: the bound the closure skips partitions by is
+    # at most the partition's radius (up to rounding: it is often exact)
+    locate = {"case1": locate_case1, "case2": locate_case2, "case3": locate_case3}
+    checked = positive = 0
+    for pts in SUITE1 + SUITE2:
+        r = build_2rng(pts)
+        lengths = length_schedule(r, include_zero=True)
+        ctx = ScsdContext(pts)
+        for t in (lengths[len(lengths) // 4], lengths[len(lengths) // 2]):
+            g = threshold_subgraph(r, t)
+            bcf = block_cut_forest(g)
+            if b_count(g, bcf) > 10 or len(bcf.blocks) == 1:
+                continue
+            lower, comps = partition_bounds(ctx, bcf), connected_components(g)
+            for part in enumerate_partitions(bcf, is_connected(g)):
+                topo = classify(g, part, bcf, comps)
+                radius = locate[topo.case_tag](g, pts, topo, ctx).radius
+                assert lower(part) <= radius + 1e-12, (len(pts), t, part)
+                checked += 1
+                positive += lower(part) > 0.0
+    assert checked > 1000 and positive > checked // 2
 
 
 def test_criterion_8_scsd_correctness():

@@ -351,7 +351,19 @@ def _check_pair(ctx, base1, base2, singles, zsets) -> bool:
     return greedy[0] > r
 
 
+def _check_bounded(ctx, args, bound) -> bool:
+    """With ``bound``, the pair search returns None exactly when the
+    unbounded radius is at or above it, and otherwise the unbounded call's
+    answer; True when it returns None."""
+    full = closure2._locate_pair(ctx, *args)
+    assert closure2._locate_pair(ctx, *args, bound) == (None if full[0] >= bound else full), \
+        (args, bound)
+    return full[0] >= bound
+
+
 def test_pair_search_matches_witness_enumeration_on_solves(monkeypatch):
+    # every recorded call is replayed twice: with no bound, against the
+    # enumeration and the tie rule; with the bound its solve passed
     calls = []
     original = closure2._locate_pair
 
@@ -364,8 +376,11 @@ def test_pair_search_matches_witness_enumeration_on_solves(monkeypatch):
         solve(generate_instance(28, seed, "clusters"), 2)
     monkeypatch.undo()
     assert max(len(args[3]) for _, args in calls) >= 4
-    for ctx, args in calls:
-        _check_pair(ctx, *args)
+    cut = 0
+    for ctx, (*args, bound) in calls:
+        _check_pair(ctx, *args)  # the unbounded radius is the enumerated one
+        cut += _check_bounded(ctx, args, bound)
+    assert 0 < cut < len(calls)  # the recorded bounds cut some calls, not all
 
 
 def _synthetic_pairs():
@@ -452,7 +467,14 @@ def test_pair_search_is_byte_identical_to_per_node_queries(monkeypatch):
                      ([], [], [], [[0, 4], [1, 3]])):  # lattice: a unit square's diagonals
             calls.append((ScsdContext(pts), args))
     for ctx, args in calls:
-        assert closure2._locate_pair(ctx, *args) == _reference_pair(ctx, *args), args
+        # the recorded bound if any, then the reference radius and the next
+        # float above it: None at the radius, the unbounded answer above
+        *args, bound = args if len(args) == 5 else (*args, None)
+        ref = _reference_pair(ctx, *args)
+        assert closure2._locate_pair(ctx, *args) == ref, args
+        for b in (ref[0], math.nextafter(ref[0], math.inf)) if bound is None else (bound,):
+            got = closure2._locate_pair(ctx, *args, b)
+            assert got == (None if ref[0] >= b else ref), (args, b)
 
 
 class _RecordingContext(ScsdContext):
@@ -477,20 +499,27 @@ def test_pair_search_builds_each_vector_once(monkeypatch):
     # block vertex's column is asked once per row set (so each block's
     # minimum and runner-up are built once), and the answer equals the one on
     # the solve's shared context, whatever that context was asked before
+    # (each call is replayed twice, with its bound and without; the bounded
+    # answer is None exactly when the unbounded radius reaches the bound)
     calls = []
     original = closure2.locate_case1
 
-    def recorded(g, points, topo, ctx):
-        rec = _RecordingContext(points)
-        emb = original(g, points, topo, rec)
-        assert emb == original(g, points, topo, ctx)
-        assert len(set(rec.built)) == len(rec.built), topo.partition
-        block_vertices = {v for z in topo.isolated_multis for v in z}
-        columns = [key for key in rec.asked if key[0][0] in block_vertices]
-        assert len(set(columns)) == len(columns), topo.partition
-        assert {key[0][0] for key in columns} == block_vertices
+    def recorded(g, points, topo, ctx, bound):
+        embs = []
+        for b in (bound, math.inf):
+            rec = _RecordingContext(points)
+            emb = original(g, points, topo, rec, b)
+            assert emb == original(g, points, topo, ctx, b)
+            assert len(set(rec.built)) == len(rec.built), topo.partition
+            block_vertices = {v for z in topo.isolated_multis for v in z}
+            columns = [key for key in rec.asked if key[0][0] in block_vertices]
+            assert len(set(columns)) == len(columns), topo.partition
+            assert {key[0][0] for key in columns} == block_vertices
+            embs.append(emb)
+        cut, full = embs
+        assert cut == (None if full.radius >= bound else full), topo.partition
         calls.append((len(topo.isolated_multis), len(columns)))
-        return emb
+        return cut
 
     monkeypatch.setattr(closure2, "locate_case1", recorded)
     monkeypatch.setattr(closure2, "locate_case3", recorded)
@@ -498,6 +527,29 @@ def test_pair_search_builds_each_vector_once(monkeypatch):
         solve(generate_instance(28, seed, "clusters"), 2)
     # the pair search branched over several blocks with many vertices
     assert max(m for m, _ in calls) >= 4 and max(c for _, c in calls) > 20
+
+
+def test_distinct_disk_equals_conditioning_on_every_witness():
+    # unconditioned, a class inside h gets r = 0 with one vertex picked for
+    # both, so that query is not asked; the witnesses whose half distance to
+    # their nearest other vertex is past the least one + eps are skipped.
+    # The answer equals conditioning on every witness, lattice ties included.
+    rng = random.Random(11)
+    sets = [random_points(rng, n) for n in (5, 9, 14)]
+    sets.append([Point2(float(x), float(y)) for x in range(4) for y in range(3)])
+    for pts in sets:
+        ctx = ScsdContext(pts)
+        h = list(range(len(pts)))
+        for _ in range(6):
+            cls = sorted(rng.sample(h, rng.randint(1, len(h) - 1)))
+            r, _, picks = ctx.best_center([cls, h])
+            assert r == 0.0 and picks[0] == picks[1]
+            want = None
+            for x in cls:
+                res = ctx.best_center([[x], [v for v in h if v != x]])
+                if want is None or res[0] < want[0]:
+                    want = res
+            assert closure2._distinct_disk(ctx, cls, h) == want, (len(pts), cls)
 
 
 def test_crossing_edges_structural_form():

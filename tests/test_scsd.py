@@ -439,6 +439,26 @@ def test_coupled_radius_is_the_objective_of_its_pair():
             assert r == max(class_radius(cs1, s1), class_radius(cs2, s2), distance(s1, s2))
 
 
+def test_coupled_bound_returns_none_exactly_at_or_above_the_radius():
+    # with a bound the solver returns None exactly when the unbounded radius
+    # reaches it, and otherwise the identical triple; half the radius is
+    # often below max(f1, f2), where it returns before any candidate
+    rng = random.Random(413)
+    sets = [[Point2(rng.random(), rng.random()) for _ in range(8)] for _ in range(6)]
+    for points in sets + list(_degenerate_sets()):
+        for _ in range(3):
+            sample = rng.sample(points, min(8, len(points)))
+            classes = _random_classes(rng, len(sample), rng.randint(2, 4))
+            cut = rng.randint(1, len(classes) - 1)
+            cs1 = color_system([[sample[v] for v in c] for c in classes[:cut]])
+            cs2 = color_system([[sample[v] for v in c] for c in classes[cut:]])
+            full = coupled_two_disk(cs1, cs2)
+            r = full[2]
+            for bound in (r, math.nextafter(r, math.inf), math.nextafter(r, -math.inf),
+                          r / 2.0, 2.0 * r + 1.0):
+                assert coupled_two_disk(cs1, cs2, bound) == (None if r >= bound else full)
+
+
 def _lattice_pair(seed):
     """Two colour systems of 10-14 distinct lattice points each: a dense
     two-colour block, and a sparser one of 2-4 colours shifted beside it."""

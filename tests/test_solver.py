@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from mbsn import solver
+from mbsn.cli import generate_instance
 from mbsn.geom import Point2, distance
 from mbsn.graph import block_cut_forest, is_connected
 from mbsn.rng import build_2rng, length_schedule, threshold_subgraph
@@ -145,6 +147,41 @@ def test_feasibility_monotone_in_threshold():
                 else:
                     assert not seen_feasible, \
                         "feasibility must be monotone in the threshold"
+
+
+def _k2_cut_instances():
+    """Two k2-mid instances (clustered n = 28) and suite-style n = 4..30,
+    alternating uniform and clustered layouts."""
+    for seed in (1000, 1001):
+        yield generate_instance(28, seed, "clusters")
+    for i, n in enumerate(range(4, 31, 2)):
+        yield generate_instance(n, 40_000 + i, "uniform" if i % 2 == 0 else "clusters")
+
+
+def test_k2_cut_evaluator_agrees_with_the_uncut_one():
+    # at every threshold, a cutoff at, just above and just below the uncut
+    # radius r, and at r / 2: the cut evaluator must give the uncut result
+    # when r is below its cutoff, and may say ABOVE only when r is not;
+    # infeasible stays infeasible.  The cut search records exactly what the
+    # uncut one does.
+    aboves = 0
+    for pts in _k2_cut_instances():
+        _, r, lengths, evaluate = solver._pipeline(pts, 2)
+        for t in lengths:
+            uncut = evaluate(t)
+            radius = uncut[1]
+            for cutoff in (radius, math.nextafter(radius, math.inf),
+                           math.nextafter(radius, -math.inf), radius / 2.0):
+                cut = evaluate(t, cutoff)
+                if radius < cutoff or not uncut[0]:
+                    assert cut == uncut, (len(pts), t, cutoff)
+                else:
+                    assert cut in (uncut, solver.ABOVE), (len(pts), t, cutoff)
+                    aboves += cut == solver.ABOVE
+        b0 = solver._binary_search(length_schedule(r), solver._evaluator(r, pts, 0))[0]
+        assert solver._binary_search(lengths, evaluate, b0) == \
+            solver._binary_search(lengths, lambda t, cutoff: evaluate(t))
+    assert aboves > 0
 
 
 @pytest.mark.parametrize("name", sorted(chunk_boundary_instances()))
