@@ -7,6 +7,7 @@
     python3 bench/bench_scsd.py ../parent --topic k0probes  # BENCH_k0probes.json
     python3 bench/bench_scsd.py ../parent --topic k1local   # BENCH_k1local.json
     python3 bench/bench_scsd.py ../parent --topic k2cut     # BENCH_k2cut.json
+    python3 bench/bench_scsd.py ../parent --topic k2rows    # BENCH_k2rows.json
 
 Run it from the root of this checkout; ``--output`` names another file.
 Every topic makes, one process at a time:
@@ -23,9 +24,8 @@ Then its own rows, each in a fresh interpreter capped at 3 GB of address
 space:
 
 * ``scsd``: k = 1 solves at n = 128 and 256 (uniform, the ``mbsn bench``
-  instance seed n and seeds 1-3), with time, peak RSS, bottleneck, the
-  largest number of classes of one disk query and the final candidate rows
-  of the solver's context;
+  instance seed n and seeds 1-3), with time, peak RSS, bottleneck and the
+  largest number of classes of one disk query;
 * ``k2pins`` and ``k2closure``: k = 2 solves at uniform n = 64 (seeds 1-3)
   and clustered n = 48 (seeds 1-2), the 64 k2-mid instances of seeds 1-2 in
   one process, and all five larger instances in one process, twice a side in
@@ -50,7 +50,12 @@ space:
   threshold; plus, from one more run of the change alone, the k = 2 probes
   above their cutoff, the partitions skipped by their lower bound, the pair
   searches that returned nothing below their bound, the rows each side of a
-  pair search dropped, and the coupled solves cut.
+  pair search dropped, and the coupled solves cut;
+* ``k2rows``: the k2-mid instances of seeds 1-2 in one process, as in
+  ``k2cut``, then clustered n = 96 and 128 (seeds 1-2) and uniform n = 64,
+  128 and 256 (seed 1), one process per instance, so that its peak RSS is
+  its own; plus the cut counts of the change on the k2-mid instances of
+  seeds 1-2, whose rows are now those the pair search builds.
 
 ``all_bottlenecks_identical`` compares bottlenecks only; whole-answer
 identity is reported per row as ``answers_identical``.
@@ -80,15 +85,13 @@ from mbsn.cli import generate_instance
 from mbsn.solver import solve
 """.format(limit=AS_LIMIT)
 
-# one k = 1 solve; prints time, peak RSS, bottleneck, widest query and rows
+# one k = 1 solve; prints time, peak RSS, bottleneck and widest query
 K1_SOLVE = PRELUDE + """
-seen = {{"classes": 0, "rows": 0}}
+seen = {{"classes": 0}}
 query = scsd.ScsdContext.best_center
 def best_center(ctx, classes):
-    out = query(ctx, classes)
     seen["classes"] = max(seen["classes"], len(classes))
-    seen["rows"] = max(seen["rows"], len(ctx.cand))
-    return out
+    return query(ctx, classes)
 scsd.ScsdContext.best_center = best_center
 pts = generate_instance({n}, {seed}, "uniform")
 t0 = time.perf_counter()
@@ -223,10 +226,11 @@ def k2_rows(parent: Path, change: Path) -> tuple[dict, bool]:
 # k = 2 solves of (n, seed, distribution) instances, untimed; prints what
 # the certified cuts dropped: probes above their cutoff, partitions skipped,
 # pair searches and coupled solves with nothing below their bound, and the
-# rows of each pair-search side whose root value (every block whole) reaches
-# the bound, out of all
+# rows of each pair-search side (its candidate rows within 2 bound) whose
+# root value (every block whole) reaches the bound, out of all
 K2_CUTS = PRELUDE + """
-import math
+import functools, math
+import numpy as np
 from mbsn import closure2, solver
 c = dict(probes=0, probes_above=0, partitions=0, partitions_skipped=0, pair_searches=0,
          pair_searches_cut=0, rows=0, rows_dropped=0, coupled=0, coupled_cut=0)
@@ -248,7 +252,10 @@ def classify_(*args):
 def locate_pair(ctx, base1, base2, singles, zsets, bound=math.inf):
     for base in (base1, base2):
         classes = [tuple(x) for x in base] + [(v,) for v in singles] + [tuple(z) for z in zsets]
-        root = ctx.objective(classes, len(classes) > 2)
+        rows = ctx.candidates(classes, bound)
+        root = functools.reduce(np.maximum, (np.min([np.hypot(rows[:, 0] - ctx.points[v].x,
+                                                              rows[:, 1] - ctx.points[v].y)
+                                                     for v in cls], axis=0) for cls in classes))
         c["rows"] += len(root)
         c["rows_dropped"] += int((root >= bound).sum())
     out = pair(ctx, base1, base2, singles, zsets, bound)
@@ -287,6 +294,24 @@ def k2cut_rows(parent: Path, change: Path) -> tuple[dict, bool]:
                           cuts=run_code(change, K2_CUTS.format(shapes=shapes))[-1])
         print(name, {side: lines[-1]["time_s"] for side, lines in res.items()}, flush=True)
     return rows, all(v["answers_identical"] == v["instances"] for v in rows.values())
+
+
+def k2rows_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+    groups = {"k2-mid seeds 1-2": [(28, s * 1000 + i, "clusters") for s in (1, 2) for i in range(32)]}
+    groups.update({f"clusters-n{n}-s{s}": [(n, s, "clusters")] for n in (96, 128) for s in (1, 2)})
+    groups.update({f"uniform-n{n}-s1": [(n, 1, "uniform")] for n in (64, 128, 256)})
+    rows = {}
+    for name, shapes in groups.items():
+        res = faster_of_two(parent, change, K2_SOLVE.format(shapes=shapes))
+        pairs = list(zip(res["parent"][:-1], res["change"][:-1]))
+        rows[name] = {side: lines[-1] for side, lines in res.items()}
+        rows[name].update(instances=len(pairs),
+                          bottlenecks_identical=sum(abs(a["answer"][0] - b["answer"][0]) <= 1e-12
+                                                    for a, b in pairs),
+                          answers_identical=sum(a["answer"] == b["answer"] for a, b in pairs))
+        print(name, {side: lines[-1]["time_s"] for side, lines in res.items()}, flush=True)
+    rows["k2-mid seeds 1-2"]["cuts"] = run_code(change, K2_CUTS.format(shapes=groups["k2-mid seeds 1-2"]))[-1]
+    return rows, all(v["bottlenecks_identical"] == v["instances"] for v in rows.values())
 
 
 # one k = 0 solve; prints time, peak RSS and the answer
@@ -474,6 +499,28 @@ TOPICS = {
                    "closure2.locate_case2.incl_s", "closure2.locate_case3.incl_s",
                    "closure2.self_s", "scsd.self_s", "solver.self_s", "trace.solve_s"),
         "rows": ("k2_n", k2cut_rows),
+    },
+    "k2rows": {
+        "layer": "scsd (ScsdContext.candidates, coupled_two_disk) and closure2._locate_pair",
+        "what": "one query-local candidate set, ScsdContext.candidates(classes, R): the "
+                "query's points, midpoints of differently labelled pairs within 2R and, past two "
+                "classes, circumcentres of differently labelled non-obtuse triples pairwise "
+                "within 2R; _locate_pair builds each side's rows with R = its bound and drops "
+                "a row once one base class's distance (smallest class first) reaches the bound, "
+                "before the block columns; coupled_two_disk its anchors with R = inf and one label per point, and "
+                "best_center values the same families; the coupled solver has no "
+                "cross-class-triple family, and the collinearity rule reads the rounding of "
+                "the relative coordinates (was: every context row, all points, C(n,2) "
+                "midpoints and C(n,3) circumcentres, with per-class vectors memoised up to "
+                "4096 entries and 2^24 doubles, and a rule scaled by the largest coordinate)",
+        "parent": "088fc9e",
+        "traced": ("scsd.context_global.candidates", "scsd.best_center.calls",
+                   "scsd.best_center.self_s", "scsd.smallest_color_spanning_disk.calls",
+                   "scsd.coupled_two_disk.calls", "scsd.coupled_two_disk.self_s",
+                   "scsd.coupled_two_disk.incl_s", "closure2.locate_case1.incl_s",
+                   "closure2.locate_case2.incl_s", "closure2.locate_case3.incl_s",
+                   "closure2.self_s", "scsd.self_s", "trace.solve_s"),
+        "rows": ("k2_n", k2rows_rows),
     },
 }
 

@@ -19,6 +19,7 @@ the Case 1 discipline runs with those components as additional colours.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -248,44 +249,54 @@ def _locate_pair(ctx: ScsdContext,
     pair that places s1 first and gives s2 the rest of every block.
 
     Tie rule: the first optimal witness vector in this order wins.  Radii
-    are ``best_center``'s, folded from vectors built once per call.  At most
-    five blocks keep the search finite; it has no cap.  The incumbent starts
-    at ``bound``, and a side drops its rows whose root value (every block
-    whole) reaches it: node values only grow down the tree, so they never
-    win, and the kept rows keep their order, and so the tie rule.
+    are ``best_center``'s, folded from per-vertex columns over each side's
+    own candidate rows, built once per call.  At most five blocks keep the
+    search finite; it has no cap.  The incumbent starts at ``bound``, so a
+    leaf that can win has both radii below it, and each side needs only
+    ``ScsdContext.candidates`` of its root classes (every block whole) with
+    R = ``bound``.  A side then drops its rows whose root value reaches the
+    bound, a base class at a time (smallest first, each one's distance
+    bounds the root value) before the block columns are built: node values
+    only grow down the tree, so those rows never win, and the kept rows keep
+    their order, and so the tie rule.
     """
     zsets = [tuple(sorted(z)) for z in zsets]
     shared = tuple((v,) for v in singles)
-    sides, row_sets = [], {}  # per row set (every row past two classes): blocks, suffix maxima
+    sides = []  # per side: classes, kept rows, base fold, blocks, suffix maxima of the blocks
     for base in (base1, base2):
         base = tuple(tuple(c) for c in base) + shared
-        wide = len(base) + len(zsets) > 2
-        if wide not in row_sets:
-            blocks = []
-            for z in zsets:  # vertex columns, their minimum and runner-up
-                cols = [ctx.class_vector((v,), wide) for v in z]
-                whole, second = cols[0].copy(), np.full(len(cols[0]), np.inf)
-                for c in cols[1:]:
-                    np.minimum(second, np.maximum(c, whole), out=second)
-                    np.minimum(whole, c, out=whole)
-                blocks.append((cols, whole, second))
-            tail = list(itertools.accumulate((b[1] for b in blocks[::-1]), np.maximum))
-            row_sets[wide] = blocks, tail[::-1] + [None]
-        blocks, tail = row_sets[wide]
-        fold = ctx.objective(base, wide) if base else np.zeros_like(tail[0])
+        rows = ctx.candidates(base + tuple(zsets), bound)
+
+        def column(v: int) -> np.ndarray:  # distance from each row to vertex v
+            return np.hypot(rows[:, 0] - ctx.points[v].x, rows[:, 1] - ctx.points[v].y)
+
+        fold = np.zeros(len(rows))
+        for c in sorted(base, key=len):
+            fold = np.maximum(fold, functools.reduce(np.minimum, map(column, c)))
+            live = fold < bound
+            rows, fold = rows[live], fold[live]
+        blocks = []
+        for z in zsets:  # vertex columns, their minimum and runner-up
+            cols = [column(v) for v in z]
+            whole, second = cols[0].copy(), np.full(len(rows), np.inf)
+            for c in cols[1:]:
+                np.minimum(second, np.maximum(c, whole), out=second)
+                np.minimum(whole, c, out=whole)
+            blocks.append((cols, whole, second))
+        tail = list(itertools.accumulate((b[1] for b in blocks[::-1]), np.maximum))[::-1] + [None]
         keep = np.flatnonzero((fold if tail[0] is None else np.maximum(fold, tail[0])) < bound)
         if not len(keep):
             return None
-        blocks = [(cols, whole[keep], second[keep]) for cols, whole, second in blocks]
-        sides.append((base, fold[keep], blocks, [None if t is None else t[keep] for t in tail], keep))
-    (base1, fold1, blocks1, tail1, keep1), (base2, fold2, blocks2, tail2, keep2) = sides
+        blocks = [([c[keep] for c in cols], whole[keep], second[keep]) for cols, whole, second in blocks]
+        sides.append((base, rows[keep], fold[keep], blocks, [None if t is None else t[keep] for t in tail]))
+    (base1, rows1, fold1, blocks1, tail1), (base2, rows2, fold2, blocks2, tail2) = sides
     best_r, best = bound, None
     stack = [((), fold1, fold2, None)]  # (witness positions, parent's prefixes, s1's answer)
     while stack:
         ts, q1, q2, side1 = stack.pop()
         i = len(ts)
         if i:
-            q1 = np.maximum(q1, blocks1[i - 1][0][ts[-1]][keep1])
+            q1 = np.maximum(q1, blocks1[i - 1][0][ts[-1]])
         if side1 is None:
             f = q1 if tail1[i] is None else np.maximum(q1, tail1[i])
             side1 = float(f.min()), int(f.argmin())
@@ -293,7 +304,7 @@ def _locate_pair(ctx: ScsdContext,
             continue
         if i:  # the block minus y: the runner-up where y's column is the minimum
             cols, whole, second = blocks2[i - 1]
-            q2 = np.maximum(q2, np.where(cols[ts[-1]][keep2] == whole, second, whole))
+            q2 = np.maximum(q2, np.where(cols[ts[-1]] == whole, second, whole))
         f = q2 if tail2[i] is None else np.maximum(q2, tail2[i])
         side2 = float(f.min()), int(f.argmin())
         r = max(side1[0], side2[0])
@@ -302,12 +313,12 @@ def _locate_pair(ctx: ScsdContext,
         if i == len(zsets):
             best_r, best = r, (side1[1], side2[1], ts)
             continue
-        pick = zsets[i].index(ctx.nearest_in_class(ctx.center(keep1[side1[1]]), zsets[i]))
+        pick = zsets[i].index(ctx.nearest_in_class(Point2(*rows1[side1[1]].tolist()), zsets[i]))
         rest = [(ts + (t,), q1, q2, None) for t in range(len(zsets[i])) if t != pick]
         stack.extend(reversed([(ts + (pick,), q1, q2, side1)] + rest))
     if best is None:
         return None
-    c1, c2, ts = ctx.center(keep1[best[0]]), ctx.center(keep2[best[1]]), best[2]
+    c1, c2, ts = Point2(*rows1[best[0]].tolist()), Point2(*rows2[best[1]].tolist()), best[2]
     rests = tuple(z[:t] + z[t + 1:] for z, t in zip(zsets, ts))
     picks1 = tuple(ctx.nearest_in_class(c1, c) for c in base1) + tuple(z[t] for z, t in zip(zsets, ts))
     picks2 = tuple(ctx.nearest_in_class(c2, c) for c in base2 + rests)
@@ -458,8 +469,10 @@ def separate_coincident(points: Sequence[Point2], steiner: list[Point2],
                         linked: list[tuple[int, int]]) -> list[Point2]:
     """Nudge Steiner points apart from terminals and each other by the
     instance tolerance, along the direction that least stretches their
-    planned edges."""
-    eps = geometry_eps(list(points) + steiner)
+    planned edges; at least 4 ulps of the largest coordinate, so that a nudge
+    moves a point also where the tolerance is below the coordinates' ulp."""
+    every = list(points) + steiner
+    eps = max(geometry_eps(every), 4.0 * math.ulp(max(max(abs(p.x), abs(p.y)) for p in every)))
     terminal_set = {p.as_tuple() for p in points}
     out = list(steiner)
 

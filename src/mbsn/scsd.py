@@ -19,13 +19,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .geom import Circle, Point2, circumcenter, distance, geometry_eps, real_quartic_roots
+from .geom import Circle, Point2, distance, geometry_eps, real_quartic_roots
 
-# bounds on one context's memo of per-class distance vectors: entries, and
-# doubles held (128 MB; one vector over every row is C(n,3) doubles, 22 MB at
-# n = 256, so the five vectors of a 5-class query there still fit)
-_CLASS_MIN_ENTRIES = 4096
-_CLASS_MIN_DOUBLES = 1 << 24
+# a bound, with room, on the relative rounding error of a sum of two products
+# of coordinate differences: each difference, product and the sum is rounded
+# once, 4u in all (u = eps / 2)
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -56,13 +55,12 @@ class ScsdContext:
     """Colour-disk queries on one fixed point set; classes are index lists
     into ``points``, and ``dist`` is their n x n distance matrix.
 
-    ``best_center`` evaluates only the query's own candidates.  The rows
-    ``cand``, built on first use, serve the k = 2 pair search and the coupled
-    solver's anchors: every point (lexicographically sorted), every pair
-    midpoint and, from the first every-row ``objective`` call on, every
-    non-collinear triple circumcentre.  ``class_vector`` builds per-vertex
-    columns over them on demand; class vectors are memoised up to
-    ``_CLASS_MIN_ENTRIES`` vectors and ``_CLASS_MIN_DOUBLES`` doubles.
+    A context holds no candidate rows.  ``candidates`` builds the rows of one
+    query (its points, midpoints and circumcentres that can determine a disk
+    of radius at most R), for the k = 2 pair search and the coupled solver's
+    anchors; ``best_center`` values the same families with its own R.
+    ``cand`` is the point family of every such row set over all n points:
+    the points in lexicographic order.
     """
 
     def __init__(self, points: Sequence[Point2]):
@@ -70,89 +68,86 @@ class ScsdContext:
         self.eps = geometry_eps(points)
         n = len(points)
         self._pts = pts = np.array([[p.x, p.y] for p in points], dtype=float).reshape(n, 2)
-        self._base_rows = n * (n + 1) // 2  # points and pair midpoints
         self.dist = pts[:, None, 0] - pts[None, :, 0]
         np.hypot(self.dist, pts[:, None, 1] - pts[None, :, 1], out=self.dist)
-        # collinearity rule of every circumcentre the context builds
-        self._collinear = self.eps * max(1.0, float(np.abs(pts).max(initial=0.0))) * 2.0
-        self._triples: np.ndarray | None = None  # circumcentre rows, once built
-        self._class_min: dict[tuple[tuple[int, ...], bool], np.ndarray] = {}
-        self._class_min_doubles = 0
 
     @functools.cached_property
     def cand(self) -> np.ndarray:
-        pts = self._pts
-        ii, jj = np.triu_indices(len(pts), 1)
-        return np.vstack([pts[np.lexsort((pts[:, 1], pts[:, 0]))], (pts[ii] + pts[jj]) / 2.0])
+        return self._pts[np.lexsort((self._pts[:, 1], self._pts[:, 0]))]
 
-    def _circumcentres(self, i: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Circumcentres of the non-collinear triples (i, j, k), in order."""
-        a = self._pts[i]
-        bb, cc = self._pts[j] - a, self._pts[k] - a
+    def _labels(self, classes: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+        """The query's vertices, ascending, and each one's class; a vertex
+        in several classes gets a label of its own, -1 - v."""
+        if any(len(c) == 0 for c in classes):
+            raise ValueError("empty colour class")
+        owner: dict[int, int] = {}
+        for b, c in enumerate(classes):
+            for v in c:
+                owner[v] = b if owner.get(v, b) == b else -1 - v
+        ids = sorted(owner)
+        return np.array(ids, dtype=np.intp), np.array([owner[v] for v in ids])
+
+    def _pairs(self, d: np.ndarray, own: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Positions i < j, in triu order, of the differently labelled pairs
+        within 2 radius (+ eps); ``d`` is the query's own distance block."""
+        i, j = np.nonzero(d <= 2.0 * radius + self.eps)
+        keep = (i < j) & (own.take(i) != own.take(j))
+        return i[keep], j[keep]
+
+    def _triangles(self, u: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Circumcentres of the triples of u whose three pairs are all among
+        (i, j), in combinations order, save those of obtuse triangles and of
+        triangles collinear to the rounding of their relative coordinates;
+        both tests give way to that rounding."""
+        near = np.zeros((len(u), len(u)), dtype=bool)
+        near[i, j] = True
+        t, k = np.nonzero(near[i] & near[j])
+        a = self._pts[u[i[t]]]
+        bb, cc = self._pts[u[j[t]]] - a, self._pts[u[k]] - a
+        b2, c2, dot = (bb * bb).sum(axis=1), (cc * cc).sum(axis=1), (bb * cc).sum(axis=1)
         cross = bb[:, 0] * cc[:, 1] - bb[:, 1] * cc[:, 0]
-        ok = np.abs(cross) > self._collinear
-        bb, cc, a, cr = bb[ok], cc[ok], a[ok], cross[ok]
-        b2, c2 = (bb * bb).sum(axis=1), (cc * cc).sum(axis=1)
+        slack = _ROUNDING * (b2 + c2)  # no angle above 90 degrees, to rounding
+        ok = ((np.abs(cross) > _ROUNDING * (np.abs(bb[:, 0] * cc[:, 1]) + np.abs(bb[:, 1] * cc[:, 0])))
+              & (dot >= -slack) & (dot <= b2 + slack) & (dot <= c2 + slack))
+        bb, cc, a, cr, b2, c2 = bb[ok], cc[ok], a[ok], cross[ok], b2[ok], c2[ok]
         ux = (cc[:, 1] * b2 - bb[:, 1] * c2) / (2.0 * cr)
         uy = (bb[:, 0] * c2 - cc[:, 0] * b2) / (2.0 * cr)
         return a + np.stack([ux, uy], axis=1)
 
-    def _add_triples(self) -> None:
-        if self._triples is None:
-            combos = itertools.combinations(range(len(self._pts)), 3)
-            trips = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp).reshape(-1, 3)
-            self.cand = np.vstack([self.cand, self._circumcentres(*trips.T)])
-            self._triples = self.cand[self._base_rows:]
-
-    def class_vector(self, cls: Sequence[int], every_row: bool) -> np.ndarray:
-        """Distance to the nearest point of ``cls`` from each point and
-        midpoint row, or with ``every_row`` from each row: the minimum of
-        the class's per-vertex columns."""
-        key = (tuple(cls), every_row)
-        vec = self._class_min.get(key)
-        if vec is None:
-            if every_row:
-                self._add_triples()
-            rows = self.cand if every_row else self.cand[:self._base_rows]
-            for v in cls:  # one column at a time: no (rows, |cls|) block
-                d = np.subtract(rows[:, 0], self._pts[v, 0])
-                np.hypot(d, rows[:, 1] - self._pts[v, 1], out=d)
-                vec = d if vec is None else np.minimum(vec, d, out=vec)
-            if (len(self._class_min) < _CLASS_MIN_ENTRIES
-                    and self._class_min_doubles + vec.size <= _CLASS_MIN_DOUBLES):
-                self._class_min[key] = vec
-                self._class_min_doubles += vec.size
-        return vec
-
-    def objective(self, classes: Sequence[Sequence[int]], every_row: bool) -> np.ndarray:
-        """max-over-classes of min-distance at each point and midpoint row, or at every row."""
-        if any(len(c) == 0 for c in classes):
-            raise ValueError("empty colour class")
-        return functools.reduce(np.maximum, (self.class_vector(c, every_row) for c in classes))
+    def candidates(self, classes: Sequence[Sequence[int]], radius: float) -> np.ndarray:
+        """Candidate centres for ``classes``, and for any query whose classes
+        are subsets of theirs, one each, as far as its optimum is at most
+        ``radius``: the query's points (lexicographic), the midpoints of
+        differently labelled pairs within 2 radius (i < j over ascending
+        vertices) and, past two classes, the circumcentres of differently
+        labelled non-obtuse triples pairwise within 2 radius (combinations
+        order).  Exact: an optimal disk's determinators can be taken as one
+        active point per class, pairwise within twice its radius, and a
+        minimal set of them whose hull holds the centre is a point, a pair or
+        a non-obtuse triangle (a right one's circumcentre is a midpoint)."""
+        u, own = self._labels(classes)
+        pts = self._pts.take(u, 0)
+        i, j = self._pairs(self.dist[np.ix_(u, u)], own, radius)
+        rows = [pts[np.lexsort((pts[:, 1], pts[:, 0]))], (pts.take(i, 0) + pts.take(j, 0)) / 2.0]
+        if len(classes) > 2:
+            rows.append(self._triangles(u, i, j))
+        return np.vstack(rows)
 
     def best_center(self, classes: Sequence[Sequence[int]]) -> tuple[float, Point2, tuple[int, ...]]:
         """Minimise max-over-classes of min-distance; returns radius, centre,
         and one nearest vertex index per class (ties lexicographic by point).
 
         Only the query's own candidates are valued, one candidates x class
-        points block per family: its points; midpoints of pairs that can stand
-        for two classes and lie within 2R, R the best point value (with two
+        points block per family, each family the one ``candidates`` builds:
+        its points; midpoints within 2R, R the best point value (with two
         classes, R <= half the closest such pair's distance, so only the
-        closest pairs); with >= 3 classes, circumcentres of such triples
-        pairwise within 2R', R' the best point or midpoint value.  Exact: the
-        optimum's determinators stand for different classes on a circle of
-        radius r* <= R' <= R.  Tie rule: the first minimal candidate wins, in
-        the order points (lexicographic), (i, j) midpoints, (i, j, k)
-        circumcentres.
+        closest pairs); with >= 3 classes, circumcentres within 2R', R' the
+        best point or midpoint value.  Exact: the optimum's determinators
+        stand for different classes on a circle of radius r* <= R' <= R.
+        Tie rule: the first minimal candidate wins, in the order points
+        (lexicographic), (i, j) midpoints, (i, j, k) circumcentres.
         """
-        if any(len(c) == 0 for c in classes):
-            raise ValueError("empty colour class")
-        owner: dict[int, int] = {}  # a query point's class; a unique negative label when in several
-        for b, c in enumerate(classes):
-            for v in c:
-                owner[v] = b if owner.get(v, b) == b else -1 - v
-        ids = sorted(owner)
-        u, own = np.array(ids), np.array([owner[v] for v in ids])
+        u, own = self._labels(classes)
         flat = np.fromiter(itertools.chain.from_iterable(classes), np.intp)  # class by class
         pts, cols, rows = self._pts.take(u, 0), self._pts.take(flat, 0), self.dist.take(u, 0)
         starts = [0, *itertools.accumulate(map(len, classes[:-1]))]
@@ -162,24 +157,16 @@ class ScsdContext:
 
         f = values(rows.take(flat, 1))
         r = float(f.min())
-        center = min(self.points[ids[t]].as_tuple() for t in np.nonzero(f == r)[0])
+        center = min(self.points[u[t]].as_tuple() for t in np.nonzero(f == r)[0])
         for triples in (False, True) if len(classes) > 2 else (False,):
             if r == 0.0:
                 break  # a zero radius at a point is final
             d = rows.take(u, 1)
-            i, j = np.nonzero(d <= 2.0 * r + self.eps)
-            keep = (i < j) & (own.take(i) != own.take(j))  # pairs i < j of two classes
-            i, j = i[keep], j[keep]
+            i, j = self._pairs(d, own, r)
             if len(classes) == 2 and len(i):  # R <= half the closest pair's distance
                 keep = d[i, j] <= d[i, j].min() + self.eps
                 i, j = i[keep], j[keep]
-            if triples:
-                near = np.zeros((len(u), len(u)), dtype=bool)
-                near[i, j] = True
-                t, k = np.nonzero(near[i] & near[j])
-                c = self._circumcentres(u[i[t]], u[j[t]], u[k])
-            else:
-                c = (pts.take(i, 0) + pts.take(j, 0)) / 2.0
+            c = self._triangles(u, i, j) if triples else (pts.take(i, 0) + pts.take(j, 0)) / 2.0
             if len(c):
                 f = values(np.hypot(c[:, :1] - cols[:, 0], c[:, 1:] - cols[:, 1]))
                 t = int(f.argmin())
@@ -187,9 +174,6 @@ class ScsdContext:
                     r, center = float(f[t]), (float(c[t, 0]), float(c[t, 1]))
         center = Point2(*center)
         return r, center, tuple(self.nearest_in_class(center, cls) for cls in classes)
-
-    def center(self, i: int) -> Point2:
-        return Point2(float(self.cand[i, 0]), float(self.cand[i, 1]))
 
     def nearest_in_class(self, x: Point2, cls: Sequence[int]) -> int:
         best = None
@@ -211,6 +195,12 @@ def _flatten(cs: ColorSystem) -> tuple[list[Point2], list[list[int]]]:
 def class_radius(cs: ColorSystem, z: Point2) -> float:
     """Objective f(z): max over colours of the distance to the nearest point."""
     return max(min(distance(z, p) for p in cls) for cls in cs.classes)
+
+
+def _class_radii(cs: ColorSystem, rows: np.ndarray) -> np.ndarray:
+    """f at each row of centres, one point at a time."""
+    return functools.reduce(np.maximum, (functools.reduce(
+        np.minimum, (np.hypot(rows[:, 0] - p.x, rows[:, 1] - p.y) for p in cls)) for cls in cs.classes))
 
 
 def nearest_per_color(x: Point2, cs: ColorSystem) -> tuple[Point2, ...]:
@@ -266,8 +256,10 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem,
     independent optima, one centre anchored to the other, the collinear
     three-leg balance, and the fully coupled configurations where each
     centre is pinned by one or two of its own points plus the partner
-    (quadratic and quartic systems), plus circumcentre/midpoint pairs.
-    Every candidate is validated by direct objective evaluation.
+    (quadratic and quartic systems).  A centre the partner edge does not
+    pin sits at one of its side's candidate rows, and the anchored solve
+    there gives the best partner.  Every candidate is validated by direct
+    objective evaluation.
 
     Anchors are tried in ascending f_a with no cap: f_b is 1-Lipschitz, so a
     pair anchored at a is worth at least LB = max(f_a(a), f_b(a) / 2), and an
@@ -312,16 +304,14 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem,
                      Point2(p.x + 2.0 * (q.x - p.x) / 3.0, p.y + 2.0 * (q.y - p.y) / 3.0))
 
     # Rest one side at any of its locally optimal disk structures (its own
-    # candidate centres, cheapest first) and re-solve the other side with
-    # that centre as an extra colour.  This covers optima where the busy
-    # side sits at a non-global local minimum close to the quiet side.
+    # candidate centres, every point a class of its own, cheapest first) and
+    # re-solve the other side with that centre as an extra colour.  This
+    # covers optima where the busy side sits at a non-global local minimum
+    # close to the quiet side.
     for (csa, csb, swap) in ((cs1, cs2, False), (cs2, cs1, True)):
-        apts, aclasses = _flatten(csa)
-        actx = ScsdContext(apts)
-        fvals = actx.objective(aclasses, True)
-        cx, cy = actx.cand[:, 0], actx.cand[:, 1]  # f_b at each anchor, one point at a time
-        fb = functools.reduce(np.maximum, (functools.reduce(
-            np.minimum, (np.hypot(cx - p.x, cy - p.y) for p in cls)) for cls in csb.classes))
+        apts = _flatten(csa)[0]
+        rows = ScsdContext(apts).candidates([[v] for v in range(len(apts))], math.inf)
+        fvals, fb = _class_radii(csa, rows), _class_radii(csb, rows)
         seen_anchor: set[tuple[float, float]] = set()
         for i in np.argsort(fvals, kind="stable"):
             # a structure whose own radius already reaches the incumbent
@@ -330,7 +320,7 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem,
                 break
             if fb[i] / 2.0 >= best[0] + eps:
                 continue
-            anchor = actx.center(i)
+            anchor = Point2(float(rows[i, 0]), float(rows[i, 1]))
             key = anchor.as_tuple()
             if key in seen_anchor:
                 continue
@@ -338,10 +328,8 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem,
             _, z = _anchored_center(csb, anchor)
             consider(z, anchor) if swap else consider(anchor, z)
 
-    classes1 = [list(c) for c in cs1.classes]
-    classes2 = [list(c) for c in cs2.classes]
-    pairs1 = _cross_class_pairs(classes1)
-    pairs2 = _cross_class_pairs(classes2)
+    pairs1 = _cross_class_pairs([list(c) for c in cs1.classes])
+    pairs2 = _cross_class_pairs([list(c) for c in cs2.classes])
 
     # One side pinned by a cross-class pair, the other by a single point,
     # partner distance active on both: quadratic along the bisector.
@@ -370,19 +358,6 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem,
                     sa = Point2(mx + v * dx, my + v * dy)
                     sb = Point2((q.x + sa.x) / 2.0, (q.y + sa.y) / 2.0)
                     consider(sb, sa) if swap else consider(sa, sb)
-
-    # One side pinned by a cross-class triple (circumcentre), the partner
-    # constraint collinear: the other centre sits midway to its own point.
-    for (cls, singles, swap) in ((classes1, pts2, False), (classes2, pts1, True)):
-        flat = sorted({p.as_tuple() for c in cls for p in c})
-        flat = [Point2(x, y) for x, y in flat]
-        for trip in itertools.combinations(flat, 3):
-            o = circumcenter(*trip)
-            if o is None:
-                continue
-            for q in singles:
-                sb = Point2((o.x + q.x) / 2.0, (o.y + q.y) / 2.0)
-                consider(sb, o) if swap else consider(o, sb)
 
     # Both sides pinned by cross-class pairs plus the partner distance:
     # a quartic in the bisector parameter of side 1.

@@ -13,7 +13,7 @@ import random
 import numpy as np
 
 from mbsn.cli import generate_instance
-from mbsn.geom import Point2
+from mbsn.geom import Point2, bbox_diagonal
 from mbsn.graph import Graph, make_graph
 
 
@@ -183,3 +183,31 @@ def grid_min_spanning_radius(classes: list[list[tuple[float, float]]],
         f = m if f is None else np.maximum(f, m)
     step = xs[1] - xs[0]
     return float(f.min()), step * math.sqrt(2.0) / 2.0
+
+
+def property_sets(rng: random.Random):
+    """Degenerate point sets: (name, points): lattices, collinear and
+    cocircular sets, near-duplicate pairs at 1e-10 of the diagonal, and far
+    clusters."""
+    for _ in range(4):
+        w = rng.randint(3, 5)
+        grid = [(x, y) for x in range(w) for y in range(w)]
+        cells = rng.sample(grid, rng.randint(4, min(14, w * w)))
+        yield "lattice", [Point2(float(x), float(y)) for x, y in cells]
+    for _ in range(3):
+        a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
+        ts = sorted(rng.sample(range(40), rng.randint(4, 10)))
+        yield "collinear", [Point2(a + 0.25 * t, b - 0.5 * t) for t in ts]
+    for _ in range(3):
+        angles = rng.sample(range(24), rng.randint(4, 10))
+        yield "cocircular", [Point2(0.5 + 0.3 * math.cos(math.pi * t / 12),
+                                    0.5 + 0.3 * math.sin(math.pi * t / 12)) for t in angles]
+    for _ in range(3):
+        base = [Point2(rng.random(), rng.random()) for _ in range(rng.randint(3, 7))]
+        gap = 1e-10 * bbox_diagonal(base)
+        twins = [Point2(p.x + gap, p.y) for p in rng.sample(base, 2)]
+        yield "near-duplicate", base + twins
+    for _ in range(3):
+        centres = [(0.0, 0.0), (1e3, 0.0), (0.0, 1e3)][:rng.randint(2, 3)]
+        yield "far clusters", [Point2(cx + 0.01 * rng.random(), cy + 0.01 * rng.random())
+                               for cx, cy in centres for _ in range(rng.randint(2, 4))]

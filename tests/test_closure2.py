@@ -17,7 +17,7 @@ from mbsn.rng import build_2rng, length_schedule, threshold_subgraph
 from mbsn.scsd import ScsdContext
 from mbsn.solver import solve
 
-from conftest import random_points
+from conftest import property_sets, random_points
 
 DUMBBELL = [Point2(0, 0), Point2(0, 1), Point2(10, 0), Point2(10, 1)]
 
@@ -408,6 +408,26 @@ def test_pair_search_matches_witness_enumeration_on_synthetic_blocks():
         _check_pair(ScsdContext(pts), *args)
 
 
+def _property_pairs():
+    """Pair-search calls on the degenerate sets (lattice, collinear,
+    cocircular, near-duplicate, far clusters): (points, base1, base2,
+    singles, zsets), with one to three blocks of two or three vertices."""
+    rng = random.Random(8)
+    for _, pts in property_sets(rng):
+        order = list(range(len(pts)))
+        rng.shuffle(order)
+        zsets = []
+        for _ in range(rng.randint(1, 3)):
+            size = rng.randint(2, 3)
+            if len(order) >= size:
+                zsets.append(order[:size])
+                order = order[size:]
+        cut1 = rng.randint(0, len(order))
+        cut2 = rng.randint(cut1, len(order))
+        base1, base2 = [[v] for v in order[:cut1]], [order[cut1:cut2]] if cut2 > cut1 else []
+        yield pts, base1, base2, order[cut2:], zsets
+
+
 def _reference_pair(ctx, base1, base2, singles, zsets):
     """The same branch-and-bound asking ``best_center`` for both disks at
     every node (s1's answer passed down to the pick child), with each
@@ -466,6 +486,8 @@ def test_pair_search_is_byte_identical_to_per_node_queries(monkeypatch):
                      ([], [], [], [[0, 1, 8], [2, 3], [9, 10, 11]]),  # only blocks
                      ([], [], [], [[0, 4], [1, 3]])):  # lattice: a unit square's diagonals
             calls.append((ScsdContext(pts), args))
+    for pts, *args in _property_pairs():
+        calls.append((ScsdContext(pts), args))
     for ctx, args in calls:
         # the recorded bound if any, then the reference radius and the next
         # float above it: None at the radius, the unbounded answer above
@@ -478,47 +500,45 @@ def test_pair_search_is_byte_identical_to_per_node_queries(monkeypatch):
 
 
 class _RecordingContext(ScsdContext):
-    """A context that records the class vectors asked of it, and those it
-    had to build."""
+    """A context that records the candidate row sets asked of it."""
 
     def __init__(self, points):
         super().__init__(points)
-        self.asked, self.built = [], []
+        self.asked = []
 
-    def class_vector(self, cls, every_row):
-        key = (tuple(cls), every_row)
-        self.asked.append(key)
-        if key not in self._class_min and (len(cls) > 1 or every_row):
-            self.built.append(key)
-        return super().class_vector(cls, every_row)
+    def candidates(self, classes, radius):
+        self.asked.append((tuple(map(tuple, classes)), radius))
+        return super().candidates(classes, radius)
 
 
 def test_pair_search_builds_each_vector_once(monkeypatch):
     # every case-1/3 closure of these solves, at the thresholds they probe,
-    # runs on its own recording context: no class vector is built twice, each
-    # block vertex's column is asked once per row set (so each block's
-    # minimum and runner-up are built once), and the answer equals the one on
-    # the solve's shared context, whatever that context was asked before
-    # (each call is replayed twice, with its bound and without; the bounded
-    # answer is None exactly when the unbounded radius reaches the bound)
+    # runs on its own recording context: each side's rows are built once,
+    # from its root classes (every block whole) with R = the call's bound,
+    # side 2's not at all when none of side 1's goes below the bound, and the
+    # answer equals the one on the solve's shared context, whatever that
+    # context was asked before (each call is replayed twice, with its bound
+    # and without; the bounded answer is None exactly when the unbounded
+    # radius reaches the bound)
     calls = []
     original = closure2.locate_case1
 
     def recorded(g, points, topo, ctx, bound):
         embs = []
+        blocks = tuple(tuple(sorted(z)) for z in topo.isolated_multis)
+        shared = tuple((v,) for v in topo.isolated_vertices)
         for b in (bound, math.inf):
             rec = _RecordingContext(points)
             emb = original(g, points, topo, rec, b)
             assert emb == original(g, points, topo, ctx, b)
-            assert len(set(rec.built)) == len(rec.built), topo.partition
-            block_vertices = {v for z in topo.isolated_multis for v in z}
-            columns = [key for key in rec.asked if key[0][0] in block_vertices]
-            assert len(set(columns)) == len(columns), topo.partition
-            assert {key[0][0] for key in columns} == block_vertices
+            sides = [(tuple(map(tuple, base)) + shared + blocks, b)
+                     for base in (topo.side1_classes + topo.covered_by_s2,
+                                  topo.side2_classes + topo.covered_by_s1)]
+            assert rec.asked == sides or (rec.asked == sides[:1] and emb is None), topo.partition
             embs.append(emb)
         cut, full = embs
         assert cut == (None if full.radius >= bound else full), topo.partition
-        calls.append((len(topo.isolated_multis), len(columns)))
+        calls.append((len(blocks), sum(map(len, blocks))))
         return cut
 
     monkeypatch.setattr(closure2, "locate_case1", recorded)

@@ -11,7 +11,7 @@ from mbsn.geom import Point2, bbox_diagonal, distance, geometry_eps
 from mbsn.scsd import (ColorSystem, ScsdContext, color_system, class_radius,
                        coupled_two_disk, nearest_per_color, smallest_color_spanning_disk)
 
-from conftest import grid_min_spanning_radius
+from conftest import grid_min_spanning_radius, property_sets as _property_sets
 
 
 def test_two_singletons_diametric():
@@ -168,27 +168,66 @@ def test_coupled_against_grid_oracle():
 
 
 def _eager_rows(points):
-    """Every candidate enumerated up front, in the context's row order:
-    points lexsorted, pair midpoints in triu order, non-collinear triple
-    circumcentres in combinations order."""
+    """Every candidate enumerated up front, in the row order of ``ScsdContext.candidates``:
+    points lexsorted, pair midpoints in triu order, circumcentres of the
+    triples not collinear to rounding (obtuse ones included) in
+    combinations order; with the vertices each row is made of."""
     pts = np.array([p.as_tuple() for p in points], dtype=float)
-    rows = [pts[np.lexsort((pts[:, 1], pts[:, 0]))]]
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    rows, members = [pts[order]], [(int(v),) for v in order]
     ii, jj = np.triu_indices(len(pts), 1)
     rows.append((pts[ii] + pts[jj]) / 2.0)
-    scale = geometry_eps(points) * max(1.0, float(np.abs(pts).max())) * 2.0
+    members += list(zip(ii.tolist(), jj.tolist()))
     for i, j, k in itertools.combinations(range(len(pts)), 3):
         bb, cc = pts[j] - pts[i], pts[k] - pts[i]
         cr = bb[0] * cc[1] - bb[1] * cc[0]
-        if abs(cr) > scale:
+        if abs(cr) > scsd._ROUNDING * (abs(bb[0] * cc[1]) + abs(bb[1] * cc[0])):
             b2, c2 = bb[0] * bb[0] + bb[1] * bb[1], cc[0] * cc[0] + cc[1] * cc[1]
             ux = (cc[1] * b2 - bb[1] * c2) / (2.0 * cr)
             uy = (bb[0] * c2 - cc[0] * b2) / (2.0 * cr)
             rows.append((pts[i] + np.array([ux, uy]))[None, :])
-    return pts, np.vstack(rows)
+            members.append((i, j, k))
+    return pts, np.vstack(rows), members
+
+
+def _non_obtuse(pts, i, j, k):
+    """No angle of the triangle above 90 degrees, to the rounding slack of ``candidates``."""
+    bb, cc = pts[j] - pts[i], pts[k] - pts[i]
+    b2, c2, dot = bb[0] * bb[0] + bb[1] * bb[1], cc[0] * cc[0] + cc[1] * cc[1], bb[0] * cc[0] + bb[1] * cc[1]
+    slack = scsd._ROUNDING * (b2 + c2)
+    return -slack <= dot and dot <= b2 + slack and dot <= c2 + slack
+
+
+def _labels(classes):
+    """Each vertex's class; a vertex in several classes has a label of its own."""
+    label = {}
+    for b, c in enumerate(classes):
+        for v in c:
+            label[v] = b if label.get(v, b) == b else -1 - v
+    return label
+
+
+def _filtered_eager_rows(points, classes, radius):
+    """The eager rows ``candidates`` keeps for ``classes`` and ``radius``: the
+    query's points; rows of two or three of its vertices whose labels differ
+    and that lie pairwise within 2 radius + eps; triples only past two
+    classes, and only non-obtuse ones."""
+    pts, rows, members = _eager_rows(points)
+    label, eps = _labels(classes), geometry_eps(points)
+
+    def kept(m):
+        if any(v not in label for v in m):
+            return False
+        if len(m) == 3 and (len(classes) <= 2 or not _non_obtuse(pts, *m)):
+            return False
+        return all(label[a] != label[b] and math.dist(pts[a], pts[b]) <= 2.0 * radius + eps
+                   for a, b in itertools.combinations(m, 2))
+
+    return rows[[t for t, m in enumerate(members) if kept(m)]]
 
 
 def _eager_objective(points, classes):
-    pts, cand = _eager_rows(points)
+    pts, cand, _ = _eager_rows(points)
     dist = np.hypot(cand[:, None, 0] - pts[None, :, 0], cand[:, None, 1] - pts[None, :, 1])
     return cand, np.max([dist[:, cls].min(axis=1) for cls in classes], axis=0)
 
@@ -247,6 +286,25 @@ def _assert_eager_optimum(points, classes, got, rounding=False):
     return True
 
 
+def test_small_triangles_far_from_the_origin_keep_their_circumcentres():
+    # three classes of three points from N(0, 0.035^2), one with (1, 1) too,
+    # against the same systems shifted by (1e6, 1e6): the collinearity rule
+    # reads the rounding of the triangle's own relative coordinates, so the
+    # radius moves only by the rounding of the shifted coordinates (a rule
+    # scaled by the largest coordinate dropped these circumcentres and moved
+    # 159 of the 200 radii, the worst by 44 %)
+    rng = random.Random(5)
+    shift = 1e6
+    for _ in range(200):
+        classes = [[(rng.gauss(0, 0.035), rng.gauss(0, 0.035)) for _ in range(3)] for _ in range(3)]
+        classes[0].append((1.0, 1.0))
+        far = [[Point2(x + shift, y + shift) for x, y in c] for c in classes]
+        near = [[Point2(p.x - shift, p.y - shift) for p in c] for c in far]  # exact
+        r = smallest_color_spanning_disk(color_system(near)).disk.radius
+        got = smallest_color_spanning_disk(color_system(far)).disk.radius
+        assert abs(got - r) <= 1e-9 * r + 2.0 * math.ulp(shift), (classes, r, got)
+
+
 def test_lazy_context_equals_eager_enumeration():
     # the query-local candidates against every row, enumerated up front
     rng = random.Random(404)
@@ -256,32 +314,6 @@ def test_lazy_context_equals_eager_enumeration():
         for _ in range(12):
             classes = _random_classes(rng, len(points), rng.randint(1, min(5, len(points))))
             _assert_eager_optimum(points, classes, ScsdContext(points).best_center(classes))
-
-
-def _property_sets(rng):
-    """Degenerate point sets: (name, points)."""
-    for _ in range(4):
-        w = rng.randint(3, 5)
-        grid = [(x, y) for x in range(w) for y in range(w)]
-        cells = rng.sample(grid, rng.randint(4, min(14, w * w)))
-        yield "lattice", [Point2(float(x), float(y)) for x, y in cells]
-    for _ in range(3):
-        a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        ts = sorted(rng.sample(range(40), rng.randint(4, 10)))
-        yield "collinear", [Point2(a + 0.25 * t, b - 0.5 * t) for t in ts]
-    for _ in range(3):
-        angles = rng.sample(range(24), rng.randint(4, 10))
-        yield "cocircular", [Point2(0.5 + 0.3 * math.cos(math.pi * t / 12),
-                                    0.5 + 0.3 * math.sin(math.pi * t / 12)) for t in angles]
-    for _ in range(3):
-        base = [Point2(rng.random(), rng.random()) for _ in range(rng.randint(3, 7))]
-        gap = 1e-10 * bbox_diagonal(base)
-        twins = [Point2(p.x + gap, p.y) for p in rng.sample(base, 2)]
-        yield "near-duplicate", base + twins
-    for _ in range(3):
-        centres = [(0.0, 0.0), (1e3, 0.0), (0.0, 1e3)][:rng.randint(2, 3)]
-        yield "far clusters", [Point2(cx + 0.01 * rng.random(), cy + 0.01 * rng.random())
-                               for cx, cy in centres for _ in range(rng.randint(2, 4))]
 
 
 def test_best_center_property_against_eager_rows():
@@ -307,80 +339,77 @@ def test_context_rows_grow_once_and_stay_consistent():
     rng = random.Random(405)
     points = [Point2(rng.random(), rng.random()) for _ in range(14)]
     two = [[0, 1, 2, 3], [4, 5, 6]]
-    four = [[0, 1, 2, 3], [7, 8], [9, 10, 11], [12, 13]]  # shares a cached class
+    four = [[0, 1, 2, 3], [7, 8], [9, 10, 11], [12, 13]]  # shares a class with two
     ctx = ScsdContext(points)
     for classes in (two, four, two, [[4, 5, 6], [9, 10]]):
         assert ctx.best_center(classes) == ScsdContext(points).best_center(classes)
 
 
 def test_context_row_counts():
+    # the context holds its points only; with R = inf and one label per
+    # point ``candidates`` gives one row per point, per pair and per
+    # non-collinear, non-obtuse triple: the anchor set of coupled_two_disk
     rng = random.Random(406)
     lattice = [Point2(float(x), float(y)) for x in range(4) for y in range(4)]
     for points in ([Point2(rng.random(), rng.random()) for _ in range(11)], lattice):
         n = len(points)
         ctx = ScsdContext(points)
-        ctx.objective([[0, 1], [2, 3, 4]], False)
-        ctx.objective([list(range(n))], False)
-        assert len(ctx.cand) == n + n * (n - 1) // 2 and ctx.dist.shape == (n, n)
-        # one row per point, per pair and per non-collinear triple: the
-        # anchor set of coupled_two_disk
-        triples = sum(1 for a, b, c in itertools.combinations(points, 3)
-                      if (b.x - a.x) * (c.y - a.y) != (b.y - a.y) * (c.x - a.x))
-        for c in (ScsdContext(points), ctx):
-            assert len(c.objective([[0], [1, 2]], True)) == n + n * (n - 1) // 2 + triples
-
-
-def test_class_min_cache_cap_is_a_pure_memo():
-    rng = random.Random(407)
-    points = [Point2(rng.random(), rng.random()) for _ in range(18)]
-    ctx = ScsdContext(points)
-    ctx.objective([[0], [1], [2]], True)  # all rows present from here on
-    keys = set()
-    while len(keys) < 4300:
-        keys.add(tuple(sorted(rng.sample(range(1, 18), rng.randint(2, 9)))))
-    keys = sorted(keys)
-    for key in keys:
-        ctx.objective([list(key), [0]], False)
-    assert len(ctx._class_min) == 4096
-    for key in keys[::43] + keys[-20:]:  # cached and uncached keys
-        for classes in ([list(key), [0]], [list(key), [0, 17], [5]]):
-            for every_row in (False, True):
-                assert np.array_equal(ctx.objective(classes, every_row),
-                                      ScsdContext(points).objective(classes, every_row))
-            assert ctx.best_center(classes) == ScsdContext(points).best_center(classes)
+        assert len(ctx.cand) == n and ctx.dist.shape == (n, n)
+        assert np.array_equal(ctx.cand, _eager_rows(points)[1][:n])
+        pts = np.array([p.as_tuple() for p in points])
+        triples = sum(1 for i, j, k in itertools.combinations(range(n), 3)
+                      if _non_obtuse(pts, i, j, k) and (pts[j, 0] - pts[i, 0]) * (pts[k, 1] - pts[i, 1])
+                      != (pts[j, 1] - pts[i, 1]) * (pts[k, 0] - pts[i, 0]))
+        rows = ctx.candidates([[v] for v in range(n)], math.inf)
+        assert len(rows) == n + n * (n - 1) // 2 + triples
+        # two classes: no circumcentre rows, whatever the radius
+        assert len(ctx.candidates([[0, 1], [2, 3, 4]], math.inf)) == 5 + 6
 
 
 def test_objective_values_equal_eager_rows():
-    # every row, in order and bit for bit, including the circumcentre
-    # block built per class; small n, a lattice, collinear and cocircular
+    # the rows of ``candidates`` are the eager rows its filters keep, in order and
+    # bit for bit, and at a radius R >= the optimum they hold it: the least
+    # objective value over them equals the eager minimum; random sets, a
+    # lattice, collinear, cocircular, near-duplicate and far-cluster sets
     rng = random.Random(408)
     sets = [[Point2(rng.random(), rng.random()) for _ in range(n)] for n in (3, 4, 5, 9, 17)]
-    for points in sets + list(_degenerate_sets()):
+    sets += list(_degenerate_sets()) + [points for _, points in _property_sets(rng)]
+    held = 0
+    for points in sets:
+        ctx, pts = ScsdContext(points), np.array([p.as_tuple() for p in points])
         for _ in range(4):
             classes = _random_classes(rng, len(points), rng.randint(1, min(4, len(points))))
-            ctx = ScsdContext(points)
-            ctx.best_center(classes)
+            if rng.random() < 0.3:  # a class sharing vertices with another
+                classes.append(sorted(rng.sample(range(len(points)), rng.randint(1, len(points)))))
             cand, f = _eager_objective(points, classes)
-            assert np.array_equal(ctx.objective(classes, True), f)
-            assert np.array_equal(ctx.cand, cand)
+            r = float(f.min())
+            for radius in (math.inf, r, 2.0 * r, rng.random() * r):
+                rows = ctx.candidates(classes, radius)
+                assert np.array_equal(rows, _filtered_eager_rows(points, classes, radius))
+                if radius >= r:
+                    got = np.max([np.hypot(rows[:, None, 0] - pts[None, c, 0],
+                                           rows[:, None, 1] - pts[None, c, 1]).min(axis=1)
+                                  for c in classes], axis=0).min()
+                    assert r <= got <= r + 1e-12 * max(1.0, r), (points, classes, radius)
+                    held += 1
+    assert held > 100
 
 
 def test_small_queries_skip_the_circumcentre_rows():
-    # best_center builds no rows and keeps no vectors, whatever its class
-    # count; only every-row objective calls append the circumcentre rows
+    # with at most two classes ``candidates`` gives no circumcentre rows, also
+    # when a vertex in both classes has a label of its own, and best_center
+    # answers the same on a shared context as on fresh ones
     rng = random.Random(409)
     points = [Point2(rng.random(), rng.random()) for _ in range(20)]
     ctx = ScsdContext(points)
-    wide = [[0, 1, 2], [3], [4, 5]]
-    for classes in (wide, [list(range(6, 20)), [0, 1, 2]], [[7, 8]], [[3], [4, 5]]):
+    for classes in ([list(range(6, 20)), [0, 1, 2]], [[7, 8]], [[3], [4, 5]],
+                    [[0, 1, 2], [1, 2, 3]], [[0, 1, 2], [3], [4, 5]]):
         assert ctx.best_center(classes) == ScsdContext(points).best_center(classes)
-    assert ctx._triples is None and not ctx._class_min and "cand" not in vars(ctx)
-    ctx.objective(wide, True)
-    for classes in ([list(range(6, 20)), [0, 1, 2]], [[7, 8]], [[3], [4, 5]]):
-        assert np.array_equal(ctx.objective(classes, False),
-                              ScsdContext(points).objective(classes, False))
-    # only the every-row call evaluated circumcentre distances
-    assert {key for key, every_row in ctx._class_min if every_row} == {(0, 1, 2), (3,), (4, 5)}
+        label = _labels(classes)
+        pairs = sum(label[a] != label[b] for a, b in itertools.combinations(label, 2))
+        rows = len(ctx.candidates(classes, math.inf)) - len(label) - pairs  # circumcentre rows
+        assert rows == 0 if len(classes) <= 2 else rows > 0, classes
+    assert "cand" not in vars(ctx)
 
 
 def test_wide_query_memory_stays_below_the_dense_block():
@@ -400,27 +429,6 @@ def test_wide_query_memory_stays_below_the_dense_block():
     r, center, picks = got
     assert r == pytest.approx(max(min(distance(center, points[v]) for v in cls)
                                   for cls in classes), abs=1e-12)
-
-
-def test_class_min_doubles_bound_is_a_pure_memo():
-    # at n = 128 a vector over every row holds 349632 doubles, so the
-    # doubles bound binds after 47 vectors, long before the entry cap
-    rng = random.Random(411)
-    points = [Point2(rng.random(), rng.random()) for _ in range(128)]
-    ctx = ScsdContext(points)
-    queries = [[sorted(rng.sample(range(128), rng.randint(1, 4))) for _ in range(3)]
-               for _ in range(20)]
-    for classes in queries:
-        ctx.objective(classes, True)
-    held = sum(vec.size for vec in ctx._class_min.values())
-    assert held == ctx._class_min_doubles <= scsd._CLASS_MIN_DOUBLES
-    assert len(ctx._class_min) < scsd._CLASS_MIN_ENTRIES
-    kept = [all((tuple(c), True) in ctx._class_min for c in q) for q in queries]
-    assert kept[0] and not all(kept)  # some vectors past the bound were not kept
-    fresh = ScsdContext(points)
-    for classes in queries[:2] + queries[-2:] + [queries[kept.index(False)]]:
-        assert np.array_equal(ctx.objective(classes, True), fresh.objective(classes, True))
-        assert ctx.best_center(classes) == fresh.best_center(classes)
 
 
 def test_coupled_radius_is_the_objective_of_its_pair():
@@ -475,15 +483,12 @@ def _lattice_pair(seed):
 
 
 def _exhaustive_anchored(cs1, cs2):
-    """The best anchored pair over every anchor row of both sides, with no
-    skip and no cap."""
+    """The best anchored pair over every eager row of both sides, obtuse
+    circumcentres included, with no skip and no cap."""
     best = math.inf
     for csa, csb, swap in ((cs1, cs2, False), (cs2, cs1, True)):
-        pts, classes = scsd._flatten(csa)
-        ctx = ScsdContext(pts)
-        ctx.objective(classes, True)
-        for i in range(len(ctx.cand)):
-            a = ctx.center(i)
+        for x, y in _eager_rows(scsd._flatten(csa)[0])[1].tolist():
+            a = Point2(x, y)
             z = scsd._anchored_center(csb, a)[1]
             s1, s2 = (z, a) if swap else (a, z)
             best = min(best, max(distance(s1, s2), class_radius(cs1, s1), class_radius(cs2, s2)))
@@ -510,14 +515,26 @@ def test_coupled_anchor_bound_against_exhaustive_anchors(monkeypatch):
     # 10-14 points a side, with more than 64 anchor rows below the optimum
     # (so a cap at 64 anchors would be in force); in these systems the best
     # anchor has f_b(a) above the incumbent, so a bound without the /2
-    # would skip it
+    # would skip it.  The exhaustive anchors include the obtuse
+    # circumcentres ``candidates`` leaves out, and so certify that leaving
+    # them, and the cross-class-triple family, out loses nothing
     for seed in (102,):
         cs1, cs2 = _lattice_pair(seed)
         _, _, r = coupled_two_disk(cs1, cs2)
-        pts, classes = scsd._flatten(cs1)
-        assert (ScsdContext(pts).objective(classes, True) < r).sum() > 64, seed
+        pts = scsd._flatten(cs1)[0]
+        rows = ScsdContext(pts).candidates([[v] for v in range(len(pts))], math.inf)
+        assert (scsd._class_radii(cs1, rows) < r).sum() > 64, seed
         assert r <= _exhaustive_anchored(cs1, cs2), seed
         assert r <= _grid_coupled(cs1, cs2) + 1e-9, seed
+    # the degenerate sets, each split into two colour systems: no anchor
+    # row, obtuse circumcentres included, gives a better pair
+    rng = random.Random(414)
+    for name, points in _property_sets(rng):
+        classes = _random_classes(rng, len(points), rng.randint(2, min(4, len(points))))
+        cut = rng.randint(1, len(classes) - 1)
+        cs1, cs2 = (color_system([[points[v] for v in c] for c in part])
+                    for part in (classes[:cut], classes[cut:]))
+        assert coupled_two_disk(cs1, cs2)[2] <= _exhaustive_anchored(cs1, cs2), name
     # only a bound past the incumbent by eps may skip an anchor: (0, 4)
     # mirrors (0, 0), whose pair is worth exactly its bound f_b / 2, so the
     # bound of (0, 4) ties the incumbent (0, 0) leaves, and (0, 4) is solved
