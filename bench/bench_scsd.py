@@ -8,6 +8,7 @@
     python3 bench/bench_scsd.py ../parent --topic k1local   # BENCH_k1local.json
     python3 bench/bench_scsd.py ../parent --topic k2cut     # BENCH_k2cut.json
     python3 bench/bench_scsd.py ../parent --topic k2rows    # BENCH_k2rows.json
+    python3 bench/bench_scsd.py ../parent --topic k2decide  # BENCH_k2decide.json
 
 Run it from the root of this checkout; ``--output`` names another file.
 Every topic makes, one process at a time:
@@ -55,7 +56,17 @@ space:
   ``k2cut``, then clustered n = 96 and 128 (seeds 1-2) and uniform n = 64,
   128 and 256 (seed 1), one process per instance, so that its peak RSS is
   its own; plus the cut counts of the change on the k2-mid instances of
-  seeds 1-2, whose rows are now those the pair search builds.
+  seeds 1-2, whose rows are now those the pair search builds;
+* ``k2decide``: as ``k2cut``, on the k2-mid instances of seeds 1-2 and of
+  seeds 11-20, acceptance suites 1-2 (500 instances, n = 4..40), uniform
+  n = 64 and 128 (seeds 1-3) and n = 256 (seed 1), and clustered n = 48
+  and 128 (seed 1) and n = 128 (seed 2), each set in one process, the
+  whole answer with the threshold; per set and side, from one more untimed
+  run, the k = 2 evaluations: all, those at their own threshold's cutoff
+  t+, those above t with an exact radius, and on the change side those of
+  the pricing phase (the last feasible up-probe) and of the plateau walk;
+  plus the whole answers of 48 lattice, collinear and integer-grid sets at
+  k = 0, 1 and 2.
 
 ``all_bottlenecks_identical`` compares bottlenecks only; whole-answer
 identity is reported per row as ``answers_identical``.
@@ -314,6 +325,95 @@ def k2rows_rows(parent: Path, change: Path) -> tuple[dict, bool]:
     return rows, all(v["bottlenecks_identical"] == v["instances"] for v in rows.values())
 
 
+# k = 2 solves of (n, seed, distribution) instances, untimed; prints the
+# k = 2 evaluations by kind: at the cutoff t+ (decided at their own
+# threshold), with an exact radius above t, and repeats of a threshold the
+# search has evaluated before: at its last feasible up-probe (pricing) or
+# at an earlier one (plateau walk)
+K2_PHASES = PRELUDE + """
+import math
+from mbsn import solver
+c = dict(evaluations=0, at_own_threshold=0, exact_above_t=0, pricing=0, plateau=0)
+make = solver._evaluator
+def evaluator(r, pts, k):
+    evaluate = make(r, pts, k)
+    if k != 2:
+        return evaluate
+    def recording(t, cutoff=math.inf):
+        out = evaluate(t, cutoff)
+        calls.append((t, cutoff, out))
+        return out
+    return recording
+solver._evaluator = evaluator
+for n, seed, dist in {shapes!r}:
+    calls = []
+    solve(generate_instance(n, seed, dist), 2)
+    firsts = dict()
+    for t, cutoff, out in calls:
+        firsts.setdefault(t, out)
+    ups = [t for t, (f, r, p) in firsts.items() if f and (p is None or r > t)]
+    c["evaluations"] += len(calls)
+    c["at_own_threshold"] += sum(cutoff == math.nextafter(t, math.inf) for t, cutoff, _ in calls)
+    c["exact_above_t"] += sum(f and p is not None and r > t for t, _, (f, r, p) in calls)
+    for t, _, _ in calls[len(firsts):]:
+        c["pricing" if t == ups[-1] else "plateau"] += 1
+print(json.dumps(c))
+"""
+
+# whole answers at k = 0, 1 and 2 of 16 lattices, 8 collinear sets and 24
+# integer-grid subsets
+DEGENERATE = PRELUDE + """
+import random
+from mbsn.geom import Point2
+rng = random.Random(7)
+sets = [[Point2(float(i), 1.5 * j) for i in range(a) for j in range(b)]
+        for a in range(2, 6) for b in range(2, 6)]
+sets += [[Point2(0.25 * t - 1.0, 0.5 - 0.5 * t) for t in sorted(rng.sample(range(40), m))]
+         for m in range(3, 11)]
+sets += [[Point2(float(x), float(y)) for x, y in rng.sample([(x, y) for x in range(6)
+                                                             for y in range(6)], m)]
+         for m in range(4, 16) for _ in range(2)]
+for pts in sets:
+    for k in (0, 1, 2):
+        net = solve(pts, k)
+        print(json.dumps([net.bottleneck, [p.as_tuple() for p in net.steiner], net.edges,
+                          net.threshold]))
+"""
+
+
+def k2decide_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+    def suite(count, n_lo, n_hi, seed0):
+        return [(n_lo + i % (n_hi - n_lo + 1), seed0 + i, "uniform" if i % 2 == 0 else "clusters")
+                for i in range(count)]
+
+    groups = {f"k2-mid seeds {a}-{b}": [(28, s * 1000 + i, "clusters")
+                                        for s in range(a, b + 1) for i in range(32)]
+              for a, b in ((1, 2), (11, 20))}
+    groups["acceptance suites 1-2"] = suite(300, 4, 40, 10_000) + suite(200, 4, 12, 20_000)
+    groups.update({f"uniform-n{n}-s{s}": [(n, s, "uniform")] for n in (64, 128) for s in (1, 2, 3)})
+    groups["uniform-n256-s1"] = [(256, 1, "uniform")]
+    groups.update({f"clusters-n{n}-s{s}": [(n, s, "clusters")]
+                   for n, s in ((48, 1), (128, 1), (128, 2))})
+    rows = {}
+    sides = (("parent", parent), ("change", change))
+    for name, shapes in groups.items():
+        res = faster_of_two(parent, change, K2_SOLVE.format(shapes=shapes))
+        pairs = list(zip(res["parent"][:-1], res["change"][:-1]))
+        rows[name] = {side: lines[-1] for side, lines in res.items()}
+        rows[name].update(instances=len(pairs),
+                          bottlenecks_identical=sum(abs(a["answer"][0] - b["answer"][0]) <= 1e-12
+                                                    for a, b in pairs),
+                          answers_identical=sum(a["answer"] == b["answer"] for a, b in pairs),
+                          evaluations={side: run_code(path, K2_PHASES.format(shapes=shapes))[-1]
+                                       for side, path in sides})
+        print(name, {side: lines[-1]["time_s"] for side, lines in res.items()}, flush=True)
+    answers = {side: run_code(path, DEGENERATE) for side, path in sides}
+    rows["lattice, collinear and integer-grid, k = 0-2"] = {
+        "instances": len(answers["change"]),
+        "answers_identical": sum(a == b for a, b in zip(answers["parent"], answers["change"]))}
+    return rows, all(v["answers_identical"] == v["instances"] for v in rows.values())
+
+
 # one k = 0 solve; prints time, peak RSS and the answer
 K0_SOLVE = PRELUDE + """
 pts = generate_instance({n}, 1, "{dist}")
@@ -521,6 +621,24 @@ TOPICS = {
                    "closure2.locate_case2.incl_s", "closure2.locate_case3.incl_s",
                    "closure2.self_s", "scsd.self_s", "trace.solve_s"),
         "rows": ("k2_n", k2rows_rows),
+    },
+    "k2decide": {
+        "layer": "solver._binary_search (the k = 2 probes and their closures)",
+        "what": "every probe is decided with the cutoff t+, its own threshold's next float; "
+                "then the last feasible up-probe is priced with the cutoff t_j+ (t_j the last "
+                "down-probe) and, if its radius r is at most t_j, the earlier up-probes with "
+                "the cutoff r+ in visit order until the first one not above r; k = 0 and 1 "
+                "keep their exact decision results (was: the cutoff max(t+, min(best, b0+)) "
+                "on every probe, with b0 found by a k = 0 search first)",
+        "parent": "0cc18c6",
+        "traced": ("solver.probes", "solver.feasible_frac", "solver.self_s",
+                   "closure2.optimal_2block_closure.calls",
+                   "closure2.optimal_2block_closure.incl_s", "closure2.partitions",
+                   "closure2.classify.calls", "scsd.best_center.calls",
+                   "scsd.coupled_two_disk.calls", "closure2.locate_case1.incl_s",
+                   "closure2.locate_case2.incl_s", "closure2.locate_case3.incl_s",
+                   "graph.is_biconnected.calls", "trace.solve_s"),
+        "rows": ("k2_n", k2decide_rows),
     },
 }
 

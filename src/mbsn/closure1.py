@@ -9,7 +9,6 @@ block.  For a block it sits at the midpoint of the shortest edge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 

@@ -13,10 +13,9 @@ closure of G_t prices it at max(closure radius, t).  The k = 2 schedule is
 prepended with 0 because an optimal network minus its Steiner points may
 be edgeless.
 
-A k = 2 probe's closure is exact only where the search needs it, else it
-may report the probe ABOVE its cutoff (``_binary_search``); the cutoff
-uses b0, the k = 0 optimum on the same 2-RNG, as a bound, since G_{b0} is
-2-connected.  ``threshold_scan`` is uncut.
+A k = 2 probe's closure may report it ABOVE its cutoff: each probe is
+decided at its own threshold and only the crossing is priced
+(``_binary_search``); ``threshold_scan`` is uncut.
 """
 
 from __future__ import annotations
@@ -91,40 +90,43 @@ class ThresholdEval:
     objective: float | None
 
 
-def _binary_search(lengths: Sequence[float], evaluate: Callable[[float, float], Evaluation],
-                   b0: float = math.inf):
-    """Classical lo/hi index search recording the best feasible objective.
+def _binary_search(lengths: Sequence[float], evaluate: Callable[[float, float], Evaluation]):
+    """Classical lo/hi index search for the best feasible (objective,
+    threshold, payload); the first probe visited wins a tie.
 
     Infeasibility is monotone below (the block counter only grows on edge
-    subgraphs) and the closure radius is monotone above, so each discarded
-    half is dominated by the probed value.
-
-    Each probe gets the cutoff max(t+, min(best, b0+)), x+ the next float
-    above x, so its radius r is exact when r <= t, or when r < best and
-    r <= b0.  Any other r is above t: the search moves up on it, as on
-    ABOVE, and would record it only if r < best, so above b0, where the
-    optimum never is.  So every record at most b0, the last one included,
-    is made as without a cutoff, with the same payload."""
+    subgraphs) and the closure radius monotone above, so the search ends at
+    t_j, the first threshold with r <= t, after an up-probe at t_{j-1}: the
+    optimum is min(t_j, r(t_{j-1})).  A probe is decided with the cutoff t+
+    (x+ the next float above x), exact when r <= t, so it moves as uncut.
+    Then only the crossing is priced: the last feasible up-probe with the
+    cutoff t_j+ and, if r <= t_j, the earlier ones in visit order with the
+    cutoff r+, up to the first not above r: it starts r's plateau."""
     lo, hi = 0, len(lengths) - 1
-    best = None  # (objective, threshold, payload)
-    b0_up = math.nextafter(b0, math.inf)
+    (ups_before, t_j, payload), ups = (0, math.inf, None), []  # last down-probe; feasible up-probes
     while lo <= hi:
         mid = (lo + hi) // 2
         t = lengths[mid]
-        cutoff = max(math.nextafter(t, math.inf), min(best[0] if best else math.inf, b0_up))
-        feasible, radius, payload = evaluate(t, cutoff)
-        if not feasible or payload is None:  # infeasible, or ABOVE
-            lo = mid + 1
-            continue
-        obj = max(radius, t)
-        if best is None or obj < best[0]:
-            best = (obj, t, payload)
-        if radius <= t:
-            hi = mid - 1
+        ev = evaluate(t, math.nextafter(t, math.inf))
+        if ev[0] and ev[2] is not None and ev[1] <= t:
+            (ups_before, t_j, payload), hi = (len(ups), t, ev[2]), mid - 1
         else:
+            if ev[0]:
+                ups.append([t, ev])
             lo = mid + 1
-    assert best is not None, "no feasible threshold (the full 2-RNG is always feasible)"
-    return best
+    assert ups or payload is not None, "no feasible threshold (the full 2-RNG is always feasible)"
+
+    def radius(i: int, cutoff: float) -> float:
+        if ups[i][1][2] is None:  # ABOVE its own threshold (k = 2 only): price it again
+            ups[i][1] = evaluate(ups[i][0], cutoff)
+        return ups[i][1][1]  # inf if ABOVE the cutoff too
+
+    r = radius(-1, math.nextafter(t_j, math.inf)) if ups else math.inf
+    if r <= t_j:
+        first = next(i for i in range(len(ups)) if radius(i, math.nextafter(r, math.inf)) <= r)
+        if r < t_j or first < ups_before:
+            return r, ups[first][0], ups[first][1][2]
+    return t_j, t_j, payload
 
 
 def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float, float], Evaluation]:
@@ -178,13 +180,13 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float, fl
 
 
 def _pipeline(points: Sequence[Point2], k: int) -> tuple[
-        tuple[Point2, ...], Graph, tuple[float, ...], Callable[[float, float], Evaluation]]:
-    """The terminals, their 2-RNG, the threshold schedule and the evaluator."""
+        tuple[Point2, ...], tuple[float, ...], Callable[[float, float], Evaluation]]:
+    """The terminals, the threshold schedule of their 2-RNG and the evaluator."""
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")
     pts = tuple(points)
     r = build_2rng(pts)  # raises on fewer than 2 or duplicate points
-    return pts, r, length_schedule(r, include_zero=k == 2), _evaluator(r, pts, k)
+    return pts, length_schedule(r, include_zero=k == 2), _evaluator(r, pts, k)
 
 
 def _assemble(pts: tuple[Point2, ...], t: float, payload) -> SolutionNetwork:
@@ -199,9 +201,8 @@ def solve(points: Sequence[Point2], k: int) -> SolutionNetwork:
     """Minimum bottleneck 2-connected network on the points plus k Steiner
     points; raises ValueError for k outside 0..2, fewer than 2 points or
     duplicate points."""
-    pts, r, lengths, evaluate = _pipeline(points, k)
-    b0 = _binary_search(length_schedule(r), _evaluator(r, pts, 0))[0] if k == 2 else math.inf
-    _, t_star, payload = _binary_search(lengths, evaluate, b0)
+    pts, lengths, evaluate = _pipeline(points, k)
+    _, t_star, payload = _binary_search(lengths, evaluate)
     return _assemble(pts, t_star, payload)
 
 
@@ -222,7 +223,7 @@ def mbsn2(points: Sequence[Point2]) -> SolutionNetwork:
 def threshold_scan(points: Sequence[Point2], k: int) -> list[ThresholdEval]:
     """Exhaustive per-threshold evaluation over the whole schedule; used to
     verify that the binary search returns the same objective."""
-    _, _, lengths, evaluate = _pipeline(points, k)
+    _, lengths, evaluate = _pipeline(points, k)
     out = []
     for t in lengths:
         feasible, radius, _ = evaluate(t)

@@ -162,11 +162,11 @@ def test_k2_cut_evaluator_agrees_with_the_uncut_one():
     # at every threshold, a cutoff at, just above and just below the uncut
     # radius r, and at r / 2: the cut evaluator must give the uncut result
     # when r is below its cutoff, and may say ABOVE only when r is not;
-    # infeasible stays infeasible.  The cut search records exactly what the
+    # infeasible stays infeasible.  The cut search returns exactly what the
     # uncut one does.
     aboves = 0
     for pts in _k2_cut_instances():
-        _, r, lengths, evaluate = solver._pipeline(pts, 2)
+        _, lengths, evaluate = solver._pipeline(pts, 2)
         for t in lengths:
             uncut = evaluate(t)
             radius = uncut[1]
@@ -178,10 +178,95 @@ def test_k2_cut_evaluator_agrees_with_the_uncut_one():
                 else:
                     assert cut in (uncut, solver.ABOVE), (len(pts), t, cutoff)
                     aboves += cut == solver.ABOVE
-        b0 = solver._binary_search(length_schedule(r), solver._evaluator(r, pts, 0))[0]
-        assert solver._binary_search(lengths, evaluate, b0) == \
+        assert solver._binary_search(lengths, evaluate) == \
             solver._binary_search(lengths, lambda t, cutoff: evaluate(t))
     assert aboves > 0
+
+
+def _recording_search(lengths, evaluate):
+    """The record-as-you-go search the solver used before it split deciding
+    from pricing: each probe gets the cutoff max(t+, best) and records its
+    objective when strictly below the best so far."""
+    lo, hi = 0, len(lengths) - 1
+    best = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        t = lengths[mid]
+        cutoff = max(math.nextafter(t, math.inf), best[0] if best else math.inf)
+        feasible, radius, payload = evaluate(t, cutoff)
+        if not feasible or payload is None:
+            lo = mid + 1
+            continue
+        obj = max(radius, t)
+        if best is None or obj < best[0]:
+            best = (obj, t, payload)
+        if radius <= t:
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return best
+
+
+def _synthetic_search_case(rng):
+    """A schedule, a monotone step radius with plateaus and r == t ties above
+    an infeasible prefix, and an evaluator that honours its cutoff (with a
+    slack above it, as the k = 2 nudge allows) or ignores it (as k = 1)."""
+    m = rng.randint(1, 14)
+    lengths = sorted(float(x) for x in rng.sample(range(0, 3 * m + 2), m))
+    infeasible = rng.randint(0, m - 1)
+    pool = rng.sample(lengths + [x + 0.5 for x in lengths], min(2 * m, rng.randint(1, 4)))
+    radii = [math.inf] * infeasible + sorted((rng.choice(pool) for _ in range(m - infeasible)),
+                                             reverse=True)
+    at = dict(zip(lengths, radii))
+    honours, slack = rng.random() < 0.6, rng.choice((0.0, 0.0, 0.25))
+    infeasible_eval = (False, rng.choice((0.0, math.inf)), rng.choice((None, "k = 0 prefix")))
+
+    def evaluate(t, cutoff=math.inf):
+        r = at[t]
+        if r == math.inf:
+            return infeasible_eval
+        if honours and r >= cutoff + slack:
+            return solver.ABOVE
+        return True, r, ("payload", t)
+
+    return lengths, evaluate
+
+
+def test_split_search_equals_the_record_as_you_go_search():
+    rng = random.Random(13)
+    for _ in range(4000):
+        lengths, evaluate = _synthetic_search_case(rng)
+        assert solver._binary_search(lengths, evaluate) == _recording_search(lengths, evaluate)
+
+
+def test_k2_search_decides_at_each_threshold_and_prices_only_after():
+    # the decision phase asks each probe only about its own threshold and
+    # visits the mids of the record-as-you-go search; any higher cutoff
+    # comes after it, once per feasible up-probe at most
+    priced_calls = 0
+    instances = [generate_instance(28, seed, "clusters") for seed in (1000, 1001)]
+    for pts in instances + [[Point2(i, j) for i in range(5) for j in range(5)]]:
+        _, lengths, evaluate = solver._pipeline(pts, 2)
+        calls, visited = [], []
+
+        def recording(t, cutoff):
+            calls.append((t, cutoff, evaluate(t, cutoff)))
+            return calls[-1][2]
+
+        def visiting(t, cutoff):
+            visited.append(t)
+            return evaluate(t, cutoff)
+
+        assert solver._binary_search(lengths, recording) == _recording_search(lengths, visiting)
+        decided, priced = calls[:len(visited)], calls[len(visited):]
+        assert [t for t, _, _ in decided] == visited
+        assert all(cutoff == math.nextafter(t, math.inf) for t, cutoff, _ in decided)
+        ups = {t for t, _, (feasible, r, payload) in decided
+               if feasible and (payload is None or r > t)}
+        assert all(cutoff > math.nextafter(t, math.inf) for t, cutoff, _ in priced)
+        assert len({t for t, _, _ in priced}) == len(priced) and {t for t, _, _ in priced} <= ups
+        priced_calls += len(priced)
+    assert priced_calls > 0
 
 
 @pytest.mark.parametrize("name", sorted(chunk_boundary_instances()))
