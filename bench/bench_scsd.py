@@ -9,6 +9,7 @@
     python3 bench/bench_scsd.py ../parent --topic k2cut     # BENCH_k2cut.json
     python3 bench/bench_scsd.py ../parent --topic k2rows    # BENCH_k2rows.json
     python3 bench/bench_scsd.py ../parent --topic k2decide  # BENCH_k2decide.json
+    python3 bench/bench_scsd.py ../parent --topic k2stop    # BENCH_k2stop.json
 
 Run it from the root of this checkout; ``--output`` names another file.
 Every topic makes, one process at a time:
@@ -67,6 +68,12 @@ space:
   the pricing phase (the last feasible up-probe) and of the plateau walk;
   plus the whole answers of 48 lattice, collinear and integer-grid sets at
   k = 0, 1 and 2.
+* ``k2stop``: the answer sets of ``k2decide`` and its 48 degenerate sets,
+  with per set and side, from one more untimed run, the k = 2 evaluations
+  counted and timed by phase: decision (hit r <= t, ABOVE or r > t,
+  infeasible), crossing (the last feasible up-probe), plateau walk (earlier
+  up-probes) and re-pricing (the last down-probe, evaluated again); plus ten
+  more alternating k2-mid pairs on seeds 21-30.
 
 ``all_bottlenecks_identical`` compares bottlenecks only; whole-answer
 identity is reported per row as ``answers_identical``.
@@ -135,10 +142,10 @@ def quartiles(values: list[float]) -> dict:
             "spread": round((q3 - q1) / med, 6)}
 
 
-def untraced(parent: Path, change: Path, workload: str) -> dict:
+def untraced(parent: Path, change: Path, workload: str, seeds: range = SEEDS) -> dict:
     runs = []
     sides = {"parent": parent, "change": change}
-    for i, seed in enumerate(SEEDS):
+    for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         res = {side: run_bench(sides[side], workload, seed, 0) for side in order}
         bp, bc = res["parent"]["bottlenecks"], res["change"]["bottlenecks"]
@@ -155,7 +162,7 @@ def untraced(parent: Path, change: Path, workload: str) -> dict:
         summary[m] = {"parent": quartiles(p), "change": quartiles(c),
                       "ratio_of_medians": round(statistics.median(c) / statistics.median(p), 4),
                       "pairs": len(runs), "change_better_in": sum(b < a for a, b in zip(p, c))}
-    return {"seeds": list(SEEDS), "runs": runs, "summary": summary}
+    return {"seeds": list(seeds), "runs": runs, "summary": summary}
 
 
 # k = 2 solves of (n, seed, distribution) instances; prints one line per
@@ -260,7 +267,7 @@ def enumerate_partitions(*args):
 def classify_(*args):
     c["partitions_skipped"] -= 1
     return classify(*args)
-def locate_pair(ctx, base1, base2, singles, zsets, bound=math.inf):
+def locate_pair(ctx, base1, base2, singles, zsets, bound=math.inf, *rest):
     for base in (base1, base2):
         classes = [tuple(x) for x in base] + [(v,) for v in singles] + [tuple(z) for z in zsets]
         rows = ctx.candidates(classes, bound)
@@ -269,7 +276,7 @@ def locate_pair(ctx, base1, base2, singles, zsets, bound=math.inf):
                                                      for v in cls], axis=0) for cls in classes))
         c["rows"] += len(root)
         c["rows_dropped"] += int((root >= bound).sum())
-    out = pair(ctx, base1, base2, singles, zsets, bound)
+    out = pair(ctx, base1, base2, singles, zsets, bound, *rest)
     c["pair_searches"] += 1
     c["pair_searches_cut"] += out is None
     return out
@@ -339,8 +346,8 @@ def evaluator(r, pts, k):
     evaluate = make(r, pts, k)
     if k != 2:
         return evaluate
-    def recording(t, cutoff=math.inf):
-        out = evaluate(t, cutoff)
+    def recording(t, cutoff=math.inf, *rest):
+        out = evaluate(t, cutoff, *rest)
         calls.append((t, cutoff, out))
         return out
     return recording
@@ -381,7 +388,7 @@ for pts in sets:
 """
 
 
-def k2decide_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+def k2decide_groups() -> dict[str, list]:
     def suite(count, n_lo, n_hi, seed0):
         return [(n_lo + i % (n_hi - n_lo + 1), seed0 + i, "uniform" if i % 2 == 0 else "clusters")
                 for i in range(count)]
@@ -394,9 +401,13 @@ def k2decide_rows(parent: Path, change: Path) -> tuple[dict, bool]:
     groups["uniform-n256-s1"] = [(256, 1, "uniform")]
     groups.update({f"clusters-n{n}-s{s}": [(n, s, "clusters")]
                    for n, s in ((48, 1), (128, 1), (128, 2))})
+    return groups
+
+
+def k2decide_rows(parent: Path, change: Path, phases: str = K2_PHASES) -> tuple[dict, bool]:
     rows = {}
     sides = (("parent", parent), ("change", change))
-    for name, shapes in groups.items():
+    for name, shapes in k2decide_groups().items():
         res = faster_of_two(parent, change, K2_SOLVE.format(shapes=shapes))
         pairs = list(zip(res["parent"][:-1], res["change"][:-1]))
         rows[name] = {side: lines[-1] for side, lines in res.items()}
@@ -404,7 +415,7 @@ def k2decide_rows(parent: Path, change: Path) -> tuple[dict, bool]:
                           bottlenecks_identical=sum(abs(a["answer"][0] - b["answer"][0]) <= 1e-12
                                                     for a, b in pairs),
                           answers_identical=sum(a["answer"] == b["answer"] for a, b in pairs),
-                          evaluations={side: run_code(path, K2_PHASES.format(shapes=shapes))[-1]
+                          evaluations={side: run_code(path, phases.format(shapes=shapes))[-1]
                                        for side, path in sides})
         print(name, {side: lines[-1]["time_s"] for side, lines in res.items()}, flush=True)
     answers = {side: run_code(path, DEGENERATE) for side, path in sides}
@@ -412,6 +423,55 @@ def k2decide_rows(parent: Path, change: Path) -> tuple[dict, bool]:
         "instances": len(answers["change"]),
         "answers_identical": sum(a == b for a, b in zip(answers["parent"], answers["change"]))}
     return rows, all(v["answers_identical"] == v["instances"] for v in rows.values())
+
+
+# k = 2 solves of (n, seed, distribution) instances, untimed but for each
+# evaluation; prints the k = 2 evaluations and their seconds by phase.  A
+# threshold's first evaluation is its decision: a hit (r <= t), ABOVE (or
+# r > t) or infeasible.  A repeat is the crossing (the last feasible
+# up-probe), the plateau walk (an earlier up-probe) or a re-pricing (the
+# last down-probe, when it is the answer)
+K2_PHASE_TIMES = PRELUDE + """
+import math
+from mbsn import solver
+kinds = ("decision_hit", "decision_above", "decision_infeasible", "crossing", "plateau",
+         "repricing")
+c = {{k: 0 for k in kinds}}
+c.update({{k + "_s": 0.0 for k in kinds}})
+make = solver._evaluator
+def evaluator(r, pts, k):
+    evaluate = make(r, pts, k)
+    if k != 2:
+        return evaluate
+    def recording(t, *args):
+        t0 = time.perf_counter()
+        out = evaluate(t, *args)
+        calls.append((t, out, time.perf_counter() - t0))
+        return out
+    return recording
+solver._evaluator = evaluator
+for n, seed, dist in {shapes!r}:
+    calls = []
+    solve(generate_instance(n, seed, dist), 2)
+    firsts = dict()
+    for t, (f, r, p), dt in calls:
+        if t in firsts:
+            kind = "crossing" if t == ups[-1] else "plateau" if t in ups else "repricing"
+        else:
+            firsts[t] = f, r, p
+            kind = ("decision_infeasible" if not f else
+                    "decision_hit" if p is not None and r <= t else "decision_above")
+            ups = [u for u, (f, r, p) in firsts.items() if f and (p is None or r > u)]
+        c[kind] += 1
+        c[kind + "_s"] += dt
+print(json.dumps({{k: round(v, 4) if isinstance(v, float) else v for k, v in c.items()}}))
+"""
+
+
+def k2stop_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+    rows, same = k2decide_rows(parent, change, K2_PHASE_TIMES)
+    held = rows["k2-mid held-out seeds 21-30"] = untraced(parent, change, "k2-mid", range(21, 31))
+    return rows, same and all(r["bottlenecks_identical"] == r["bottlenecks"] for r in held["runs"])
 
 
 # one k = 0 solve; prints time, peak RSS and the answer
@@ -639,6 +699,27 @@ TOPICS = {
                    "closure2.locate_case2.incl_s", "closure2.locate_case3.incl_s",
                    "graph.is_biconnected.calls", "trace.solve_s"),
         "rows": ("k2_n", k2decide_rows),
+    },
+    "k2stop": {
+        "layer": "solver._binary_search decisions and the closure searches (closure2 partition "
+                 "loop, pair search, case 2 split scan, scsd.coupled_two_disk)",
+        "what": "a k = 2 decision probe gets enough = t and its closure stops at the first result "
+                "at most t - delta before the nudge (delta = closure2.nudge_growth, the nudge's "
+                "certified growth), in the partition loop, the pair search's leaves, case 2's "
+                "split scan (which then skips the coupled solver) and the coupled solver's "
+                "consider; the search keeps no k = 2 decision payload and evaluates the last "
+                "down-probe again with the cutoff t_j+ only when it is the answer; k = 0 and 1 "
+                "ignore enough and keep theirs (was: every decision closure searched for the "
+                "exact radius below t+)",
+        "parent": "dc1f8e0",
+        "traced": ("solver.probes", "solver.self_s",
+                   "closure2.optimal_2block_closure.calls",
+                   "closure2.optimal_2block_closure.incl_s", "closure2.partitions",
+                   "closure2.classify.calls", "scsd.best_center.calls",
+                   "scsd.coupled_two_disk.calls", "scsd.coupled_two_disk.incl_s",
+                   "closure2.locate_case1.incl_s", "closure2.locate_case2.incl_s",
+                   "closure2.locate_case3.incl_s", "trace.solve_s"),
+        "rows": ("k2_n", k2stop_rows),
     },
 }
 

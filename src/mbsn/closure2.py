@@ -232,7 +232,7 @@ def _locate_pair(ctx: ScsdContext,
                  base2: Sequence[Sequence[int]],
                  singles: Sequence[int],
                  zsets: Sequence[Sequence[int]],
-                 bound: float = math.inf):
+                 bound: float = math.inf, enough: float = -math.inf):
     """Two independent disks whose chosen neighbours must differ inside every
     multi-vertex isolated block Z_1..Z_m; None when no pair goes strictly
     below ``bound``.
@@ -258,7 +258,8 @@ def _locate_pair(ctx: ScsdContext,
     bound, a base class at a time (smallest first, each one's distance
     bounds the root value) before the block columns are built: node values
     only grow down the tree, so those rows never win, and the kept rows keep
-    their order, and so the tie rule.
+    their order, and so the tie rule.  The search stops at the first leaf
+    whose radius is at most ``enough``.
     """
     zsets = [tuple(sorted(z)) for z in zsets]
     shared = tuple((v,) for v in singles)
@@ -312,6 +313,8 @@ def _locate_pair(ctx: ScsdContext,
             continue
         if i == len(zsets):
             best_r, best = r, (side1[1], side2[1], ts)
+            if r <= enough:
+                break
             continue
         pick = zsets[i].index(ctx.nearest_in_class(Point2(*rows1[side1[1]].tolist()), zsets[i]))
         rest = [(ts + (t,), q1, q2, None) for t in range(len(zsets[i])) if t != pick]
@@ -326,16 +329,16 @@ def _locate_pair(ctx: ScsdContext,
 
 
 def locate_case1(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
-                 ctx: ScsdContext | None = None,
-                 bound: float = math.inf) -> EmbeddedClosure | None:
+                 ctx: ScsdContext | None = None, bound: float = math.inf,
+                 enough: float = -math.inf) -> EmbeddedClosure | None:
     """Cases 1 and 3: two independent disks, each also reaching the
     components covered only by the other Steiner point; None when the
-    radius cannot go strictly below ``bound``."""
+    radius cannot go strictly below ``bound``; ``enough`` as in ``_locate_pair``."""
     assert topo.case_tag in ("case1", "case3")
     base1 = topo.side1_classes + topo.covered_by_s2
     base2 = topo.side2_classes + topo.covered_by_s1
     pair = _locate_pair(ctx or ScsdContext(points), base1, base2,
-                        topo.isolated_vertices, topo.isolated_multis, bound)
+                        topo.isolated_vertices, topo.isolated_multis, bound, enough)
     if pair is None:
         return None
     r, c1, c2, picks1, picks2 = pair
@@ -371,13 +374,14 @@ def _distinct_disk(ctx: ScsdContext, cls: list[int], h: list[int]):
 
 
 def locate_case2(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
-                 ctx: ScsdContext | None = None,
-                 bound: float = math.inf) -> EmbeddedClosure | None:
+                 ctx: ScsdContext | None = None, bound: float = math.inf,
+                 enough: float = -math.inf) -> EmbeddedClosure | None:
     """Better of: crossing-edge topologies scanned along the block path
     (no Steiner-Steiner edge), and the adjacent-Steiner topology embedded
     by the coupled two-disk solver; None when neither goes strictly below
     ``bound``.  A split whose first disk reaches the best so far asks no
-    second disk."""
+    second disk; one at most ``enough`` ends the scan and skips the coupled
+    solver, which stops at its own first pair at most ``enough``."""
     assert topo.case_tag == "case2" and topo.block_path is not None
     if ctx is None:
         ctx = ScsdContext(points)
@@ -440,10 +444,13 @@ def locate_case2(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
             if h2pick is not None:
                 edges.add(("s2", h2pick))
             best21, limit = (r, c1, c2, tuple(sorted(edges, key=_edge_key)), a), r
+            if r <= enough:
+                break
 
     cs1 = ColorSystem(tuple(tuple(points[v] for v in c) for c in topo.side1_classes))
     cs2 = ColorSystem(tuple(tuple(points[v] for v in c) for c in topo.side2_classes))
-    coupled = coupled_two_disk(cs1, cs2, limit)  # case 2_2 wins only strictly below case 2_1
+    # case 2_2 wins only strictly below case 2_1
+    coupled = coupled_two_disk(cs1, cs2, limit, enough) if limit > enough else None
     if coupled is None:
         return best21 and EmbeddedClosure(*best21[:4], "case2_1", topo.partition,
                                           chosen_index=best21[4])
@@ -464,6 +471,24 @@ def _shift(p: Point2, ang: float, d: float) -> Point2:
     return Point2(p.x + d * math.cos(ang), p.y + d * math.sin(ang))
 
 
+def _nudge_eps(points: Sequence[Point2]) -> float:
+    return max(geometry_eps(points), 4.0 * math.ulp(max(max(abs(p.x), abs(p.y)) for p in points)))
+
+
+def nudge_growth(points: Sequence[Point2], reach: float) -> float:
+    """A certified bound on how much ``separate_coincident`` lengthens an edge
+    of a closure whose Steiner points lie within ``reach`` of a terminal: its
+    eps, taken on points all inside the terminals' box grown by ``reach``, is
+    at most that box's.  In each of at most 8 rounds a point moves by eps (off
+    its partner) and by 1.2 eps (off a terminal), and rounding each moved
+    coordinate to half an ulp of twice the largest, eps / 4, adds eps / 2 per
+    move: 8 (2.2 + 1) eps = 25.6 eps a point, twice that for the Steiner edge,
+    and one more eps for the relative rounding of the two radii compared."""
+    xs, ys = [p.x for p in points], [p.y for p in points]
+    box = (Point2(min(xs) - reach, min(ys) - reach), Point2(max(xs) + reach, max(ys) + reach))
+    return 52.2 * _nudge_eps(box)
+
+
 def separate_coincident(points: Sequence[Point2], steiner: list[Point2],
                         neighbors: list[list[Point2]],
                         linked: list[tuple[int, int]]) -> list[Point2]:
@@ -471,8 +496,7 @@ def separate_coincident(points: Sequence[Point2], steiner: list[Point2],
     instance tolerance, along the direction that least stretches their
     planned edges; at least 4 ulps of the largest coordinate, so that a nudge
     moves a point also where the tolerance is below the coordinates' ulp."""
-    every = list(points) + steiner
-    eps = max(geometry_eps(every), 4.0 * math.ulp(max(max(abs(p.x), abs(p.y)) for p in every)))
+    eps = _nudge_eps(list(points) + steiner)
     terminal_set = {p.as_tuple() for p in points}
     out = list(steiner)
 
@@ -555,14 +579,16 @@ def partition_bounds(ctx: ScsdContext, bcf: BlockCutForest):
 def optimal_2block_closure(g: Graph, points: Sequence[Point2],
                            ctx: ScsdContext | None = None,
                            bcf: BlockCutForest | None = None,
-                           bound: float = math.inf) -> EmbeddedClosure | None:
+                           bound: float = math.inf,
+                           enough: float = -math.inf) -> EmbeddedClosure | None:
     """Minimum over all partitions and applicable cases; Steiner points are
     nudged apart when the optimiser returns coincident locations.  ``bcf``
     is g's block cut-vertex forest, if known.  Exact when the radius before
     the nudge is below ``bound``, else possibly None: each partition is
     priced against min(bound, best so far), since only a strictly lower
     radius replaces the best, or skipped when its lower bound reaches that
-    + eps."""
+    + eps.  The first partition at most ``enough`` before the nudge ends the
+    loop and is returned instead of the minimum."""
     n = g.vertex_count
     if n < 1:
         raise ValueError("empty instance")
@@ -593,8 +619,10 @@ def optimal_2block_closure(g: Graph, points: Sequence[Point2],
             continue
         topo = classify(g, part, bcf, comps)
         locate = {"case1": locate_case1, "case2": locate_case2}.get(topo.case_tag, locate_case3)
-        emb = locate(g, points, topo, ctx, limit)
+        emb = locate(g, points, topo, ctx, limit, enough)
         if emb is not None:
             best = emb
+            if emb.radius <= enough:
+                break
     assert best is not None or bound < math.inf, "no partition produced a closure"
     return None if best is None else _separate_embedding(best, points)

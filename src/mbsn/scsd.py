@@ -246,8 +246,8 @@ def _anchored_center(cs: ColorSystem, anchor: Point2) -> tuple[float, Point2]:
     return res.disk.radius, res.disk.center
 
 
-def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem,
-                     bound: float = math.inf) -> tuple[Point2, Point2, float] | None:
+def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem, bound: float = math.inf,
+                     enough: float = -math.inf) -> tuple[Point2, Point2, float] | None:
     """Place adjacent centres s1, s2 minimising
     max(f1(s1), f2(s2), |s1 s2|) where f_i is the colour-spanning objective;
     None when no pair goes strictly below ``bound``.
@@ -266,33 +266,38 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem,
     anchor with LB >= incumbent + eps (eps covers rounding) cannot pass
     ``consider``'s strict <.  The incumbent starts at ``bound``; every pair
     is worth at least max(min f1, min f2), so the call ends when that reaches
-    ``bound`` + eps.
+    ``bound`` + eps.  ``consider`` says when a new incumbent is at most
+    ``enough``, and then it is returned at once.
     """
     all_pts = [p for cls in cs1.classes for p in cls] + [p for cls in cs2.classes for p in cls]
     eps = geometry_eps(all_pts)
     best: list = [bound, None, None]
 
-    def consider(s1: Point2, s2: Point2) -> None:
+    def consider(s1: Point2, s2: Point2) -> bool:
         # cheapest term first; a term >= the incumbent already rules the pair out
         val = distance(s1, s2)
         if val >= best[0]:
-            return
+            return False
         val = max(val, class_radius(cs1, s1))
         if val >= best[0]:
-            return
+            return False
         val = max(val, class_radius(cs2, s2))
-        if val < best[0]:
-            best[0], best[1], best[2] = val, s1, s2
+        if val >= best[0]:
+            return False
+        best[0], best[1], best[2] = val, s1, s2
+        return val <= enough
 
     r1 = smallest_color_spanning_disk(cs1)
     r2 = smallest_color_spanning_disk(cs2)
     if max(r1.disk.radius, r2.disk.radius) >= bound + eps:
         return None
-    consider(r1.disk.center, r2.disk.center)
+    if consider(r1.disk.center, r2.disk.center):
+        return best[1], best[2], best[0]
 
     merged = ColorSystem(cs1.classes + cs2.classes)
     cm = smallest_color_spanning_disk(merged).disk.center
-    consider(cm, cm)
+    if consider(cm, cm):
+        return best[1], best[2], best[0]
 
     pts1, pts2 = ([Point2(*xy) for xy in sorted({p.as_tuple() for cls in cs.classes for p in cls})]
                   for cs in (cs1, cs2))
@@ -300,8 +305,9 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem,
     # Three collinear legs p - s1 - s2 - q, each of length |pq| / 3.
     for p in pts1:
         for q in pts2:
-            consider(Point2(p.x + (q.x - p.x) / 3.0, p.y + (q.y - p.y) / 3.0),
-                     Point2(p.x + 2.0 * (q.x - p.x) / 3.0, p.y + 2.0 * (q.y - p.y) / 3.0))
+            if consider(Point2(p.x + (q.x - p.x) / 3.0, p.y + (q.y - p.y) / 3.0),
+                        Point2(p.x + 2.0 * (q.x - p.x) / 3.0, p.y + 2.0 * (q.y - p.y) / 3.0)):
+                return best[1], best[2], best[0]
 
     # Rest one side at any of its locally optimal disk structures (its own
     # candidate centres, every point a class of its own, cheapest first) and
@@ -326,7 +332,8 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem,
                 continue
             seen_anchor.add(key)
             _, z = _anchored_center(csb, anchor)
-            consider(z, anchor) if swap else consider(anchor, z)
+            if consider(z, anchor) if swap else consider(anchor, z):
+                return best[1], best[2], best[0]
 
     pairs1 = _cross_class_pairs([list(c) for c in cs1.classes])
     pairs2 = _cross_class_pairs([list(c) for c in cs2.classes])
@@ -357,7 +364,8 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem,
                 for v in cands_v:
                     sa = Point2(mx + v * dx, my + v * dy)
                     sb = Point2((q.x + sa.x) / 2.0, (q.y + sa.y) / 2.0)
-                    consider(sb, sa) if swap else consider(sa, sb)
+                    if consider(sb, sa) if swap else consider(sa, sb):
+                        return best[1], best[2], best[0]
 
     # Both sides pinned by cross-class pairs plus the partner distance:
     # a quartic in the bisector parameter of side 1.
@@ -404,7 +412,8 @@ def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem,
                     root = math.sqrt(max(vv, 0.0))
                     cands_v.extend((root, -root))
                 for v in cands_v:
-                    consider(Point2(m1x + u * d1x, m1y + u * d1y),
-                             Point2(m2x + v * d2x, m2y + v * d2y))
+                    if consider(Point2(m1x + u * d1x, m1y + u * d1y),
+                                Point2(m2x + v * d2x, m2y + v * d2y)):
+                        return best[1], best[2], best[0]
 
     return None if best[1] is None else (best[1], best[2], best[0])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .closure1 import optimal_1block_closure
-from .closure2 import optimal_2block_closure, separate_coincident
+from .closure2 import nudge_growth, optimal_2block_closure, separate_coincident
 from .geom import Point2, distance, geometry_eps
 from .graph import (Graph, b_count, block_cut_forest, is_biconnected, is_biconnected_edges,
                     is_connected, make_graph)
@@ -37,6 +37,7 @@ from .scsd import ScsdContext
 # Steiner point i has index n + i in the edges
 Evaluation = tuple[bool, float, object]
 ABOVE: Evaluation = (True, math.inf, None)  # feasible, radius not below the cutoff
+Evaluate = Callable[[float, float, float], Evaluation]  # (t, cutoff, enough)
 
 
 def _max_edge(points: Sequence[Point2], edges: Sequence[tuple[int, int]]) -> float:
@@ -90,7 +91,7 @@ class ThresholdEval:
     objective: float | None
 
 
-def _binary_search(lengths: Sequence[float], evaluate: Callable[[float, float], Evaluation]):
+def _binary_search(lengths: Sequence[float], evaluate: Evaluate, exact: bool = False):
     """Classical lo/hi index search for the best feasible (objective,
     threshold, payload); the first probe visited wins a tie.
 
@@ -98,23 +99,27 @@ def _binary_search(lengths: Sequence[float], evaluate: Callable[[float, float], 
     subgraphs) and the closure radius monotone above, so the search ends at
     t_j, the first threshold with r <= t, after an up-probe at t_{j-1}: the
     optimum is min(t_j, r(t_{j-1})).  A probe is decided with the cutoff t+
-    (x+ the next float above x), exact when r <= t, so it moves as uncut.
-    Then only the crossing is priced: the last feasible up-probe with the
-    cutoff t_j+ and, if r <= t_j, the earlier ones in visit order with the
-    cutoff r+, up to the first not above r: it starts r's plateau."""
+    (x+ the next float above x) and ``enough`` = t: its verdict (infeasible,
+    above t, or r <= t) is exact, so it moves as uncut, but on r <= t its
+    payload may be any one at most t, kept only if ``exact`` says the
+    evaluator ignores ``enough``.  Then only the crossing is priced: the last
+    feasible up-probe with the cutoff t_j+ and, if r <= t_j, the earlier ones
+    in visit order with the cutoff r+, up to the first not above r: it starts
+    r's plateau.  When t_j wins with no payload kept, it is evaluated once
+    more with the cutoff t_j+."""
     lo, hi = 0, len(lengths) - 1
     (ups_before, t_j, payload), ups = (0, math.inf, None), []  # last down-probe; feasible up-probes
     while lo <= hi:
         mid = (lo + hi) // 2
         t = lengths[mid]
-        ev = evaluate(t, math.nextafter(t, math.inf))
+        ev = evaluate(t, math.nextafter(t, math.inf), t)
         if ev[0] and ev[2] is not None and ev[1] <= t:
-            (ups_before, t_j, payload), hi = (len(ups), t, ev[2]), mid - 1
+            (ups_before, t_j, payload), hi = (len(ups), t, ev[2] if exact else None), mid - 1
         else:
             if ev[0]:
                 ups.append([t, ev])
             lo = mid + 1
-    assert ups or payload is not None, "no feasible threshold (the full 2-RNG is always feasible)"
+    assert ups or t_j < math.inf, "no feasible threshold (the full 2-RNG is always feasible)"
 
     def radius(i: int, cutoff: float) -> float:
         if ups[i][1][2] is None:  # ABOVE its own threshold (k = 2 only): price it again
@@ -126,20 +131,22 @@ def _binary_search(lengths: Sequence[float], evaluate: Callable[[float, float], 
         first = next(i for i in range(len(ups)) if radius(i, math.nextafter(r, math.inf)) <= r)
         if r < t_j or first < ups_before:
             return r, ups[first][0], ups[first][1][2]
-    return t_j, t_j, payload
+    return t_j, t_j, payload or evaluate(t_j, math.nextafter(t_j, math.inf))[2]
 
 
-def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float, float], Evaluation]:
+def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Evaluate:
     """Prices one threshold of the 2-RNG ``r``; for k >= 1 every probe shares
     one global colour-disk context, and a probe's block counter and closure
     share one block decomposition of G_t.  k = 2 returns ABOVE when the
-    closure cannot go strictly below the cutoff; k = 0 and 1 ignore it."""
+    closure cannot go strictly below the cutoff, or any closure at most
+    ``enough``: the first one found at most ``enough`` - ``nudge_growth``
+    before the nudge.  k = 0 and 1 ignore both."""
     if k == 0:
         order = sorted(range(len(r.edges)), key=r.lengths.__getitem__)
         edges = [r.edges[i] for i in order]
         lengths = [r.lengths[i] for i in order]
 
-        def evaluate(t: float, cutoff: float = math.inf) -> Evaluation:
+        def evaluate(t: float, cutoff: float = math.inf, enough: float = -math.inf) -> Evaluation:
             prefix = edges[:bisect_right(lengths, t)]
             return is_biconnected_edges(len(pts), prefix), 0.0, (prefix, (), ())
 
@@ -148,7 +155,7 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float, fl
     n = len(pts)
     ctx = ScsdContext(pts)
     if k == 1:
-        def evaluate(t: float, cutoff: float = math.inf) -> Evaluation:
+        def evaluate(t: float, cutoff: float = math.inf, enough: float = -math.inf) -> Evaluation:
             g = threshold_subgraph(r, t)
             bcf = block_cut_forest(g) if is_connected(g) else None
             if bcf is None or b_count(g, bcf) > 5:
@@ -163,13 +170,15 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float, fl
 
     index = {"s1": n, "s2": n + 1}
 
-    def evaluate(t: float, cutoff: float = math.inf) -> Evaluation:
+    def evaluate(t: float, cutoff: float = math.inf, enough: float = -math.inf) -> Evaluation:
         g = threshold_subgraph(r, t)
         bcf = block_cut_forest(g)
         if b_count(g, bcf) > 10:
             return False, math.inf, None
-        # the cutoff bounds the radius before the nudge, which only grows it (+ eps: rounding)
-        emb = optimal_2block_closure(g, pts, ctx, bcf, cutoff + ctx.eps)
+        # the cutoff bounds the radius before the nudge, which only grows it (+ eps: rounding),
+        # and by at most nudge_growth: a closure at most enough minus that stays at most enough
+        stop = enough - nudge_growth(pts, enough) if math.isfinite(enough) else enough
+        emb = optimal_2block_closure(g, pts, ctx, bcf, cutoff + ctx.eps, stop)
         if emb is None:
             return ABOVE
         edges = tuple((index[a], index[b] if isinstance(b, str) else b)
@@ -180,7 +189,7 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Callable[[float, fl
 
 
 def _pipeline(points: Sequence[Point2], k: int) -> tuple[
-        tuple[Point2, ...], tuple[float, ...], Callable[[float, float], Evaluation]]:
+        tuple[Point2, ...], tuple[float, ...], Evaluate]:
     """The terminals, the threshold schedule of their 2-RNG and the evaluator."""
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")
@@ -202,7 +211,7 @@ def solve(points: Sequence[Point2], k: int) -> SolutionNetwork:
     points; raises ValueError for k outside 0..2, fewer than 2 points or
     duplicate points."""
     pts, lengths, evaluate = _pipeline(points, k)
-    _, t_star, payload = _binary_search(lengths, evaluate)
+    _, t_star, payload = _binary_search(lengths, evaluate, exact=k < 2)  # k < 2 ignores enough
     return _assemble(pts, t_star, payload)
 
 

@@ -1,11 +1,10 @@
-import math
 import random
 
 import pytest
 
 from mbsn.closure1 import optimal_1block_closure
 from mbsn.geom import Point2, distance
-from mbsn.graph import geometric_graph, is_biconnected, is_connected, make_graph
+from mbsn.graph import geometric_graph, is_biconnected, is_connected
 from mbsn.rng import build_2rng, length_schedule, threshold_subgraph
 
 from conftest import grid_min_spanning_radius, random_points

@@ -362,8 +362,9 @@ def _check_bounded(ctx, args, bound) -> bool:
 
 
 def test_pair_search_matches_witness_enumeration_on_solves(monkeypatch):
-    # every recorded call is replayed twice: with no bound, against the
-    # enumeration and the tie rule; with the bound its solve passed
+    # every recorded call is replayed with no stop: with no bound, against
+    # the enumeration and the tie rule; with the bound its solve passed.
+    # With its stop too, it returns that answer or a leaf at most the stop
     calls = []
     original = closure2._locate_pair
 
@@ -372,15 +373,20 @@ def test_pair_search_matches_witness_enumeration_on_solves(monkeypatch):
         return original(ctx, *args)
 
     monkeypatch.setattr(closure2, "_locate_pair", recorded)
-    for seed in range(1000, 1004):
+    for seed in range(1000, 1005):  # 1004 makes the one call that its bound cuts
         solve(generate_instance(28, seed, "clusters"), 2)
     monkeypatch.undo()
     assert max(len(args[3]) for _, args in calls) >= 4
-    cut = 0
-    for ctx, (*args, bound) in calls:
+    cut = stopped = 0
+    for ctx, (*args, bound, enough) in calls:
         _check_pair(ctx, *args)  # the unbounded radius is the enumerated one
         cut += _check_bounded(ctx, args, bound)
+        exact, got = (closure2._locate_pair(ctx, *args, bound, e) for e in (-math.inf, enough))
+        if got != exact:
+            assert exact[0] <= got[0] <= enough < bound
+            stopped += 1
     assert 0 < cut < len(calls)  # the recorded bounds cut some calls, not all
+    assert stopped > 0
 
 
 def _synthetic_pairs():
@@ -489,9 +495,10 @@ def test_pair_search_is_byte_identical_to_per_node_queries(monkeypatch):
     for pts, *args in _property_pairs():
         calls.append((ScsdContext(pts), args))
     for ctx, args in calls:
-        # the recorded bound if any, then the reference radius and the next
-        # float above it: None at the radius, the unbounded answer above
-        *args, bound = args if len(args) == 5 else (*args, None)
+        # the recorded bound if any (with no stop), then the reference radius
+        # and the next float above it: None at the radius, the unbounded
+        # answer above
+        *args, bound, _ = args if len(args) == 6 else (*args, None, None)
         ref = _reference_pair(ctx, *args)
         assert closure2._locate_pair(ctx, *args) == ref, args
         for b in (ref[0], math.nextafter(ref[0], math.inf)) if bound is None else (bound,):
@@ -523,7 +530,7 @@ def test_pair_search_builds_each_vector_once(monkeypatch):
     calls = []
     original = closure2.locate_case1
 
-    def recorded(g, points, topo, ctx, bound):
+    def recorded(g, points, topo, ctx, bound, enough):
         embs = []
         blocks = tuple(tuple(sorted(z)) for z in topo.isolated_multis)
         shared = tuple((v,) for v in topo.isolated_vertices)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from mbsn import scsd
-from mbsn.geom import Point2, bbox_diagonal, distance, geometry_eps
-from mbsn.scsd import (ColorSystem, ScsdContext, color_system, class_radius,
-                       coupled_two_disk, nearest_per_color, smallest_color_spanning_disk)
+from mbsn.geom import Point2, distance, geometry_eps
+from mbsn.scsd import (ScsdContext, color_system, class_radius, coupled_two_disk,
+                       nearest_per_color, smallest_color_spanning_disk)
 
 from conftest import grid_min_spanning_radius, property_sets as _property_sets
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mbsn import solver
+from mbsn import closure2, solver
 from mbsn.cli import generate_instance
 from mbsn.geom import Point2, distance
 from mbsn.graph import block_cut_forest, is_connected
@@ -179,7 +179,7 @@ def test_k2_cut_evaluator_agrees_with_the_uncut_one():
                     assert cut in (uncut, solver.ABOVE), (len(pts), t, cutoff)
                     aboves += cut == solver.ABOVE
         assert solver._binary_search(lengths, evaluate) == \
-            solver._binary_search(lengths, lambda t, cutoff: evaluate(t))
+            solver._binary_search(lengths, lambda t, cutoff, enough=-math.inf: evaluate(t))
     assert aboves > 0
 
 
@@ -210,7 +210,10 @@ def _recording_search(lengths, evaluate):
 def _synthetic_search_case(rng):
     """A schedule, a monotone step radius with plateaus and r == t ties above
     an infeasible prefix, and an evaluator that honours its cutoff (with a
-    slack above it, as the k = 2 nudge allows) or ignores it (as k = 1)."""
+    slack above it, as the k = 2 nudge allows) or ignores it (as k = 1), and
+    that honours ``enough`` (as k = 2) with a deliberately non-optimal
+    payload, a radius of ``enough`` itself, or ignores it (as k = 0 and 1);
+    then whether it ignores ``enough``."""
     m = rng.randint(1, 14)
     lengths = sorted(float(x) for x in rng.sample(range(0, 3 * m + 2), m))
     infeasible = rng.randint(0, m - 1)
@@ -219,54 +222,124 @@ def _synthetic_search_case(rng):
                                              reverse=True)
     at = dict(zip(lengths, radii))
     honours, slack = rng.random() < 0.6, rng.choice((0.0, 0.0, 0.25))
+    decides = rng.random() < 0.5
     infeasible_eval = (False, rng.choice((0.0, math.inf)), rng.choice((None, "k = 0 prefix")))
 
-    def evaluate(t, cutoff=math.inf):
+    def evaluate(t, cutoff=math.inf, enough=-math.inf):
         r = at[t]
         if r == math.inf:
             return infeasible_eval
         if honours and r >= cutoff + slack:
             return solver.ABOVE
+        if decides and r <= enough:
+            return True, enough, ("decided", t)
         return True, r, ("payload", t)
 
-    return lengths, evaluate
+    return lengths, evaluate, not decides
 
 
 def test_split_search_equals_the_record_as_you_go_search():
+    # a search told that its evaluator ignores ``enough`` keeps its decision
+    # payloads, and evaluates no down-probe twice
     rng = random.Random(13)
     for _ in range(4000):
-        lengths, evaluate = _synthetic_search_case(rng)
-        assert solver._binary_search(lengths, evaluate) == _recording_search(lengths, evaluate)
+        lengths, evaluate, exact = _synthetic_search_case(rng)
+        want = _recording_search(lengths, evaluate)
+        assert solver._binary_search(lengths, evaluate) == want
+        if exact:
+            seen = []
+
+            def counting(t, cutoff, enough=-math.inf):
+                seen.append(t)
+                return evaluate(t, cutoff, enough)
+
+            assert solver._binary_search(lengths, counting, exact=True) == want
+            downs = [t for t in set(seen) if evaluate(t)[0] and evaluate(t)[1] <= t]
+            assert all(seen.count(t) == 1 for t in downs)
 
 
 def test_k2_search_decides_at_each_threshold_and_prices_only_after():
     # the decision phase asks each probe only about its own threshold and
     # visits the mids of the record-as-you-go search; any higher cutoff
-    # comes after it, once per feasible up-probe at most
-    priced_calls = 0
+    # comes after it, once per feasible up-probe at most; the last
+    # down-probe is evaluated again, exactly, only when it is the answer
+    priced_calls = repriced = 0
     instances = [generate_instance(28, seed, "clusters") for seed in (1000, 1001)]
     for pts in instances + [[Point2(i, j) for i in range(5) for j in range(5)]]:
         _, lengths, evaluate = solver._pipeline(pts, 2)
         calls, visited = [], []
 
-        def recording(t, cutoff):
-            calls.append((t, cutoff, evaluate(t, cutoff)))
+        def recording(t, cutoff, enough=-math.inf):
+            calls.append((t, cutoff, evaluate(t, cutoff, enough), enough))
             return calls[-1][2]
 
         def visiting(t, cutoff):
             visited.append(t)
             return evaluate(t, cutoff)
 
-        assert solver._binary_search(lengths, recording) == _recording_search(lengths, visiting)
+        answer = solver._binary_search(lengths, recording)
+        assert answer == _recording_search(lengths, visiting)
         decided, priced = calls[:len(visited)], calls[len(visited):]
-        assert [t for t, _, _ in decided] == visited
-        assert all(cutoff == math.nextafter(t, math.inf) for t, cutoff, _ in decided)
-        ups = {t for t, _, (feasible, r, payload) in decided
+        assert [t for t, _, _, _ in decided] == visited
+        assert all(cutoff == math.nextafter(t, math.inf) and enough == t
+                   for t, cutoff, _, enough in decided)
+        ups = {t for t, _, (feasible, r, payload), _ in decided
                if feasible and (payload is None or r > t)}
-        assert all(cutoff > math.nextafter(t, math.inf) for t, cutoff, _ in priced)
-        assert len({t for t, _, _ in priced}) == len(priced) and {t for t, _, _ in priced} <= ups
+        downs = [t for t, _, (feasible, r, payload), _ in decided
+                 if feasible and payload is not None and r <= t]
+        if priced and priced[-1][0] not in ups:  # the last down-probe won
+            t, cutoff, _, enough = priced.pop()
+            assert answer[1] == t == downs[-1]
+            assert (cutoff, enough) == (math.nextafter(t, math.inf), -math.inf)
+            repriced += 1
+        assert all(cutoff > math.nextafter(t, math.inf) for t, cutoff, _, _ in priced)
+        assert len({t for t, _, _, _ in priced}) == len(priced) and {t for t, _, _, _ in priced} <= ups
         priced_calls += len(priced)
     assert priced_calls > 0
+    assert repriced > 0  # the lattice
+
+
+def _verdict(ev, t):
+    feasible, r, payload = ev
+    return "infeasible" if not feasible else "ABOVE" if payload is None else \
+        "r <= t" if r <= t else "r > t"
+
+
+def test_k2_decided_verdicts_equal_exact_verdicts(monkeypatch):
+    # at every threshold, deciding with enough = t gives the exact
+    # evaluation's verdict, and a decided payload at most t assembles into a
+    # valid network with a bottleneck at most t; wherever the nudge moves a
+    # Steiner point it lengthens no edge by more than nudge_growth of the
+    # radius before it
+    shifted = [Point2(1e6 + 1e-3 * p.x, 1e6 + 1e-3 * p.y)
+               for p in generate_instance(16, 1000, "clusters")]
+    sets = [generate_instance(28, seed, "clusters") for seed in range(1000, 1004)]
+    sets += [[Point2(float(i), float(j)) for i in range(5) for j in range(5)],
+             [Point2(0.25 * t - 1.0, 0.5 - 0.5 * t) for t in (0, 1, 3, 4, 7, 8, 9, 13, 20)],
+             [Point2(0.25 * t - 1.0, 0.5 - 0.5 * t) for t in range(4)],  # its case 2 nudges
+             shifted]
+    nudges, separate = [], closure2._separate_embedding
+
+    def recording(emb, points):
+        out = separate(emb, points)
+        if (out.s1, out.s2) != (emb.s1, emb.s2):
+            nudges.append(out.radius - emb.radius <= closure2.nudge_growth(points, emb.radius))
+        return out
+
+    monkeypatch.setattr(closure2, "_separate_embedding", recording)
+    stopped = 0
+    for pts in sets:
+        _, lengths, evaluate = solver._pipeline(pts, 2)
+        for t in lengths:
+            cutoff = math.nextafter(t, math.inf)
+            exact, decided = evaluate(t, cutoff), evaluate(t, cutoff, t)
+            assert _verdict(decided, t) == _verdict(exact, t), (len(pts), t)
+            if _verdict(decided, t) == "r <= t":
+                net = solver._assemble(tuple(pts), t, decided[2])
+                net.validate()
+                assert net.bottleneck <= t, (len(pts), t)
+                stopped += decided != exact
+    assert stopped > 0 and nudges and all(nudges), (stopped, nudges)
 
 
 @pytest.mark.parametrize("name", sorted(chunk_boundary_instances()))
