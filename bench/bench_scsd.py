@@ -10,6 +10,7 @@
     python3 bench/bench_scsd.py ../parent --topic k2rows    # BENCH_k2rows.json
     python3 bench/bench_scsd.py ../parent --topic k2decide  # BENCH_k2decide.json
     python3 bench/bench_scsd.py ../parent --topic k2stop    # BENCH_k2stop.json
+    python3 bench/bench_scsd.py ../parent --topic k2pair    # BENCH_k2pair.json
 
 Run it from the root of this checkout; ``--output`` names another file.
 Every topic makes, one process at a time:
@@ -30,19 +31,20 @@ space:
   largest number of classes of one disk query;
 * ``k2pins`` and ``k2closure``: k = 2 solves at uniform n = 64 (seeds 1-3)
   and clustered n = 48 (seeds 1-2), the 64 k2-mid instances of seeds 1-2 in
-  one process, and all five larger instances in one process, twice a side in
-  alternating order (the faster run counts), with time, peak RSS,
+  one process, and all five larger instances in one process, three times a
+  side in alternating order (the fastest run counts, every run's time is
+  kept as ``run_times_s``), with time, peak RSS,
   ``best_center`` calls, anchored solves of the coupled two-disk solver, and
   per instance whether the bottleneck (within 1e-12) and the whole answer
   (bottleneck, Steiner points and edges) equal the parent's;
 * ``k0probes``: k = 0 solves at uniform n = 1024, 2048 and 4096 and
-  clustered n = 2048 (seed 1), twice a side in alternating order (the
-  faster run counts), with time, peak RSS and whether the bottleneck, the
+  clustered n = 2048 (seed 1), three times a side in alternating order (the
+  fastest run counts), with time, peak RSS and whether the bottleneck, the
   threshold and the edges equal the parent's exactly;
 * ``k1local``: k = 1 solves at uniform n = 256 (seed 256), n = 512 (seeds 1
-  and 512) and n = 1024 (seed 1), twice a side in alternating order (the
-  faster run counts), with time, peak RSS, the largest number of classes of
-  one disk query, the bottleneck, b0, the Steiner point and whether
+  and 512) and n = 1024 (seed 1), three times a side in alternating order
+  (the fastest run counts), with time, peak RSS, the largest number of
+  classes of one disk query, the bottleneck, b0, the Steiner point and whether
   ``validate()`` passed; and the k2-mid instances of seeds 1-2 in one
   process, as in ``k2pins``, with per instance whether the bottleneck and
   the whole answer equal the parent's;
@@ -62,18 +64,26 @@ space:
   seeds 11-20, acceptance suites 1-2 (500 instances, n = 4..40), uniform
   n = 64 and 128 (seeds 1-3) and n = 256 (seed 1), and clustered n = 48
   and 128 (seed 1) and n = 128 (seed 2), each set in one process, the
-  whole answer with the threshold; per set and side, from one more untimed
-  run, the k = 2 evaluations: all, those at their own threshold's cutoff
+  whole answer with the threshold; per set and side, from more untimed
+  runs, the k = 2 evaluations: all, those at their own threshold's cutoff
   t+, those above t with an exact radius, and on the change side those of
   the pricing phase (the last feasible up-probe) and of the plateau walk;
   plus the whole answers of 48 lattice, collinear and integer-grid sets at
   k = 0, 1 and 2.
 * ``k2stop``: the answer sets of ``k2decide`` and its 48 degenerate sets,
-  with per set and side, from one more untimed run, the k = 2 evaluations
+  with per set and side, from more runs, the k = 2 evaluations
   counted and timed by phase: decision (hit r <= t, ABOVE or r > t,
   infeasible), crossing (the last feasible up-probe), plateau walk (earlier
   up-probes) and re-pricing (the last down-probe, evaluated again); plus ten
   more alternating k2-mid pairs on seeds 21-30.
+* ``k2pair``: the rows of ``k2stop`` (the same answer sets, phase counts
+  and times, and held-out pairs), for a change to the pair search: its
+  crossing and plateau phases are the evaluations that price exactly.
+
+The evaluation counts and phase times of ``k2decide``, ``k2stop`` and
+``k2pair`` come from three more runs a side in alternating order: the counts
+repeat, and each phase's time is its least over the three (all three are
+kept under ``runs_s``).
 
 ``all_bottlenecks_identical`` compares bottlenecks only; whole-answer
 identity is reported per row as ``answers_identical``.
@@ -201,14 +211,39 @@ def run_code(checkout: Path, code: str) -> list[dict]:
     return [json.loads(line) for line in out.splitlines()]
 
 
-def faster_of_two(parent: Path, change: Path, code: str) -> dict[str, list[dict]]:
-    """Two runs a side, parent first then change first; the faster counts."""
+def three_runs(parent: Path, change: Path, code: str) -> dict[str, list[list[dict]]]:
+    """Three runs a side in alternating order (parent first in rounds 1 and 3)."""
     sides = {"parent": parent, "change": change}
     runs = {side: [] for side in sides}
-    for order in (("parent", "change"), ("change", "parent")):
+    for order in (("parent", "change"), ("change", "parent"), ("parent", "change")):
         for side in order:
             runs[side].append(run_code(sides[side], code))
-    return {side: min(r, key=lambda lines: lines[-1]["time_s"]) for side, r in runs.items()}
+    return runs
+
+
+def fastest_of_three(parent: Path, change: Path, code: str) -> dict[str, list[dict]]:
+    """The fastest of ``three_runs`` a side; its last line lists every
+    run's time in run order as ``run_times_s``."""
+    out = {}
+    for side, r in three_runs(parent, change, code).items():
+        out[side] = min(r, key=lambda lines: lines[-1]["time_s"])
+        out[side][-1]["run_times_s"] = [lines[-1]["time_s"] for lines in r]
+    return out
+
+
+def least_of_three(parent: Path, change: Path, code: str) -> dict[str, dict]:
+    """The last line of ``three_runs`` a side: every count must repeat, and
+    each time (a key ending in ``_s``) is the least of the three, with every
+    run's value in run order under ``runs_s``."""
+    out = {}
+    for side, r in three_runs(parent, change, code).items():
+        last = [lines[-1] for lines in r]
+        times = [k for k in last[0] if k.endswith("_s")]
+        counts = [{k: v for k, v in x.items() if k not in times} for x in last]
+        assert counts[1:] == counts[:1] * 2, (side, counts)
+        out[side] = dict(counts[0], **{k: min(x[k] for x in last) for k in times},
+                         runs_s={k: [x[k] for x in last] for k in times})
+    return out
 
 
 def k1_rows(parent: Path, change: Path) -> tuple[dict, bool]:
@@ -230,7 +265,7 @@ def k2_rows(parent: Path, change: Path) -> tuple[dict, bool]:
                                           if not name.startswith("k2-mid") for shape in shapes]
     rows = {}
     for name, shapes in groups.items():
-        res = faster_of_two(parent, change, K2_SOLVE.format(shapes=shapes))
+        res = fastest_of_three(parent, change, K2_SOLVE.format(shapes=shapes))
         pairs = list(zip(res["parent"][:-1], res["change"][:-1]))
         rows[name] = {side: lines[-1] for side, lines in res.items()}
         rows[name].update(instances=len(pairs),
@@ -302,7 +337,7 @@ def k2cut_rows(parent: Path, change: Path) -> tuple[dict, bool]:
     groups.update({f"clusters-n{n}-s1": [(n, 1, "clusters")] for n in (48, 128)})
     rows = {}
     for name, shapes in groups.items():
-        res = faster_of_two(parent, change, K2_SOLVE.format(shapes=shapes))
+        res = fastest_of_three(parent, change, K2_SOLVE.format(shapes=shapes))
         pairs = list(zip(res["parent"][:-1], res["change"][:-1]))
         rows[name] = {side: lines[-1] for side, lines in res.items()}
         rows[name].update(instances=len(pairs),
@@ -320,7 +355,7 @@ def k2rows_rows(parent: Path, change: Path) -> tuple[dict, bool]:
     groups.update({f"uniform-n{n}-s1": [(n, 1, "uniform")] for n in (64, 128, 256)})
     rows = {}
     for name, shapes in groups.items():
-        res = faster_of_two(parent, change, K2_SOLVE.format(shapes=shapes))
+        res = fastest_of_three(parent, change, K2_SOLVE.format(shapes=shapes))
         pairs = list(zip(res["parent"][:-1], res["change"][:-1]))
         rows[name] = {side: lines[-1] for side, lines in res.items()}
         rows[name].update(instances=len(pairs),
@@ -408,15 +443,15 @@ def k2decide_rows(parent: Path, change: Path, phases: str = K2_PHASES) -> tuple[
     rows = {}
     sides = (("parent", parent), ("change", change))
     for name, shapes in k2decide_groups().items():
-        res = faster_of_two(parent, change, K2_SOLVE.format(shapes=shapes))
+        res = fastest_of_three(parent, change, K2_SOLVE.format(shapes=shapes))
         pairs = list(zip(res["parent"][:-1], res["change"][:-1]))
         rows[name] = {side: lines[-1] for side, lines in res.items()}
         rows[name].update(instances=len(pairs),
                           bottlenecks_identical=sum(abs(a["answer"][0] - b["answer"][0]) <= 1e-12
                                                     for a, b in pairs),
                           answers_identical=sum(a["answer"] == b["answer"] for a, b in pairs),
-                          evaluations={side: run_code(path, phases.format(shapes=shapes))[-1]
-                                       for side, path in sides})
+                          evaluations=least_of_three(parent, change,
+                                                     phases.format(shapes=shapes)))
         print(name, {side: lines[-1]["time_s"] for side, lines in res.items()}, flush=True)
     answers = {side: run_code(path, DEGENERATE) for side, path in sides}
     rows["lattice, collinear and integer-grid, k = 0-2"] = {
@@ -488,7 +523,7 @@ print(json.dumps({{"time_s": round(t, 4), "answer": [net.bottleneck, net.thresho
 def k0_rows(parent: Path, change: Path) -> tuple[dict, bool]:
     rows = {}
     for n, dist in ((1024, "uniform"), (2048, "uniform"), (4096, "uniform"), (2048, "clusters")):
-        res = faster_of_two(parent, change, K0_SOLVE.format(n=n, dist=dist))
+        res = fastest_of_three(parent, change, K0_SOLVE.format(n=n, dist=dist))
         (p,), (c,) = res["parent"], res["change"]
         rows[f"{dist}-n{n}-s1"] = {
             **{side: {"time_s": r["time_s"], "peak_rss_mb": r["peak_rss_mb"]}
@@ -530,14 +565,14 @@ print(json.dumps(out))
 def k1local_rows(parent: Path, change: Path) -> tuple[dict, bool]:
     rows, same = {}, True
     for n, seed in ((256, 256), (512, 1), (512, 512), (1024, 1)):
-        res = faster_of_two(parent, change, K1_LOCAL.format(n=n, seed=seed))
+        res = fastest_of_three(parent, change, K1_LOCAL.format(n=n, seed=seed))
         (p,), (c,) = res["parent"], res["change"]
         rows[f"uniform-n{n}-s{seed}"] = {"parent": p, "change": c}
         if isinstance(p["bottleneck"], float):
             same &= abs(p["bottleneck"] - c["bottleneck"]) <= 1e-12
         print(n, seed, {"parent": p["time_s"], "change": c["time_s"]}, flush=True)
     shapes = [(28, s * 1000 + i, "clusters") for s in (1, 2) for i in range(32)]
-    res = faster_of_two(parent, change, K2_SOLVE.format(shapes=shapes))
+    res = fastest_of_three(parent, change, K2_SOLVE.format(shapes=shapes))
     pairs = list(zip(res["parent"][:-1], res["change"][:-1]))
     row = rows["k2-mid seeds 1-2"] = {side: lines[-1] for side, lines in res.items()}
     row.update(instances=len(pairs),
@@ -719,6 +754,29 @@ TOPICS = {
                    "scsd.coupled_two_disk.calls", "scsd.coupled_two_disk.incl_s",
                    "closure2.locate_case1.incl_s", "closure2.locate_case2.incl_s",
                    "closure2.locate_case3.incl_s", "trace.solve_s"),
+        "rows": ("k2_n", k2stop_rows),
+    },
+    "k2pair": {
+        "layer": "closure2._locate_pair (the case-1/3 pair search), closure2.partition_bounds",
+        "what": "the pair search builds each side's arrays in _side: one |class| x rows distance "
+                "matrix per base class (chunked) and per block, each block's minimum and "
+                "runner-up by np.partition, and after the keep the block minus each vertex for "
+                "every vertex at once; side 2 reuses side 1's arrays when their root classes are "
+                "equal, side 1 keeps no minus matrices and side 2 no distance matrices otherwise; "
+                "a node reads one row and takes one argmin a side; partition_bounds reduces one "
+                "distance block over all leaf and isolated interiors with two "
+                "np.minimum.reduceat; optimal_2block_closure reads connectivity from its "
+                "components (was: one hypot call per vertex, each side built on its own, the "
+                "block minus y made with np.where at every node, one np.ix_ gather per block "
+                "pair, and a second component count by is_connected)",
+        "parent": "b1900ca",
+        "traced": ("solver.probes", "solver.self_s",
+                   "closure2.optimal_2block_closure.calls",
+                   "closure2.optimal_2block_closure.incl_s", "closure2.partitions",
+                   "closure2.classify.calls", "graph.is_connected.calls",
+                   "scsd.best_center.calls", "scsd.coupled_two_disk.incl_s",
+                   "closure2.locate_case1.incl_s", "closure2.locate_case2.incl_s",
+                   "closure2.locate_case3.incl_s", "closure2.self_s", "trace.solve_s"),
         "rows": ("k2_n", k2stop_rows),
     },
 }

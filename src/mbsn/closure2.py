@@ -28,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .geom import Point2, distance, geometry_eps
-from .graph import (Graph, BlockCutForest, block_cut_forest, connected_components,
+# is_connected is not called here; perfbench's tracer wraps this module's name
+from .graph import (Graph, BlockCutForest, block_cut_forest, connected_components,  # noqa: F401
                     is_biconnected, is_connected, make_graph)
 from .scsd import ColorSystem, ScsdContext, coupled_two_disk
 
@@ -227,6 +228,48 @@ def classify(g: Graph, partition: Partition, bcf: BlockCutForest | None = None,
     )
 
 
+_CHUNK = 1 << 20  # most distances of one base class held at once in the row drop
+
+
+def _distances(ctx: ScsdContext, rows: np.ndarray, vs: Sequence[int]) -> np.ndarray:
+    """|vs| x len(rows): the distance from every row to each vertex of vs."""
+    p = ctx._pts.take(vs, 0)
+    d = rows[:, 0] - p[:, :1]
+    return np.hypot(d, rows[:, 1] - p[:, 1:], out=d)
+
+
+def _side(ctx: ScsdContext, base: tuple[tuple[int, ...], ...],
+          zsets: Sequence[tuple[int, ...]], bound: float,
+          columns: bool = True, minus: bool = True):
+    """One side of the pair search: its kept rows, the fold of its base
+    classes over them, per block its distance matrix (``columns``) and the
+    block minus each vertex (``minus``; row y: the runner-up where y's
+    distance is the minimum, else the minimum), and the blocks' suffix
+    maxima; None when no row goes below ``bound``."""
+    rows = ctx.candidates(base + tuple(zsets), bound)
+    fold = np.zeros(len(rows))
+    for c in sorted(base, key=len):  # one class at a time, at most _CHUNK distances
+        step = max(1, _CHUNK // max(len(rows), 1))
+        near = functools.reduce(np.minimum, (_distances(ctx, rows, c[a:a + step]).min(axis=0)
+                                             for a in range(0, len(c), step)))
+        fold = np.maximum(fold, near)
+        live = fold < bound
+        rows, fold = rows[live], fold[live]
+    mats = [_distances(ctx, rows, z) for z in zsets]
+    # each block's minimum and runner-up (equal when two vertices tie)
+    ends = [np.partition(d, 1, axis=0)[:2].copy() for d in mats]
+    tail = list(itertools.accumulate((e[0] for e in ends[::-1]), np.maximum))[::-1] + [None]
+    keep = np.flatnonzero((fold if tail[0] is None else np.maximum(fold, tail[0])) < bound)
+    if not len(keep):
+        return None
+    blocks = []
+    for whole, second in ends:  # each full matrix goes once its kept rows are taken
+        d, whole, second = mats.pop(0).take(keep, 1), whole[keep], second[keep]
+        blocks.append((d if columns else None,
+                       np.where(d == whole, second, whole) if minus else None))
+    return rows[keep], fold[keep], blocks, [None if t is None else t[keep] for t in tail]
+
+
 def _locate_pair(ctx: ScsdContext,
                  base1: Sequence[Sequence[int]],
                  base2: Sequence[Sequence[int]],
@@ -249,48 +292,38 @@ def _locate_pair(ctx: ScsdContext,
     pair that places s1 first and gives s2 the rest of every block.
 
     Tie rule: the first optimal witness vector in this order wins.  Radii
-    are ``best_center``'s, folded from per-vertex columns over each side's
-    own candidate rows, built once per call.  At most five blocks keep the
-    search finite; it has no cap.  The incumbent starts at ``bound``, so a
-    leaf that can win has both radii below it, and each side needs only
+    are ``best_center``'s, folded over each side's own candidate rows, built
+    once per call (``_side``).  At most five blocks keep the search finite;
+    it has no cap.  The incumbent starts at ``bound``, so a leaf that can win
+    has both radii below it, and each side needs only
     ``ScsdContext.candidates`` of its root classes (every block whole) with
     R = ``bound``.  A side then drops its rows whose root value reaches the
     bound, a base class at a time (smallest first, each one's distance
-    bounds the root value) before the block columns are built: node values
+    bounds the root value) before the block matrices are built: node values
     only grow down the tree, so those rows never win, and the kept rows keep
-    their order, and so the tie rule.  The search stops at the first leaf
-    whose radius is at most ``enough``.
+    their order, and so the tie rule.  A class or block is one
+    |class| x rows distance matrix; a block's minimum and runner-up give
+    the block minus each vertex exactly, once per call, so a node costs one
+    ``np.maximum`` and one ``argmin`` a side.  When both sides have the same
+    root classes (no leaf blocks and nothing covered, as when G_t is only
+    isolated blocks) side 2 reads side 1's arrays, which the search never
+    writes.  The search stops at the first leaf whose radius is at most
+    ``enough``.
     """
     zsets = [tuple(sorted(z)) for z in zsets]
     shared = tuple((v,) for v in singles)
-    sides = []  # per side: classes, kept rows, base fold, blocks, suffix maxima of the blocks
-    for base in (base1, base2):
-        base = tuple(tuple(c) for c in base) + shared
-        rows = ctx.candidates(base + tuple(zsets), bound)
-
-        def column(v: int) -> np.ndarray:  # distance from each row to vertex v
-            return np.hypot(rows[:, 0] - ctx.points[v].x, rows[:, 1] - ctx.points[v].y)
-
-        fold = np.zeros(len(rows))
-        for c in sorted(base, key=len):
-            fold = np.maximum(fold, functools.reduce(np.minimum, map(column, c)))
-            live = fold < bound
-            rows, fold = rows[live], fold[live]
-        blocks = []
-        for z in zsets:  # vertex columns, their minimum and runner-up
-            cols = [column(v) for v in z]
-            whole, second = cols[0].copy(), np.full(len(rows), np.inf)
-            for c in cols[1:]:
-                np.minimum(second, np.maximum(c, whole), out=second)
-                np.minimum(whole, c, out=whole)
-            blocks.append((cols, whole, second))
-        tail = list(itertools.accumulate((b[1] for b in blocks[::-1]), np.maximum))[::-1] + [None]
-        keep = np.flatnonzero((fold if tail[0] is None else np.maximum(fold, tail[0])) < bound)
-        if not len(keep):
+    base1 = tuple(tuple(c) for c in base1) + shared
+    base2 = tuple(tuple(c) for c in base2) + shared
+    same = base1 == base2
+    side = _side(ctx, base1, zsets, bound, minus=same)
+    if side is None:
+        return None
+    rows1, fold1, blocks1, tail1 = side
+    if not same:
+        side = _side(ctx, base2, zsets, bound, columns=False)
+        if side is None:
             return None
-        blocks = [([c[keep] for c in cols], whole[keep], second[keep]) for cols, whole, second in blocks]
-        sides.append((base, rows[keep], fold[keep], blocks, [None if t is None else t[keep] for t in tail]))
-    (base1, rows1, fold1, blocks1, tail1), (base2, rows2, fold2, blocks2, tail2) = sides
+    rows2, fold2, blocks2, tail2 = side
     best_r, best = bound, None
     stack = [((), fold1, fold2, None)]  # (witness positions, parent's prefixes, s1's answer)
     while stack:
@@ -300,19 +333,19 @@ def _locate_pair(ctx: ScsdContext,
             q1 = np.maximum(q1, blocks1[i - 1][0][ts[-1]])
         if side1 is None:
             f = q1 if tail1[i] is None else np.maximum(q1, tail1[i])
-            side1 = float(f.min()), int(f.argmin())
+            a = int(f.argmin())
+            side1 = float(f[a]), a
         if side1[0] >= best_r:
             continue
-        if i:  # the block minus y: the runner-up where y's column is the minimum
-            cols, whole, second = blocks2[i - 1]
-            q2 = np.maximum(q2, np.where(cols[ts[-1]] == whole, second, whole))
+        if i:
+            q2 = np.maximum(q2, blocks2[i - 1][1][ts[-1]])
         f = q2 if tail2[i] is None else np.maximum(q2, tail2[i])
-        side2 = float(f.min()), int(f.argmin())
-        r = max(side1[0], side2[0])
+        a = int(f.argmin())
+        r = max(side1[0], float(f[a]))
         if r >= best_r:
             continue
         if i == len(zsets):
-            best_r, best = r, (side1[1], side2[1], ts)
+            best_r, best = r, (side1[1], a, ts)
             if r <= enough:
                 break
             continue
@@ -568,11 +601,16 @@ def partition_bounds(ctx: ScsdContext, bcf: BlockCutForest):
     """A lower bound on each partition's closure radius, as a function of the
     partition: a side's disk reaches every class on its side (its leaf-block
     interiors and every isolated block, whole), so its radius is at least
-    half the least distance between any two of them."""
-    half = {(a, b): ctx.dist[np.ix_(bcf.interiors[a], bcf.interiors[b])].min() / 2.0
-            for a, b in itertools.combinations(bcf.leaf_blocks + bcf.isolated_blocks, 2)}
-    return lambda part: max((half[ab] for side in (part.side1, part.side2)
-                             for ab in itertools.combinations(side + bcf.isolated_blocks, 2)),
+    half the least distance between any two of them, read from one distance
+    block over all of them."""
+    ids = bcf.leaf_blocks + bcf.isolated_blocks
+    pos = {b: i for i, b in enumerate(ids)}
+    starts = [0, *itertools.accumulate(len(bcf.interiors[b]) for b in ids[:-1])]
+    members = [v for b in ids for v in bcf.interiors[b]]
+    d = np.minimum.reduceat(ctx.dist[np.ix_(members, members)], starts, axis=0)
+    half = np.minimum.reduceat(d, starts, axis=1) / 2.0
+    return lambda part: max((half[pos[a], pos[b]] for side in (part.side1, part.side2)
+                             for a, b in itertools.combinations(side + bcf.isolated_blocks, 2)),
                             default=0.0)
 
 
@@ -613,7 +651,7 @@ def optimal_2block_closure(g: Graph, points: Sequence[Point2],
     comps = connected_components(g)
     lower = partition_bounds(ctx, bcf)
     best: EmbeddedClosure | None = None
-    for part in enumerate_partitions(bcf, is_connected(g)):
+    for part in enumerate_partitions(bcf, len(comps) <= 1):
         limit = bound if best is None else min(bound, best.radius)
         if lower(part) >= limit + ctx.eps:
             continue

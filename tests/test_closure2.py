@@ -1,9 +1,11 @@
+import functools
 import gc
 import itertools
 import math
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 from mbsn import closure2
@@ -522,15 +524,17 @@ def test_pair_search_builds_each_vector_once(monkeypatch):
     # every case-1/3 closure of these solves, at the thresholds they probe,
     # runs on its own recording context: each side's rows are built once,
     # from its root classes (every block whole) with R = the call's bound,
-    # side 2's not at all when none of side 1's goes below the bound, and the
-    # answer equals the one on the solve's shared context, whatever that
-    # context was asked before (each call is replayed twice, with its bound
-    # and without; the bounded answer is None exactly when the unbounded
-    # radius reaches the bound)
+    # side 2's not at all when none of side 1's goes below the bound or when
+    # its root classes equal side 1's, and the answer equals the one on the
+    # solve's shared context, whatever that context was asked before (each
+    # call is replayed twice, with its bound and without; the bounded answer
+    # is None exactly when the unbounded radius reaches the bound)
     calls = []
+    equal_sides = 0
     original = closure2.locate_case1
 
     def recorded(g, points, topo, ctx, bound, enough):
+        nonlocal equal_sides
         embs = []
         blocks = tuple(tuple(sorted(z)) for z in topo.isolated_multis)
         shared = tuple((v,) for v in topo.isolated_vertices)
@@ -541,7 +545,12 @@ def test_pair_search_builds_each_vector_once(monkeypatch):
             sides = [(tuple(map(tuple, base)) + shared + blocks, b)
                      for base in (topo.side1_classes + topo.covered_by_s2,
                                   topo.side2_classes + topo.covered_by_s1)]
-            assert rec.asked == sides or (rec.asked == sides[:1] and emb is None), topo.partition
+            if sides[0] == sides[1]:
+                assert rec.asked == sides[:1], topo.partition
+                equal_sides += 1
+            else:
+                assert rec.asked == sides or (rec.asked == sides[:1] and emb is None), \
+                    topo.partition
             embs.append(emb)
         cut, full = embs
         assert cut == (None if full.radius >= bound else full), topo.partition
@@ -552,8 +561,35 @@ def test_pair_search_builds_each_vector_once(monkeypatch):
     monkeypatch.setattr(closure2, "locate_case3", recorded)
     for seed in range(1000, 1004):
         solve(generate_instance(28, seed, "clusters"), 2)
-    # the pair search branched over several blocks with many vertices
+    # the pair search branched over several blocks with many vertices, and
+    # some calls shared one side's rows between both
     assert max(m for m, _ in calls) >= 4 and max(c for _, c in calls) > 20
+    assert equal_sides > 0
+
+
+def test_block_minus_vertex_vectors_equal_the_minimum_over_the_rest():
+    # per block, the distance matrix holds each vertex's column, and the
+    # block minus y is the minimum over Z - {y} of those columns, bit for
+    # bit; lattice ties put two vertices at the same distance from many rows
+    rng = random.Random(12)
+    seen = 0
+    for _, pts in property_sets(rng):
+        ctx = ScsdContext(pts)
+        order = list(range(len(pts)))
+        rng.shuffle(order)
+        a = min(3, len(order) - 2)  # blocks of three (or two) and two vertices
+        zsets = [tuple(sorted(order[:a])), tuple(sorted(order[a:a + 2]))]
+        base = ((order[a + 2],),) if len(order) > a + 2 else ()
+        rows, fold, blocks, _ = closure2._side(ctx, base, zsets, math.inf)
+        column = {v: np.hypot(rows[:, 0] - pts[v].x, rows[:, 1] - pts[v].y) for v in order}
+        for z, (d, minus) in zip(zsets, blocks):
+            assert d.shape == minus.shape == (len(z), len(rows))
+            for t, y in enumerate(z):
+                assert np.array_equal(d[t], column[y])
+                want = functools.reduce(np.minimum, (column[v] for v in z if v != y))
+                assert np.array_equal(minus[t], want), (z, y)
+            seen += int((d[0] == d[1]).any())
+    assert seen > 0  # some rows tie two block vertices
 
 
 def test_distinct_disk_equals_conditioning_on_every_witness():
