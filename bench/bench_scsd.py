@@ -11,6 +11,7 @@
     python3 bench/bench_scsd.py ../parent --topic k2decide  # BENCH_k2decide.json
     python3 bench/bench_scsd.py ../parent --topic k2stop    # BENCH_k2stop.json
     python3 bench/bench_scsd.py ../parent --topic k2pair    # BENCH_k2pair.json
+    python3 bench/bench_scsd.py ../parent --topic k2coupled # BENCH_k2coupled.json
 
 Run it from the root of this checkout; ``--output`` names another file.
 Every topic makes, one process at a time:
@@ -79,6 +80,13 @@ space:
 * ``k2pair``: the rows of ``k2stop`` (the same answer sets, phase counts
   and times, and held-out pairs), for a change to the pair search: its
   crossing and plateau phases are the evaluations that price exactly.
+* ``k2coupled``: the answer sets of ``k2decide``, three runs a side in
+  alternating order, with per set whether bottlenecks and thresholds are
+  identical (within 1e-12), each instance whose whole answer moved, and
+  the coupled two-disk solver's calls, anchored solves, contexts built
+  inside it and seconds (least of three); the 144 degenerate solves; and
+  200 direct coupled calls on random, lattice, collinear and cocircular
+  colour systems, radius (within 1e-12) and pair compared.
 
 The evaluation counts and phase times of ``k2decide``, ``k2stop`` and
 ``k2pair`` come from three more runs a side in alternating order: the counts
@@ -175,20 +183,29 @@ def untraced(parent: Path, change: Path, workload: str, seeds: range = SEEDS) ->
     return {"seeds": list(seeds), "runs": runs, "summary": summary}
 
 
+# counts the coupled two-disk solver's anchored solves in calls[1], through
+# the name the checkout gives them (scsd._anchored, or _anchored_center
+# before 2026-10)
+ANCHORED = """
+anchored_name = "_anchored" if hasattr(scsd, "_anchored") else "_anchored_center"
+anchored = getattr(scsd, anchored_name)
+def anchored_solve(*args):
+    calls[1] += 1
+    return anchored(*args)
+setattr(scsd, anchored_name, anchored_solve)
+"""
+
 # k = 2 solves of (n, seed, distribution) instances; prints one line per
 # instance and a total with the best_center calls, the anchored solves of
 # the coupled two-disk solver and the peak RSS
 K2_SOLVE = PRELUDE + """
 calls = [0, 0]
-query, anchored = scsd.ScsdContext.best_center, scsd._anchored_center
+query = scsd.ScsdContext.best_center
 def best_center(ctx, classes):
     calls[0] += 1
     return query(ctx, classes)
-def anchored_center(cs, anchor):
-    calls[1] += 1
-    return anchored(cs, anchor)
 scsd.ScsdContext.best_center = best_center
-scsd._anchored_center = anchored_center
+""" + ANCHORED + """
 total = 0.0
 for n, seed, dist in {shapes!r}:
     pts = generate_instance(n, seed, dist)
@@ -231,19 +248,21 @@ def fastest_of_three(parent: Path, change: Path, code: str) -> dict[str, list[di
     return out
 
 
+def least(last: list[dict]) -> dict:
+    """Last lines of repeated runs: every count must repeat, and each time
+    (a key ending in ``_s``) is the least, with every run's value in run
+    order under ``runs_s``."""
+    times = [k for k in last[0] if k.endswith("_s")]
+    counts = [{k: v for k, v in x.items() if k not in times} for x in last]
+    assert counts[1:] == counts[:1] * (len(last) - 1), counts
+    return dict(counts[0], **{k: min(x[k] for x in last) for k in times},
+                runs_s={k: [x[k] for x in last] for k in times})
+
+
 def least_of_three(parent: Path, change: Path, code: str) -> dict[str, dict]:
-    """The last line of ``three_runs`` a side: every count must repeat, and
-    each time (a key ending in ``_s``) is the least of the three, with every
-    run's value in run order under ``runs_s``."""
-    out = {}
-    for side, r in three_runs(parent, change, code).items():
-        last = [lines[-1] for lines in r]
-        times = [k for k in last[0] if k.endswith("_s")]
-        counts = [{k: v for k, v in x.items() if k not in times} for x in last]
-        assert counts[1:] == counts[:1] * 2, (side, counts)
-        out[side] = dict(counts[0], **{k: min(x[k] for x in last) for k in times},
-                         runs_s={k: [x[k] for x in last] for k in times})
-    return out
+    """``least`` of the last lines of ``three_runs`` a side."""
+    return {side: least([lines[-1] for lines in r])
+            for side, r in three_runs(parent, change, code).items()}
 
 
 def k1_rows(parent: Path, change: Path) -> tuple[dict, bool]:
@@ -583,6 +602,100 @@ def k1local_rows(parent: Path, change: Path) -> tuple[dict, bool]:
     return rows, same and row["bottlenecks_identical"] == row["instances"]
 
 
+# k = 2 solves of (n, seed, distribution) instances; prints one line per
+# instance with its whole answer, and a total with the coupled two-disk
+# solver's calls, its anchored solves, the contexts built inside it and its
+# seconds
+K2_COUPLED = PRELUDE + """
+from mbsn import closure2
+calls, c, inside = [0, 0], dict(coupled=0, contexts=0, coupled_s=0.0), [False]
+coupled, init = closure2.coupled_two_disk, scsd.ScsdContext.__init__
+def coupled_two_disk(*args):
+    inside[0], t0 = True, time.perf_counter()
+    out = coupled(*args)
+    c["coupled_s"] += time.perf_counter() - t0
+    c["coupled"], inside[0] = c["coupled"] + 1, False
+    return out
+def context(self, *args):
+    c["contexts"] += inside[0]
+    init(self, *args)
+closure2.coupled_two_disk, scsd.ScsdContext.__init__ = coupled_two_disk, context
+""" + ANCHORED + """
+for n, seed, dist in {shapes!r}:
+    net = solve(generate_instance(n, seed, dist), 2)
+    print(json.dumps({{"key": f"{{dist}}-n{{n}}-s{{seed}}",
+                      "answer": [net.bottleneck, [p.as_tuple() for p in net.steiner],
+                                 net.edges, net.threshold]}}))
+print(json.dumps(dict(c, anchored=calls[1], coupled_s=round(c["coupled_s"], 4))))
+"""
+
+# direct coupled two-disk calls on 50 colour-system pairs of each kind, in
+# either checkout's signature (colour systems of points, or a context and
+# index classes); prints each call's radius and pair
+COUPLED_DIRECT = PRELUDE + """
+import inspect, math, random
+from mbsn.geom import Point2
+rng = random.Random(17)
+points = {"random": lambda: (rng.random(), rng.random()),
+          "lattice": lambda: (float(rng.randint(0, 4)), float(rng.randint(0, 4))),
+          "collinear": lambda: (lambda t: (t, 0.5 * t + 0.25))(0.25 * rng.randint(0, 20)),
+          "cocircular": lambda: (lambda a: (math.cos(a), math.sin(a)))(math.pi * rng.randrange(12) / 6)}
+indexed = "ctx" in inspect.signature(scsd.coupled_two_disk).parameters
+for kind, point in points.items():
+    for _ in range(50):
+        sides = [[[point() for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(1, 3))]
+                 for _ in range(2)]
+        if indexed:
+            index = {}
+            for p in (p for side in sides for c in side for p in c):
+                index.setdefault(p, len(index))
+            ctx = scsd.ScsdContext([Point2(*p) for p in index])
+            s1, s2, r = scsd.coupled_two_disk(ctx, *([[index[p] for p in c] for c in side]
+                                                     for side in sides))
+        else:
+            s1, s2, r = scsd.coupled_two_disk(*(scsd.color_system([[Point2(*p) for p in c] for c in side])
+                                                for side in sides))
+        print(json.dumps({"kind": kind, "radius": r, "pair": [s1.as_tuple(), s2.as_tuple()]}))
+"""
+
+
+def k2coupled_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+    rows, same = {}, True
+    sides = (("parent", parent), ("change", change))
+    for name, shapes in k2decide_groups().items():
+        runs = three_runs(parent, change, K2_COUPLED.format(shapes=shapes))
+        pairs = list(zip(runs["parent"][0][:-1], runs["change"][0][:-1]))
+        moved = [{"key": a["key"], "bottleneck_diff": b["answer"][0] - a["answer"][0],
+                  "steiner_identical": a["answer"][1] == b["answer"][1],
+                  "edges_identical": a["answer"][2] == b["answer"][2]}
+                 for a, b in pairs if a["answer"] != b["answer"]]
+        rows[name] = {side: least([lines[-1] for lines in r]) for side, r in runs.items()}
+        rows[name].update(
+            instances=len(pairs),
+            bottlenecks_identical=sum(abs(a["answer"][0] - b["answer"][0]) <= 1e-12 for a, b in pairs),
+            thresholds_identical=sum(abs(a["answer"][3] - b["answer"][3]) <= 1e-12 for a, b in pairs),
+            answers_identical=len(pairs) - len(moved), answers_moved=moved)
+        same &= rows[name]["bottlenecks_identical"] == rows[name]["thresholds_identical"] == len(pairs)
+        print(name, {side: rows[name][side]["coupled_s"] for side, _ in sides}, flush=True)
+    answers = {side: run_code(path, DEGENERATE) for side, path in sides}
+    pairs = list(zip(answers["parent"], answers["change"]))
+    rows["lattice, collinear and integer-grid, k = 0-2"] = {
+        "instances": len(pairs),
+        "bottlenecks_identical": sum(abs(a[0] - b[0]) <= 1e-12 for a, b in pairs),
+        "answers_identical": sum(a == b for a, b in pairs)}
+    same &= all(abs(a[0] - b[0]) <= 1e-12 for a, b in pairs)
+    calls = {side: run_code(path, COUPLED_DIRECT) for side, path in sides}
+    for kind in dict.fromkeys(x["kind"] for x in calls["change"]):
+        pairs = [(a, b) for a, b in zip(calls["parent"], calls["change"]) if a["kind"] == kind]
+        rows[f"direct coupled calls, {kind}"] = {
+            "calls": len(pairs),
+            "radii_within_1e-12": sum(abs(a["radius"] - b["radius"]) <= 1e-12 for a, b in pairs),
+            "largest_radius_diff": max(abs(a["radius"] - b["radius"]) for a, b in pairs),
+            "pairs_identical": sum(a["pair"] == b["pair"] for a, b in pairs)}
+        same &= all(abs(a["radius"] - b["radius"]) <= 1e-12 for a, b in pairs)
+    return rows, same
+
+
 TOPICS = {
     "scsd": {
         "layer": "scsd.context_global",
@@ -778,6 +891,25 @@ TOPICS = {
                    "closure2.locate_case1.incl_s", "closure2.locate_case2.incl_s",
                    "closure2.locate_case3.incl_s", "closure2.self_s", "trace.solve_s"),
         "rows": ("k2_n", k2stop_rows),
+    },
+    "k2coupled": {
+        "layer": "scsd.coupled_two_disk (case 2's adjacent Steiner pair) and ScsdContext.best_center",
+        "what": "coupled_two_disk(ctx, classes1, classes2, bound, enough) runs on the probe's "
+                "context with index classes: its independent and merged optima are three "
+                "best_center calls, its anchors ctx.candidates rows, an anchored solve one "
+                "best_center call on a context of the other side's points and the anchor, and "
+                "every candidate is valued by ScsdContext.radii, one family at a time (three-leg, "
+                "anchors, bisector and quartic families as arrays); best_center values its "
+                "families with radii too (was: colour systems of points, three fresh contexts per "
+                "call through smallest_color_spanning_disk and one more per anchored solve, a "
+                "scalar objective class_radius and scalar loops per candidate)",
+        "parent": "cde1b44",
+        "traced": ("scsd.best_center.calls", "scsd.best_center.self_s",
+                   "scsd.smallest_color_spanning_disk.calls", "scsd.context_local.calls",
+                   "scsd.coupled_two_disk.calls", "scsd.coupled_two_disk.self_s",
+                   "scsd.coupled_two_disk.incl_s", "closure2.locate_case2.calls",
+                   "closure2.locate_case2.incl_s", "scsd.self_s", "trace.solve_s"),
+        "rows": ("k2_n", k2coupled_rows),
     },
 }
 

@@ -31,7 +31,7 @@ from .geom import Point2, distance, geometry_eps
 # is_connected is not called here; perfbench's tracer wraps this module's name
 from .graph import (Graph, BlockCutForest, block_cut_forest, connected_components,  # noqa: F401
                     is_biconnected, is_connected, make_graph)
-from .scsd import ColorSystem, ScsdContext, coupled_two_disk
+from .scsd import ScsdContext, coupled_two_disk
 
 SteinerEdge = tuple[str, object]  # ('s1', v) | ('s2', v) | ('s1', 's2')
 
@@ -480,10 +480,8 @@ def locate_case2(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
             if r <= enough:
                 break
 
-    cs1 = ColorSystem(tuple(tuple(points[v] for v in c) for c in topo.side1_classes))
-    cs2 = ColorSystem(tuple(tuple(points[v] for v in c) for c in topo.side2_classes))
     # case 2_2 wins only strictly below case 2_1
-    coupled = coupled_two_disk(cs1, cs2, limit, enough) if limit > enough else None
+    coupled = coupled_two_disk(ctx, side1, side2, limit, enough) if limit > enough else None
     if coupled is None:
         return best21 and EmbeddedClosure(*best21[:4], "case2_1", topo.partition,
                                           chosen_index=best21[4])

@@ -1,8 +1,8 @@
 """Planar primitives: points, circles, circumcentres, real quartic roots.
 
-Coordinates are plain floats.  All tolerances are scaled to the extent of
-the data they are applied to (1e-9 times a bounding-box diagonal), so the
-code behaves identically for unit-box and kilometre-scale instances.
+Coordinates are plain floats.  Tolerances are scaled to the extent of the
+data (1e-9 times a bounding-box diagonal, or the rounding of a triangle's
+own relative coordinates), so unit-box and kilometre-scale instances agree.
 """
 
 from __future__ import annotations
@@ -14,6 +14,11 @@ from typing import Iterable
 import numpy as np
 
 EPS_SCALE = 1e-9
+
+# a bound, with room, on the relative rounding error of a sum of two products
+# of coordinate differences: each difference, product and the sum is rounded
+# once, 4u in all (u = eps / 2)
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,17 +69,14 @@ def geometry_eps(points: Iterable[Point2]) -> float:
 
 
 def circumcenter(p1: Point2, p2: Point2, p3: Point2) -> Point2 | None:
-    """Centre equidistant from three points, or None when they are collinear.
-
-    Collinearity is decided by the twice-signed triangle area measured
-    against the local bounding-box scale.
-    """
+    """Centre equidistant from three points, or None when they are collinear:
+    the colour-disk candidates' rule, a cross product of relative
+    coordinates within the rounding of its two products."""
     ax, ay = p1.x, p1.y
     bx, by = p2.x - ax, p2.y - ay
     cx, cy = p3.x - ax, p3.y - ay
     cross = bx * cy - by * cx
-    diag = bbox_diagonal((p1, p2, p3))
-    if abs(cross) <= EPS_SCALE * diag * diag:
+    if abs(cross) <= _ROUNDING * (abs(bx * cy) + abs(by * cx)):
         return None
     d = 2.0 * cross
     b2 = bx * bx + by * by

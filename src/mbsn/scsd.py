@@ -6,7 +6,9 @@ nearest point per class: at most min(c, 3) determinators, so points, pair
 midpoints and (for c >= 3) triple circumcentres are exact candidates, and a
 query needs only those made of its own points.  The coupled solver places
 two adjacent disk centres whose mutual distance also counts towards the
-objective.
+objective.  Every query runs on an ``ScsdContext``, classes being index
+lists into its points, and ``ScsdContext.radii`` values every candidate
+centre that is not one of them.
 """
 
 from __future__ import annotations
@@ -19,12 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geom import Circle, Point2, distance, geometry_eps, real_quartic_roots
-
-# a bound, with room, on the relative rounding error of a sum of two products
-# of coordinate differences: each difference, product and the sum is rounded
-# once, 4u in all (u = eps / 2)
-_ROUNDING = 4.0 * np.finfo(float).eps
+from .geom import _ROUNDING, Circle, Point2, distance, geometry_eps, real_quartic_roots
 
 
 @dataclass(frozen=True)
@@ -49,6 +46,11 @@ class ScsdResult:
     disk: Circle
     determinators: tuple[Point2, ...]
     nearest_per_color: tuple[Point2, ...]
+
+
+def _fold(classes: Sequence[Sequence[int]], d: np.ndarray) -> np.ndarray:
+    """Max over classes of the least of their columns of ``d`` (one per member, class by class)."""
+    return np.minimum.reduceat(d, [0, *itertools.accumulate(map(len, classes[:-1]))], axis=1).max(axis=1)
 
 
 class ScsdContext:
@@ -149,31 +151,31 @@ class ScsdContext:
         """
         u, own = self._labels(classes)
         flat = np.fromiter(itertools.chain.from_iterable(classes), np.intp)  # class by class
-        pts, cols, rows = self._pts.take(u, 0), self._pts.take(flat, 0), self.dist.take(u, 0)
-        starts = [0, *itertools.accumulate(map(len, classes[:-1]))]
-
-        def values(block: np.ndarray) -> np.ndarray:  # candidates x class columns
-            return np.minimum.reduceat(block, starts, axis=1).max(axis=1)
-
-        f = values(rows.take(flat, 1))
+        pts, rows = self._pts.take(u, 0), self.dist.take(u, 0)
+        f, d = _fold(classes, rows.take(flat, 1)), rows.take(u, 1)  # the points' values from dist
         r = float(f.min())
         center = min(self.points[u[t]].as_tuple() for t in np.nonzero(f == r)[0])
         for triples in (False, True) if len(classes) > 2 else (False,):
             if r == 0.0:
                 break  # a zero radius at a point is final
-            d = rows.take(u, 1)
             i, j = self._pairs(d, own, r)
             if len(classes) == 2 and len(i):  # R <= half the closest pair's distance
                 keep = d[i, j] <= d[i, j].min() + self.eps
                 i, j = i[keep], j[keep]
             c = self._triangles(u, i, j) if triples else (pts.take(i, 0) + pts.take(j, 0)) / 2.0
             if len(c):
-                f = values(np.hypot(c[:, :1] - cols[:, 0], c[:, 1:] - cols[:, 1]))
+                f = self.radii(classes, c)
                 t = int(f.argmin())
                 if f[t] < r:
                     r, center = float(f[t]), (float(c[t, 0]), float(c[t, 1]))
         center = Point2(*center)
         return r, center, tuple(self.nearest_in_class(center, cls) for cls in classes)
+
+    def radii(self, classes: Sequence[Sequence[int]], centres: np.ndarray) -> np.ndarray:
+        """The objective at each row of ``centres``: the max over classes of
+        the least distance to a point of the class."""
+        x, y = self._pts.take(np.fromiter(itertools.chain.from_iterable(classes), np.intp), 0).T
+        return _fold(classes, np.hypot(centres[:, :1] - x, centres[:, 1:] - y))
 
     def nearest_in_class(self, x: Point2, cls: Sequence[int]) -> int:
         best = None
@@ -186,23 +188,6 @@ class ScsdContext:
         return best[1]
 
 
-def _flatten(cs: ColorSystem) -> tuple[list[Point2], list[list[int]]]:
-    pts = [p for cls in cs.classes for p in cls]
-    ends = itertools.accumulate(map(len, cs.classes))
-    return pts, [list(range(e - len(c), e)) for c, e in zip(cs.classes, ends)]
-
-
-def class_radius(cs: ColorSystem, z: Point2) -> float:
-    """Objective f(z): max over colours of the distance to the nearest point."""
-    return max(min(distance(z, p) for p in cls) for cls in cs.classes)
-
-
-def _class_radii(cs: ColorSystem, rows: np.ndarray) -> np.ndarray:
-    """f at each row of centres, one point at a time."""
-    return functools.reduce(np.maximum, (functools.reduce(
-        np.minimum, (np.hypot(rows[:, 0] - p.x, rows[:, 1] - p.y) for p in cls)) for cls in cs.classes))
-
-
 def nearest_per_color(x: Point2, cs: ColorSystem) -> tuple[Point2, ...]:
     """One closest point per colour; ties broken lexicographically by (x, y)."""
     return tuple(min(cls, key=lambda p: (distance(x, p), p.x, p.y)) for cls in cs.classes)
@@ -211,209 +196,164 @@ def nearest_per_color(x: Point2, cs: ColorSystem) -> tuple[Point2, ...]:
 def smallest_color_spanning_disk(cs: ColorSystem) -> ScsdResult:
     """Exact SCSD by candidate enumeration over points, midpoints and
     circumcentres, with the nearest-per-colour set computed at the centre."""
-    pts, classes = _flatten(cs)
+    pts = [p for cls in cs.classes for p in cls]
+    ends = itertools.accumulate(map(len, cs.classes))
     ctx = ScsdContext(pts)
-    r, center, _ = ctx.best_center(classes)
-    nearest = nearest_per_color(center, cs)
+    r, center, picks = ctx.best_center([range(e - len(c), e) for c, e in zip(cs.classes, ends)])
+    nearest = tuple(pts[v] for v in picks)
     tol = max(ctx.eps, 1e-12 * (1.0 + r))
-    if r <= tol:
-        dets: tuple[Point2, ...] = (nearest[0],)
-    else:
-        dets = tuple(sorted({p.as_tuple() for p in nearest
-                             if abs(distance(center, p) - r) <= tol}))
-        dets = tuple(Point2(x, y) for x, y in dets)
+    on = sorted({p.as_tuple() for p in nearest if abs(distance(center, p) - r) <= tol})
+    dets = (nearest[0],) if r <= tol else tuple(Point2(x, y) for x, y in on)
     return ScsdResult(Circle(center, r), dets, nearest)
 
 
-def _cross_class_pairs(classes: list[list[Point2]]) -> list[tuple[Point2, Point2]]:
-    pairs = []
-    seen = set()
-    for i, ci in enumerate(classes):
-        for cj in classes[i + 1:]:
-            for p in ci:
-                for q in cj:
-                    key = tuple(sorted((p.as_tuple(), q.as_tuple())))
-                    if p.as_tuple() != q.as_tuple() and key not in seen:
-                        seen.add(key)
-                        pairs.append((p, q))
-    return pairs
+def _anchored(points: Sequence[Point2], classes: Sequence[Sequence[int]], anchor: Point2) -> Point2:
+    """The best centre for ``classes`` (index lists into ``points``) whose
+    disk must also reach ``anchor``, a class of its own."""
+    return ScsdContext([*points, anchor]).best_center([*classes, [len(points)]])[1]
 
 
-def _anchored_center(cs: ColorSystem, anchor: Point2) -> tuple[float, Point2]:
-    """Best disk for cs that must also reach the anchor point."""
-    aug = ColorSystem(cs.classes + ((anchor,),))
-    res = smallest_color_spanning_disk(aug)
-    return res.disk.radius, res.disk.center
-
-
-def coupled_two_disk(cs1: ColorSystem, cs2: ColorSystem, bound: float = math.inf,
+def coupled_two_disk(ctx: ScsdContext, classes1: Sequence[Sequence[int]],
+                     classes2: Sequence[Sequence[int]], bound: float = math.inf,
                      enough: float = -math.inf) -> tuple[Point2, Point2, float] | None:
     """Place adjacent centres s1, s2 minimising
-    max(f1(s1), f2(s2), |s1 s2|) where f_i is the colour-spanning objective;
-    None when no pair goes strictly below ``bound``.
+    max(f1(s1), f2(s2), |s1 s2|) where f_i is the colour-spanning objective
+    of ``classes_i``, index lists into ``ctx.points``; None when no pair
+    goes strictly below ``bound``.
 
-    Candidates cover every stationary structure of the objective:
-    independent optima, one centre anchored to the other, the collinear
-    three-leg balance, and the fully coupled configurations where each
-    centre is pinned by one or two of its own points plus the partner
-    (quadratic and quartic systems).  A centre the partner edge does not
-    pin sits at one of its side's candidate rows, and the anchored solve
-    there gives the best partner.  Every candidate is validated by direct
-    objective evaluation.
-
-    Anchors are tried in ascending f_a with no cap: f_b is 1-Lipschitz, so a
-    pair anchored at a is worth at least LB = max(f_a(a), f_b(a) / 2), and an
-    anchor with LB >= incumbent + eps (eps covers rounding) cannot pass
-    ``consider``'s strict <.  The incumbent starts at ``bound``; every pair
-    is worth at least max(min f1, min f2), so the call ends when that reaches
-    ``bound`` + eps.  ``consider`` says when a new incumbent is at most
-    ``enough``, and then it is returned at once.
+    Every candidate pair of ``_candidate_pairs`` is valued by ``ctx.radii``,
+    one family at a time.  The incumbent starts at ``bound``; every pair is
+    worth at least max(min f1, min f2), so the call ends when that reaches
+    ``bound`` + eps.  A family's new incumbent is its first pair at most
+    ``enough`` below the incumbent, which is then returned at once, or else
+    its first least pair below the incumbent: the pair a scan with a strict
+    < would keep.
     """
-    all_pts = [p for cls in cs1.classes for p in cls] + [p for cls in cs2.classes for p in cls]
-    eps = geometry_eps(all_pts)
-    best: list = [bound, None, None]
-
-    def consider(s1: Point2, s2: Point2) -> bool:
-        # cheapest term first; a term >= the incumbent already rules the pair out
-        val = distance(s1, s2)
-        if val >= best[0]:
-            return False
-        val = max(val, class_radius(cs1, s1))
-        if val >= best[0]:
-            return False
-        val = max(val, class_radius(cs2, s2))
-        if val >= best[0]:
-            return False
-        best[0], best[1], best[2] = val, s1, s2
-        return val <= enough
-
-    r1 = smallest_color_spanning_disk(cs1)
-    r2 = smallest_color_spanning_disk(cs2)
-    if max(r1.disk.radius, r2.disk.radius) >= bound + eps:
+    (r1, c1, _), (r2, c2, _) = ctx.best_center(classes1), ctx.best_center(classes2)
+    if max(r1, r2) >= bound + ctx.eps:
         return None
-    if consider(r1.disk.center, r2.disk.center):
-        return best[1], best[2], best[0]
+    best: list = [bound, None, None]
+    for s1, s2 in _candidate_pairs(ctx, classes1, classes2, c1, c2, best):
+        # cheapest term first; a term >= the incumbent already rules a pair out
+        val = np.hypot(*(s1 - s2).T)
+        rows = np.arange(len(s1))
+        for classes, s in ((classes1, s1), (classes2, s2)):
+            rows, val = rows[val < best[0]], val[val < best[0]]
+            if len(rows):
+                val = np.maximum(val, ctx.radii(classes, s.take(rows, 0)))
+        hit = np.flatnonzero(val < best[0])
+        if len(hit):
+            low = hit[val.take(hit) <= enough]
+            t = low[0] if len(low) else hit[val.take(hit).argmin()]
+            best[:] = float(val[t]), Point2(*s1[rows[t]].tolist()), Point2(*s2[rows[t]].tolist())
+            if best[0] <= enough:
+                break
+    return None if best[1] is None else (best[1], best[2], best[0])
 
-    merged = ColorSystem(cs1.classes + cs2.classes)
-    cm = smallest_color_spanning_disk(merged).disk.center
-    if consider(cm, cm):
-        return best[1], best[2], best[0]
 
-    pts1, pts2 = ([Point2(*xy) for xy in sorted({p.as_tuple() for cls in cs.classes for p in cls})]
-                  for cs in (cs1, cs2))
+def _candidate_pairs(ctx: ScsdContext, classes1: Sequence[Sequence[int]],
+                     classes2: Sequence[Sequence[int]], c1: Point2, c2: Point2, best: list):
+    """The coupled solver's candidate families, each a pair of arrays of s1
+    and s2 rows whose prunes read the incumbent ``best[0]`` as it starts.
+    They cover every stationary structure of the objective: the independent
+    optima c1, c2, the merged optimum, one centre anchored to the other, the
+    collinear three-leg balance, and the fully coupled configurations where
+    each centre is pinned by one or two of its own points plus the partner
+    (quadratic and quartic systems)."""
+    yield np.array([c1.as_tuple()]), np.array([c2.as_tuple()])
+    cm = np.array([ctx.best_center([*classes1, *classes2])[1].as_tuple()])
+    yield cm, cm
+
+    sides = []
+    for classes in (classes1, classes2):
+        u, own = ctx._labels(classes)
+        d = ctx.dist.take(u, 0).take(u, 1)
+        i, j = ctx._pairs(d, own, math.inf)
+        i, j = i[d[i, j] > 0.0], j[d[i, j] > 0.0]  # cross-class pairs of distinct points
+        pts = ctx._pts.take(u, 0)
+        p, q = pts.take(i, 0), pts.take(j, 0)
+        n = np.column_stack([q[:, 1] - p[:, 1], p[:, 0] - q[:, 0]])
+        # the distinct points in lexicographic order; per pair its midpoint,
+        # half length and unit bisector direction
+        sides.append((u, np.array(sorted(set(map(tuple, pts.tolist())))),
+                      ((p + q) / 2.0, d[i, j] / 2.0, n / np.hypot(n[:, :1], n[:, 1:]))))
+    (u1, pts1, pairs1), (u2, pts2, pairs2) = sides
 
     # Three collinear legs p - s1 - s2 - q, each of length |pq| / 3.
-    for p in pts1:
-        for q in pts2:
-            if consider(Point2(p.x + (q.x - p.x) / 3.0, p.y + (q.y - p.y) / 3.0),
-                        Point2(p.x + 2.0 * (q.x - p.x) / 3.0, p.y + 2.0 * (q.y - p.y) / 3.0)):
-                return best[1], best[2], best[0]
+    p, q = np.repeat(pts1, len(pts2), 0), np.tile(pts2, (len(pts1), 1))
+    yield p + (q - p) / 3.0, p + 2.0 * (q - p) / 3.0
 
-    # Rest one side at any of its locally optimal disk structures (its own
-    # candidate centres, every point a class of its own, cheapest first) and
-    # re-solve the other side with that centre as an extra colour.  This
-    # covers optima where the busy side sits at a non-global local minimum
-    # close to the quiet side.
-    for (csa, csb, swap) in ((cs1, cs2, False), (cs2, cs1, True)):
-        apts = _flatten(csa)[0]
-        rows = ScsdContext(apts).candidates([[v] for v in range(len(apts))], math.inf)
-        fvals, fb = _class_radii(csa, rows), _class_radii(csb, rows)
-        seen_anchor: set[tuple[float, float]] = set()
-        for i in np.argsort(fvals, kind="stable"):
-            # a structure whose own radius already reaches the incumbent
-            # cannot produce a better pair (ascending order, so stop)
-            if fvals[i] >= best[0]:
-                break
-            if fb[i] / 2.0 >= best[0] + eps:
+    # A centre the partner edge does not pin sits at one of its side's
+    # candidate rows (every point a class of its own), and the anchored solve
+    # there gives the best partner.  Anchors go in ascending f_a with no cap:
+    # f_b is 1-Lipschitz, so a pair anchored at a is worth at least
+    # max(f_a(a), f_b(a) / 2), and one where that reaches the incumbent + eps
+    # (eps covers rounding) cannot beat it.
+    for ua, ca, ub, cb, swap in ((u1, classes1, u2, classes2, False),
+                                 (u2, classes2, u1, classes1, True)):
+        rows = ctx.candidates([[v] for v in ua], math.inf)
+        fa, fb = ctx.radii(ca, rows), ctx.radii(cb, rows)
+        pos = {v: t for t, v in enumerate(ub.tolist())}
+        sub, local = [ctx.points[v] for v in pos], [[pos[v] for v in c] for c in cb]
+        seen: set[tuple[float, float]] = set()
+        for i in np.argsort(fa, kind="stable"):
+            if fa[i] >= best[0]:
+                break  # ascending, so no later anchor can do better
+            key = (float(rows[i, 0]), float(rows[i, 1]))
+            if fb[i] / 2.0 >= best[0] + ctx.eps or key in seen:
                 continue
-            anchor = Point2(float(rows[i, 0]), float(rows[i, 1]))
-            key = anchor.as_tuple()
-            if key in seen_anchor:
-                continue
-            seen_anchor.add(key)
-            _, z = _anchored_center(csb, anchor)
-            if consider(z, anchor) if swap else consider(anchor, z):
-                return best[1], best[2], best[0]
-
-    pairs1 = _cross_class_pairs([list(c) for c in cs1.classes])
-    pairs2 = _cross_class_pairs([list(c) for c in cs2.classes])
+            seen.add(key)
+            z = np.array([_anchored(sub, local, Point2(*key)).as_tuple()])
+            yield (z, rows[i:i + 1]) if swap else (rows[i:i + 1], z)
 
     # One side pinned by a cross-class pair, the other by a single point,
-    # partner distance active on both: quadratic along the bisector.
-    for (pairs, singles, swap) in ((pairs1, pts2, False), (pairs2, pts1, True)):
-        for p1, p2 in pairs:
-            mx, my = (p1.x + p2.x) / 2.0, (p1.y + p2.y) / 2.0
-            h = distance(p1, p2) / 2.0
-            dx, dy = p2.y - p1.y, p1.x - p2.x
-            dn = math.hypot(dx, dy)
-            if dn == 0.0:
-                continue
-            dx, dy = dx / dn, dy / dn
-            for q in singles:
-                wx, wy = mx - q.x, my - q.y
-                a = wx * dx + wy * dy
-                c0 = 4.0 * h * h - (wx * wx + wy * wy)
-                disc = a * a - 3.0 * c0
-                # crossing roots, the projection of q onto the bisector, and
-                # the pair midpoint: the minimum of the two branches along
-                # the bisector family is always one of these
-                cands_v = [-a, 0.0]
-                if disc >= 0.0:
-                    cands_v += [(a + math.sqrt(disc)) / 3.0,
-                                (a - math.sqrt(disc)) / 3.0]
-                for v in cands_v:
-                    sa = Point2(mx + v * dx, my + v * dy)
-                    sb = Point2((q.x + sa.x) / 2.0, (q.y + sa.y) / 2.0)
-                    if consider(sb, sa) if swap else consider(sa, sb):
-                        return best[1], best[2], best[0]
+    # partner distance active on both: quadratic along the bisector.  Per
+    # pair and point: the crossing roots (NaN when there are none), the
+    # projection of the point onto the bisector, and the pair midpoint; the
+    # minimum of the two branches along the bisector is always one of these.
+    for (m, h, n), singles, swap in ((pairs1, pts2, False), (pairs2, pts1, True)):
+        if not len(m):
+            continue
+        wx, wy = m[:, :1] - singles[:, 0], m[:, 1:] - singles[:, 1]  # pairs x singles
+        a = wx * n[:, :1] + wy * n[:, 1:]
+        disc = a * a - 3.0 * (4.0 * h[:, None] * h[:, None] - (wx * wx + wy * wy))
+        root = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+        v = np.stack([-a, np.zeros_like(a), (a + root) / 3.0, (a - root) / 3.0], axis=2)
+        pair, single, _ = np.nonzero(~np.isnan(v))
+        sa = m[pair] + v[~np.isnan(v)][:, None] * n[pair]
+        sb = (singles[single] + sa) / 2.0
+        yield (sb, sa) if swap else (sa, sb)
 
     # Both sides pinned by cross-class pairs plus the partner distance:
     # a quartic in the bisector parameter of side 1.
-    for p1, p2 in pairs1:
-        m1x, m1y = (p1.x + p2.x) / 2.0, (p1.y + p2.y) / 2.0
-        h1 = distance(p1, p2) / 2.0
-        if h1 >= best[0]:
+    if not (len(pairs1[0]) and len(pairs2[0])):
+        return
+    (m1, h1, n1), (m2, h2, n2) = ((m[h < best[0]], h[h < best[0]], n[h < best[0]])
+                                  for m, h, n in (pairs1, pairs2))
+    s, t = np.nonzero(np.hypot(m1[:, None, 0] - m2[None, :, 0], m1[:, None, 1] - m2[None, :, 1])
+                      <= 3.0 * best[0] + ctx.eps)
+    w, n1, n2 = m1[s] - m2[t], n1[s], n2[t]
+    a, b, c = (w * n1).sum(1), (w * n2).sum(1), (n1 * n2).sum(1)
+    kk, ee = (w * w).sum(1) - h2[t] * h2[t], h1[s] * h1[s] - h2[t] * h2[t]
+    quartics = (1.0 - 4.0 * c * c, 4.0 * a - 8.0 * b * c,
+                4.0 * a * a + 2.0 * kk - 4.0 * b * b - 4.0 * c * c * ee,
+                4.0 * a * kk - 8.0 * b * c * ee, kk * kk - 4.0 * b * b * ee)
+    found: list[tuple[int, float, float]] = []
+    # one pair of pairs at a time, on Python floats
+    terms = zip(zip(*(x.tolist() for x in quartics)), *(x.tolist() for x in (a, b, c, kk, ee)))
+    for k, (coeffs, a, b, c, kk, ee) in enumerate(terms):
+        if max(map(abs, coeffs)) == 0.0:
             continue
-        d1x, d1y = p2.y - p1.y, p1.x - p2.x
-        n1 = math.hypot(d1x, d1y)
-        d1x, d1y = d1x / n1, d1y / n1
-        for q1, q2 in pairs2:
-            h2 = distance(q1, q2) / 2.0
-            if h2 >= best[0]:
+        for u in real_quartic_roots(*coeffs):
+            vv = u * u + ee
+            if vv < -ctx.eps:
                 continue
-            m2x, m2y = (q1.x + q2.x) / 2.0, (q1.y + q2.y) / 2.0
-            if math.hypot(m1x - m2x, m1y - m2y) > 3.0 * best[0] + eps:
-                continue
-            d2x, d2y = q2.y - q1.y, q1.x - q2.x
-            n2 = math.hypot(d2x, d2y)
-            d2x, d2y = d2x / n2, d2y / n2
-            wx, wy = m1x - m2x, m1y - m2y
-            a = wx * d1x + wy * d1y
-            b = wx * d2x + wy * d2y
-            c = d1x * d2x + d1y * d2y
-            kk = wx * wx + wy * wy - h2 * h2
-            ee = h1 * h1 - h2 * h2
-            q4 = 1.0 - 4.0 * c * c
-            q3 = 4.0 * a - 8.0 * b * c
-            q2c = 4.0 * a * a + 2.0 * kk - 4.0 * b * b - 4.0 * c * c * ee
-            q1c = 4.0 * a * kk - 8.0 * b * c * ee
-            q0 = kk * kk - 4.0 * b * b * ee
-            if max(abs(q4), abs(q3), abs(q2c), abs(q1c), abs(q0)) == 0.0:
-                continue
-            for u in real_quartic_roots(q4, q3, q2c, q1c, q0):
-                vv = u * u + ee
-                if vv < -eps:
-                    continue
-                den = 2.0 * (c * u + b)
-                cands_v = []
-                if abs(den) > 1e-12 * max(1.0, abs(u)):
-                    cands_v.append((u * u + 2.0 * a * u + kk) / den)
-                if vv >= 0.0:
-                    root = math.sqrt(max(vv, 0.0))
-                    cands_v.extend((root, -root))
-                for v in cands_v:
-                    if consider(Point2(m1x + u * d1x, m1y + u * d1y),
-                                Point2(m2x + v * d2x, m2y + v * d2y)):
-                        return best[1], best[2], best[0]
-
-    return None if best[1] is None else (best[1], best[2], best[0])
+            den = 2.0 * (c * u + b)
+            if abs(den) > 1e-12 * max(1.0, abs(u)):
+                found.append((k, u, (u * u + 2.0 * a * u + kk) / den))
+            if vv >= 0.0:
+                root = math.sqrt(max(vv, 0.0))
+                found.extend(((k, u, root), (k, u, -root)))
+    if found:
+        k, u, v = (np.array(x) for x in zip(*found))
+        yield m1[s[k]] + u[:, None] * n1[k], m2[t[k]] + v[:, None] * n2[k]

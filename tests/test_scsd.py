@@ -6,12 +6,38 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mbsn import scsd
-from mbsn.geom import Point2, distance, geometry_eps
-from mbsn.scsd import (ScsdContext, color_system, class_radius, coupled_two_disk,
-                       nearest_per_color, smallest_color_spanning_disk)
+from mbsn import geom, scsd
+from mbsn.geom import Point2, circumcenter, distance, geometry_eps
+from mbsn.scsd import (ScsdContext, color_system, coupled_two_disk, nearest_per_color,
+                       smallest_color_spanning_disk)
 
 from conftest import grid_min_spanning_radius, property_sets as _property_sets
+
+
+def _dist(p, q):
+    """|pq| as the solver's objective computes it (``np.hypot``)."""
+    return float(np.hypot(p.x - q.x, p.y - q.y))
+
+
+def class_radius(cs, z):
+    """The reference objective f(z): max over colours of the distance to the nearest point."""
+    return max(min(_dist(z, p) for p in cls) for cls in cs.classes)
+
+
+def _index_classes(systems, extra=()):
+    """A context of ``extra`` and then the systems' distinct points, in order
+    of first appearance, and each system's classes as index lists into it."""
+    index = {p: t for t, p in enumerate(extra)}
+    for cs in systems:
+        for p in itertools.chain.from_iterable(cs.classes):
+            index.setdefault(p, len(index))
+    return ScsdContext(list(index)), [[[index[p] for p in c] for c in cs.classes] for cs in systems]
+
+
+def _coupled(cs1, cs2, *args, extra=()):
+    """``coupled_two_disk`` on colour systems, through ``_index_classes``."""
+    ctx, (classes1, classes2) = _index_classes((cs1, cs2), extra)
+    return coupled_two_disk(ctx, classes1, classes2, *args)
 
 
 def test_two_singletons_diametric():
@@ -101,7 +127,7 @@ def test_scsd_monotone_in_class_growth():
 def test_coupled_collinear_three_legs():
     cs1 = color_system([[Point2(0, 0)]])
     cs2 = color_system([[Point2(10, 0)]])
-    s1, s2, r = coupled_two_disk(cs1, cs2)
+    s1, s2, r = _coupled(cs1, cs2)
     assert r == pytest.approx(10.0 / 3.0)
     assert s1.x == pytest.approx(10.0 / 3.0)
     assert s2.x == pytest.approx(20.0 / 3.0)
@@ -110,7 +136,7 @@ def test_coupled_collinear_three_legs():
 def test_coupled_quartic_balance():
     cs1 = color_system([[Point2(0, 0)], [Point2(0, 2)]])
     cs2 = color_system([[Point2(10, 0)], [Point2(10, 2)]])
-    s1, s2, r = coupled_two_disk(cs1, cs2)
+    s1, s2, r = _coupled(cs1, cs2)
     a = (40.0 - math.sqrt(412.0)) / 6.0
     assert r == pytest.approx(10.0 - 2.0 * a, abs=1e-9)
     assert s1.y == pytest.approx(1.0)
@@ -119,7 +145,7 @@ def test_coupled_quartic_balance():
 
 def test_coupled_degenerate_coincident():
     cs = color_system([[Point2(0, 0)]])
-    s1, s2, r = coupled_two_disk(cs, cs)
+    s1, s2, r = _coupled(cs, cs)
     assert r == pytest.approx(0.0, abs=1e-12)
     assert s1 == s2 == Point2(0.0, 0.0)
 
@@ -132,9 +158,9 @@ def test_coupled_dominates_independent_and_anchored():
                                       for _ in range(rng.randint(1, 4))]
                                      for _ in range(q)])
         cs1, cs2 = mk(q1), mk(q2)
-        s1, s2, r = coupled_two_disk(cs1, cs2)
+        s1, s2, r = _coupled(cs1, cs2)
         # reported value is the honest objective of the returned pair
-        direct = max(class_radius(cs1, s1), class_radius(cs2, s2), distance(s1, s2))
+        direct = max(class_radius(cs1, s1), class_radius(cs2, s2), _dist(s1, s2))
         assert r == pytest.approx(direct, abs=1e-12)
         # never worse than the independent construction
         c1 = smallest_color_spanning_disk(cs1)
@@ -153,7 +179,7 @@ def test_coupled_against_grid_oracle():
         a, b = mk(q1), mk(q2)
         cs1 = color_system([[Point2(x, y) for x, y in c] for c in a])
         cs2 = color_system([[Point2(x, y) for x, y in c] for c in b])
-        _, _, r = coupled_two_disk(cs1, cs2)
+        _, _, r = _coupled(cs1, cs2)
         # coarse 4-d grid upper bound: the solver must not be beaten by it
         k = 24
         import numpy as np
@@ -181,7 +207,7 @@ def _eager_rows(points):
     for i, j, k in itertools.combinations(range(len(pts)), 3):
         bb, cc = pts[j] - pts[i], pts[k] - pts[i]
         cr = bb[0] * cc[1] - bb[1] * cc[0]
-        if abs(cr) > scsd._ROUNDING * (abs(bb[0] * cc[1]) + abs(bb[1] * cc[0])):
+        if abs(cr) > geom._ROUNDING * (abs(bb[0] * cc[1]) + abs(bb[1] * cc[0])):
             b2, c2 = bb[0] * bb[0] + bb[1] * bb[1], cc[0] * cc[0] + cc[1] * cc[1]
             ux = (cc[1] * b2 - bb[1] * c2) / (2.0 * cr)
             uy = (bb[0] * c2 - cc[0] * b2) / (2.0 * cr)
@@ -194,7 +220,7 @@ def _non_obtuse(pts, i, j, k):
     """No angle of the triangle above 90 degrees, to the rounding slack of ``candidates``."""
     bb, cc = pts[j] - pts[i], pts[k] - pts[i]
     b2, c2, dot = bb[0] * bb[0] + bb[1] * bb[1], cc[0] * cc[0] + cc[1] * cc[1], bb[0] * cc[0] + bb[1] * cc[1]
-    slack = scsd._ROUNDING * (b2 + c2)
+    slack = geom._ROUNDING * (b2 + c2)
     return -slack <= dot and dot <= b2 + slack and dot <= c2 + slack
 
 
@@ -382,6 +408,7 @@ def test_objective_values_equal_eager_rows():
             if rng.random() < 0.3:  # a class sharing vertices with another
                 classes.append(sorted(rng.sample(range(len(points)), rng.randint(1, len(points)))))
             cand, f = _eager_objective(points, classes)
+            assert np.array_equal(ctx.radii(classes, cand), f)  # bit for bit
             r = float(f.min())
             for radius in (math.inf, r, 2.0 * r, rng.random() * r):
                 rows = ctx.candidates(classes, radius)
@@ -443,8 +470,8 @@ def test_coupled_radius_is_the_objective_of_its_pair():
             cut = rng.randint(1, len(classes) - 1)
             cs1 = color_system([[sample[v] for v in c] for c in classes[:cut]])
             cs2 = color_system([[sample[v] for v in c] for c in classes[cut:]])
-            s1, s2, r = coupled_two_disk(cs1, cs2)
-            assert r == max(class_radius(cs1, s1), class_radius(cs2, s2), distance(s1, s2))
+            s1, s2, r = _coupled(cs1, cs2)
+            assert r == max(class_radius(cs1, s1), class_radius(cs2, s2), _dist(s1, s2))
 
 
 def test_coupled_bound_returns_none_exactly_at_or_above_the_radius():
@@ -460,11 +487,11 @@ def test_coupled_bound_returns_none_exactly_at_or_above_the_radius():
             cut = rng.randint(1, len(classes) - 1)
             cs1 = color_system([[sample[v] for v in c] for c in classes[:cut]])
             cs2 = color_system([[sample[v] for v in c] for c in classes[cut:]])
-            full = coupled_two_disk(cs1, cs2)
+            full = _coupled(cs1, cs2)
             r = full[2]
             for bound in (r, math.nextafter(r, math.inf), math.nextafter(r, -math.inf),
                           r / 2.0, 2.0 * r + 1.0):
-                assert coupled_two_disk(cs1, cs2, bound) == (None if r >= bound else full)
+                assert _coupled(cs1, cs2, bound) == (None if r >= bound else full)
 
 
 def _lattice_pair(seed):
@@ -487,11 +514,11 @@ def _exhaustive_anchored(cs1, cs2):
     circumcentres included, with no skip and no cap."""
     best = math.inf
     for csa, csb, swap in ((cs1, cs2, False), (cs2, cs1, True)):
-        for x, y in _eager_rows(scsd._flatten(csa)[0])[1].tolist():
+        for x, y in _eager_rows([p for c in csa.classes for p in c])[1].tolist():
             a = Point2(x, y)
-            z = scsd._anchored_center(csb, a)[1]
+            z = smallest_color_spanning_disk(color_system(csb.classes + ((a,),))).disk.center
             s1, s2 = (z, a) if swap else (a, z)
-            best = min(best, max(distance(s1, s2), class_radius(cs1, s1), class_radius(cs2, s2)))
+            best = min(best, max(_dist(s1, s2), class_radius(cs1, s1), class_radius(cs2, s2)))
     return best
 
 
@@ -520,10 +547,10 @@ def test_coupled_anchor_bound_against_exhaustive_anchors(monkeypatch):
     # them, and the cross-class-triple family, out loses nothing
     for seed in (102,):
         cs1, cs2 = _lattice_pair(seed)
-        _, _, r = coupled_two_disk(cs1, cs2)
-        pts = scsd._flatten(cs1)[0]
+        _, _, r = _coupled(cs1, cs2)
+        pts = [p for c in cs1.classes for p in c]
         rows = ScsdContext(pts).candidates([[v] for v in range(len(pts))], math.inf)
-        assert (scsd._class_radii(cs1, rows) < r).sum() > 64, seed
+        assert sum(class_radius(cs1, Point2(x, y)) < r for x, y in rows.tolist()) > 64, seed
         assert r <= _exhaustive_anchored(cs1, cs2), seed
         assert r <= _grid_coupled(cs1, cs2) + 1e-9, seed
     # the degenerate sets, each split into two colour systems: no anchor
@@ -534,14 +561,61 @@ def test_coupled_anchor_bound_against_exhaustive_anchors(monkeypatch):
         cut = rng.randint(1, len(classes) - 1)
         cs1, cs2 = (color_system([[points[v] for v in c] for c in part])
                     for part in (classes[:cut], classes[cut:]))
-        assert coupled_two_disk(cs1, cs2)[2] <= _exhaustive_anchored(cs1, cs2), name
+        assert _coupled(cs1, cs2)[2] <= _exhaustive_anchored(cs1, cs2), name
     # only a bound past the incumbent by eps may skip an anchor: (0, 4)
     # mirrors (0, 0), whose pair is worth exactly its bound f_b / 2, so the
     # bound of (0, 4) ties the incumbent (0, 0) leaves, and (0, 4) is solved
     solved = []
-    anchored = scsd._anchored_center
-    monkeypatch.setattr(scsd, "_anchored_center",
-                        lambda cs, a: solved.append(a.as_tuple()) or anchored(cs, a))
-    coupled_two_disk(color_system([[Point2(-1, 0), Point2(-1, 4)], [Point2(1, 0), Point2(1, 4)]]),
+    anchored = scsd._anchored
+    monkeypatch.setattr(scsd, "_anchored",
+                        lambda pts, classes, a: solved.append(a.as_tuple()) or anchored(pts, classes, a))
+    _coupled(color_system([[Point2(-1, 0), Point2(-1, 4)], [Point2(1, 0), Point2(1, 4)]]),
                      color_system([[Point2(0.5, 2)]]))
     assert solved == [(0.0, 0.0), (0.0, 4.0)]
+
+
+def test_coupled_on_a_wide_shared_context_equals_a_context_of_its_points():
+    # the solver passes the probe's context, which holds every terminal: the
+    # two systems among far extra points (other indices, a larger eps) give
+    # the same triple as a context of only their points
+    rng = random.Random(415)
+    for trial in range(40):
+        cs1, cs2 = (color_system([[Point2(rng.random(), rng.random()) for _ in range(rng.randint(1, 4))]
+                                  for _ in range(rng.randint(1, 3))]) for _ in range(2))
+        extra = [Point2(rng.uniform(-60.0, 60.0), rng.choice((-1, 1)) * rng.uniform(20.0, 60.0))
+                 for _ in range(rng.randint(1, 12))]
+        wide = _coupled(cs1, cs2, extra=extra)
+        assert wide == _coupled(cs1, cs2), trial
+        assert _index_classes((cs1, cs2), extra)[0].eps > 10.0 * geometry_eps(
+            [p for cs in (cs1, cs2) for c in cs.classes for p in c])
+
+
+def test_circumcenter_collinearity_is_the_candidates_rule():
+    # geom.circumcenter is None exactly when ``candidates`` has no
+    # circumcentre row for a non-obtuse triple, and otherwise equals that
+    # row bit for bit: lattice, collinear, cocircular, near-duplicate and
+    # far-cluster sets, random sets, small triangles shifted by 1e6, a
+    # 1 x 1e-10 rectangle (right triangles that a rule scaled by the squared
+    # diagonal called collinear) and a square with a repeated corner
+    rng = random.Random(416)
+    sets = [points for _, points in _property_sets(rng)] + list(_degenerate_sets())
+    sets += [[Point2(x, y) for x in (0.0, 1.0) for y in (0.0, 1e-10)],
+             [Point2(0.0, 0.0)] + [Point2(x, y) for x in (0.0, 1.0) for y in (0.0, 1.0)]]
+    sets += [[Point2(rng.random(), rng.random()) for _ in range(10)] for _ in range(3)]
+    sets += [[Point2(1e6 + rng.gauss(0, 0.035), 1e6 + rng.gauss(0, 0.035)) for _ in range(10)]
+             for _ in range(3)]
+    kept = dropped = 0
+    for points in sets:
+        triples = list(itertools.combinations(points, 3))
+        for tri in rng.sample(triples, min(120, len(triples))):
+            if not _non_obtuse(np.array([p.as_tuple() for p in tri]), 0, 1, 2):
+                continue
+            rows = ScsdContext(tri).candidates([[0], [1], [2]], math.inf)
+            c = circumcenter(*tri)
+            assert (c is None) == (len(rows) == 6), tri
+            if c is None:
+                dropped += 1
+            else:
+                assert c.as_tuple() == tuple(rows[6].tolist()), tri
+                kept += 1
+    assert kept > 100 and dropped > 0
