@@ -12,6 +12,7 @@
     python3 bench/bench_scsd.py ../parent --topic k2stop    # BENCH_k2stop.json
     python3 bench/bench_scsd.py ../parent --topic k2pair    # BENCH_k2pair.json
     python3 bench/bench_scsd.py ../parent --topic k2coupled # BENCH_k2coupled.json
+    python3 bench/bench_scsd.py ../parent --topic k1probes  # BENCH_k1probes.json
 
 Run it from the root of this checkout; ``--output`` names another file.
 Every topic makes, one process at a time:
@@ -87,6 +88,14 @@ space:
   inside it and seconds (least of three); the 144 degenerate solves; and
   200 direct coupled calls on random, lattice, collinear and cocircular
   colour systems, radius (within 1e-12) and pair compared.
+* ``k1probes``: its pairs are three a seed on seeds 1-2 and 11-20, 12 s
+  each (pair i runs the parent first when i is even); k = 1 solves at
+  uniform n = 1024 and 4096 (seed 1), three times a side in alternating
+  order as in ``k1local``; and the whole answers (bottleneck, Steiner
+  points, edges, threshold) of one untimed run a side over the answer sets
+  of ``k2decide`` at k = 2, acceptance suites 1-2 at k = 0 and 1, the
+  k1-large instances of seeds 1-2 and 11-20 at k = 1, k = 1 at uniform
+  n = 512 (seed 1), and the 48 degenerate sets at k = 0, 1 and 2.
 
 The evaluation counts and phase times of ``k2decide``, ``k2stop`` and
 ``k2pair`` come from three more runs a side in alternating order: the counts
@@ -141,9 +150,9 @@ print(json.dumps(seen))
 """
 
 
-def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, trace: int, seconds: int = 36) -> dict:
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", "36", "--trace", str(trace)],
+                          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                          cwd=checkout, capture_output=True, text=True, check=True).stdout
     lines = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
     res = lines[-1]
@@ -160,12 +169,13 @@ def quartiles(values: list[float]) -> dict:
             "spread": round((q3 - q1) / med, 6)}
 
 
-def untraced(parent: Path, change: Path, workload: str, seeds: range = SEEDS) -> dict:
+def untraced(parent: Path, change: Path, workload: str, seeds=SEEDS, rounds: int = 1,
+             seconds: int = 36) -> dict:
     runs = []
     sides = {"parent": parent, "change": change}
-    for i, seed in enumerate(seeds):
+    for i, seed in enumerate(s for s in seeds for _ in range(rounds)):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        res = {side: run_bench(sides[side], workload, seed, 0) for side in order}
+        res = {side: run_bench(sides[side], workload, seed, 0, seconds) for side in order}
         bp, bc = res["parent"]["bottlenecks"], res["change"]["bottlenecks"]
         runs.append({"seed": seed, "first": order[0],
                      **{side: dict(r["metrics"], failed=r["failed"], attempted=r["attempted"])
@@ -180,7 +190,8 @@ def untraced(parent: Path, change: Path, workload: str, seeds: range = SEEDS) ->
         summary[m] = {"parent": quartiles(p), "change": quartiles(c),
                       "ratio_of_medians": round(statistics.median(c) / statistics.median(p), 4),
                       "pairs": len(runs), "change_better_in": sum(b < a for a, b in zip(p, c))}
-    return {"seeds": list(seeds), "runs": runs, "summary": summary}
+    return {"seeds": list(seeds), "rounds": rounds, "seconds": seconds, "runs": runs,
+            "summary": summary}
 
 
 # counts the coupled two-disk solver's anchored solves in calls[1], through
@@ -696,6 +707,42 @@ def k2coupled_rows(parent: Path, change: Path) -> tuple[dict, bool]:
     return rows, same
 
 
+# whole answers of every answer set, one line per solve
+ANSWERS = DEGENERATE + """
+def suite(count, n_lo, n_hi, seed0):
+    return [(n_lo + i % (n_hi - n_lo + 1), seed0 + i, "uniform" if i % 2 == 0 else "clusters")
+            for i in range(count)]
+jobs = [(shape, (2,)) for shapes in {groups!r} for shape in shapes]
+jobs += [(shape, (0, 1)) for shape in suite(300, 4, 40, 10_000) + suite(200, 4, 12, 20_000)]
+jobs += [((96, s * 1000 + i, d), (1,)) for s in (1, 2, *range(11, 21))
+         for i, d in enumerate(("uniform", "clusters") * 2)]
+jobs.append(((512, 1, "uniform"), (1,)))
+for (n, seed, dist), ks in jobs:
+    pts = generate_instance(n, seed, dist)
+    for k in ks:
+        net = solve(pts, k)
+        print(json.dumps([net.bottleneck, [p.as_tuple() for p in net.steiner], net.edges,
+                          net.threshold]))
+"""
+
+
+def k1probes_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+    rows, same = {}, True
+    for n in (1024, 4096):
+        res = fastest_of_three(parent, change, K1_LOCAL.format(n=n, seed=1))
+        (p,), (c,) = res["parent"], res["change"]
+        rows[f"uniform-n{n}-s1"] = {"parent": p, "change": c,
+                                    "bottleneck_identical": p["bottleneck"] == c["bottleneck"]}
+        same &= p["bottleneck"] == c["bottleneck"]
+        print(n, {"parent": p["time_s"], "change": c["time_s"]}, flush=True)
+    code = ANSWERS.format(groups=list(k2decide_groups().values()))
+    answers = {side: run_code(path, code) for side, path in (("parent", parent), ("change", change))}
+    pairs = list(zip(answers["parent"], answers["change"]))
+    rows["answers"] = {"solves": len(pairs), "identical": sum(a == b for a, b in pairs)}
+    print("answers", rows["answers"], flush=True)
+    return rows, same and rows["answers"]["identical"] == len(pairs)
+
+
 TOPICS = {
     "scsd": {
         "layer": "scsd.context_global",
@@ -911,6 +958,33 @@ TOPICS = {
                    "closure2.locate_case2.incl_s", "scsd.self_s", "trace.solve_s"),
         "rows": ("k2_n", k2coupled_rows),
     },
+    "k1probes": {
+        "layer": "solver k >= 1 probes (graph.block_cut_forest, closure1, closure2.classify and "
+                 "the partition loop) and solver._binary_search's re-pricing",
+        "what": "every k sorts the 2-RNG edges by (length, edge) once and takes G_t as a prefix; "
+                "k = 1 finds the connectivity index (the least connected prefix) by one union-find "
+                "pass and rejects every probe below it with no graph work; each distinct k >= 1 "
+                "threshold gets one probe state (the prefix Graph and its forest, whose one "
+                "low-point pass with a vertex stack also labels components, and for k = 2 the "
+                "closure's memo of partition bounds and classified topologies), shared by the "
+                "decision, crossing, plateau and re-pricing evaluations; closure1 reads "
+                "connectivity and the one-block test from the forest, closure2 its components; "
+                "classify decides case 1 on the raw edge list and builds the base topology Graph "
+                "only for case 2's block path; a k = 2 decision whose closure never stopped at "
+                "enough keeps its payload (was: threshold_subgraph, is_connected and a forest "
+                "with an edge stack per evaluation, a BFS and a Graph per classify)",
+        "parent": "f5d5c10",
+        "seeds": (1, 2, *range(11, 21)),
+        "rounds": 3,
+        "seconds": 12,
+        "traced": ("solver.probes", "solver.feasible_frac", "solver.self_s",
+                   "rng.threshold_subgraph.calls", "graph.is_connected.calls",
+                   "graph.block_cut_forest.calls", "graph.block_cut_forest.self_s",
+                   "graph.Graph.__post_init__.calls", "graph.Graph.__post_init__.self_s",
+                   "closure2.classify.calls", "closure2.classify.self_s", "graph.self_s",
+                   "closure1.self_s", "closure2.self_s", "trace.solve_s"),
+        "rows": ("k1probes_rows", k1probes_rows),
+    },
 }
 
 
@@ -936,7 +1010,9 @@ def main(argv: list[str]) -> int:
                    "(see its docstring)",
         "spread": "(q3 - q1) / median over the runs of one side; change_better_in "
                   "counts pairs where the change's value is lower",
-        "untraced": {w: untraced(parent, change, w) for w in WORKLOADS},
+        "untraced": {w: untraced(parent, change, w, topic.get("seeds", SEEDS),
+                                 topic.get("rounds", 1), topic.get("seconds", 36))
+                     for w in WORKLOADS},
         "traced_seed1": {},
     }
     for w in WORKLOADS:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geom import Point2
-from .graph import BlockCutForest, Graph, block_cut_forest, is_biconnected, is_connected
+# is_connected and is_biconnected: unused, but perfbench's tracer wraps them
+from .graph import BlockCutForest, Graph, block_cut_forest, is_biconnected, is_connected  # noqa: F401
 from .scsd import ScsdContext
 
 
@@ -27,10 +28,12 @@ class OneBlockClosure:
 def optimal_1block_closure(g: Graph, points: Sequence[Point2],
                            ctx: ScsdContext | None = None,
                            bcf: BlockCutForest | None = None) -> OneBlockClosure:
-    """Raises ValueError on disconnected input; ``bcf`` is g's forest, if known."""
-    if not is_connected(g):
+    """Raises ValueError on disconnected input; ``bcf`` is g's forest, if
+    known, and tells whether g is connected and whether it is one block."""
+    bcf = bcf or block_cut_forest(g)
+    if len(bcf.components) > 1:
         raise ValueError("1-block closure requires a connected graph")
-    if is_biconnected(g):
+    if len(bcf.blocks) == 1:
         if not g.edges:
             # single vertex: zero-radius closure at the vertex itself
             return OneBlockClosure(points[0], (0,), 0.0)
@@ -41,7 +44,6 @@ def optimal_1block_closure(g: Graph, points: Sequence[Point2],
         return OneBlockClosure(mid, (u, v), ln / 2.0)
     if ctx is None:
         ctx = ScsdContext(points)
-    bcf = bcf or block_cut_forest(g)
     classes = [list(bcf.interiors[b]) for b in bcf.leaf_blocks]
     r, center, picks = ctx.best_center(classes)
     return OneBlockClosure(center, tuple(picks), r)

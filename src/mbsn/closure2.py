@@ -19,6 +19,7 @@ the Case 1 discipline runs with those components as additional colours.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -28,9 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from .geom import Point2, distance, geometry_eps
-# is_connected is not called here; perfbench's tracer wraps this module's name
+# connected_components, is_biconnected and is_connected: unused, but perfbench's tracer wraps them
 from .graph import (Graph, BlockCutForest, block_cut_forest, connected_components,  # noqa: F401
-                    is_biconnected, is_connected, make_graph)
+                    is_biconnected, is_biconnected_edges, is_connected, make_graph)
 from .scsd import ScsdContext, coupled_two_disk
 
 SteinerEdge = tuple[str, object]  # ('s1', v) | ('s2', v) | ('s1', 's2')
@@ -72,7 +73,12 @@ class CriticalTopology:
     covered_by_s1: tuple[tuple[int, ...], ...]  # component vertex sets
     covered_by_s2: tuple[tuple[int, ...], ...]
     block_path: BlockPath | None
-    base_topology: Graph
+    base_size: int  # G_t's vertices plus the two Steiner points, n and n + 1
+    base_edges: tuple[tuple[int, int], ...]  # G_t's, then the Steiner points'
+
+    @functools.cached_property
+    def base_topology(self) -> Graph:
+        return make_graph(self.base_size, self.base_edges)
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,7 @@ class EmbeddedClosure:
     case_tag: str  # 'block' | 'case1' | 'case2_1' | 'case2_2' | 'case3'
     partition: Partition | None
     chosen_index: int | None = None  # split index for case2_1
+    stopped: bool = False  # a search stopped at its first result at most ``enough``
 
 
 def _edge_key(e: SteinerEdge) -> tuple:
@@ -147,72 +154,50 @@ def _block_path(base_topology: Graph, n: int) -> BlockPath:
     )
 
 
-def classify(g: Graph, partition: Partition, bcf: BlockCutForest | None = None,
-             comps: list[list[int]] | None = None) -> CriticalTopology:
+def classify(g: Graph, partition: Partition,
+             bcf: BlockCutForest | None = None) -> CriticalTopology:
     """Build the abstract base topology for one partition and tag the case;
-    ``bcf`` and ``comps`` are g's forest and components, if known."""
+    ``bcf`` is g's forest, if known.  Case 1 is decided on the raw edge
+    list; a base topology ``Graph`` is built only for case 2's block path."""
     bcf = bcf or block_cut_forest(g)
     leaf_ids = set(bcf.leaf_blocks)
     s1set, s2set = set(partition.side1), set(partition.side2)
     if s1set | s2set != leaf_ids or s1set & s2set:
         raise ValueError("partition does not match the leaf blocks")
-    comps = comps or connected_components(g)
+    comps = bcf.components
     connected = len(comps) <= 1
     if connected and (not partition.side1 or not partition.side2):
         raise ValueError("one-sided partition on a connected graph")
 
     n = g.vertex_count
     s1, s2 = n, n + 1
-    isolated_vertices: list[int] = []
-    isolated_multis: list[tuple[int, ...]] = []
-    for bid in bcf.isolated_blocks:
-        blk = bcf.blocks[bid]
-        if len(blk) == 1:
-            isolated_vertices.append(blk[0])
-        else:
-            isolated_multis.append(blk)
+    isolated = [bcf.blocks[bid] for bid in bcf.isolated_blocks]
+    isolated_vertices = [blk[0] for blk in isolated if len(blk) == 1]
+    isolated_multis = [blk for blk in isolated if len(blk) > 1]
 
-    e0: list[tuple[int, int]] = []
-    for bid in partition.side1:
-        e0.append((s1, min(bcf.interiors[bid])))
-    for bid in partition.side2:
-        e0.append((s2, min(bcf.interiors[bid])))
-    for v in isolated_vertices:
-        e0 += [(s1, v), (s2, v)]
-    for blk in isolated_multis:
-        e0 += [(s1, blk[0]), (s2, blk[1])]
-    m0 = make_graph(n + 2, list(g.edges) + e0)
+    e0 = [(s1, min(bcf.interiors[bid])) for bid in partition.side1]
+    e0 += [(s2, min(bcf.interiors[bid])) for bid in partition.side2]
+    e0 += [e for v in isolated_vertices for e in ((s1, v), (s2, v))]
+    e0 += [e for blk in isolated_multis for e in ((s1, blk[0]), (s2, blk[1]))]
+    m0 = g.edges + tuple(e0)
 
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    blocks_per_comp: dict[int, int] = {}
-    for blk in bcf.blocks:
-        ci = comp_of[blk[0]]
-        blocks_per_comp[ci] = blocks_per_comp.get(ci, 0) + 1
+    # a component is covered by one side when all its leaf blocks are on it;
+    # block components have none and are never covered
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     sides_per_comp: dict[int, set[int]] = {}
     for bid in bcf.leaf_blocks:
         ci = comp_of[bcf.blocks[bid][0]]
         sides_per_comp.setdefault(ci, set()).add(1 if bid in s1set else 2)
-    covered1: list[tuple[int, ...]] = []
-    covered2: list[tuple[int, ...]] = []
-    for ci, comp in enumerate(comps):
-        if blocks_per_comp[ci] <= 1:
-            continue  # block components are never covered
-        sides = sides_per_comp[ci]
-        if sides == {1}:
-            covered1.append(tuple(comp))
-        elif sides == {2}:
-            covered2.append(tuple(comp))
+    covered1 = [comps[ci] for ci, sides in sorted(sides_per_comp.items()) if sides == {1}]
+    covered2 = [comps[ci] for ci, sides in sorted(sides_per_comp.items()) if sides == {2}]
 
-    if is_biconnected(m0):
+    if is_biconnected_edges(n + 2, m0):
         tag, bp = "case1", None
     elif covered1 or covered2:
         tag, bp = "case3", None
     else:
         assert connected, "uncovered disconnected base topology must be 2-connected"
-        tag, bp = "case2", _block_path(m0, n)
+        tag, bp = "case2", _block_path(make_graph(n + 2, m0), n)
 
     return CriticalTopology(
         partition=partition,
@@ -224,7 +209,8 @@ def classify(g: Graph, partition: Partition, bcf: BlockCutForest | None = None,
         covered_by_s1=tuple(covered1),
         covered_by_s2=tuple(covered2),
         block_path=bp,
-        base_topology=m0,
+        base_size=n + 2,
+        base_edges=m0,
     )
 
 
@@ -616,7 +602,8 @@ def optimal_2block_closure(g: Graph, points: Sequence[Point2],
                            ctx: ScsdContext | None = None,
                            bcf: BlockCutForest | None = None,
                            bound: float = math.inf,
-                           enough: float = -math.inf) -> EmbeddedClosure | None:
+                           enough: float = -math.inf,
+                           memo: dict | None = None) -> EmbeddedClosure | None:
     """Minimum over all partitions and applicable cases; Steiner points are
     nudged apart when the optimiser returns coincident locations.  ``bcf``
     is g's block cut-vertex forest, if known.  Exact when the radius before
@@ -624,7 +611,11 @@ def optimal_2block_closure(g: Graph, points: Sequence[Point2],
     priced against min(bound, best so far), since only a strictly lower
     radius replaces the best, or skipped when its lower bound reaches that
     + eps.  The first partition at most ``enough`` before the nudge ends the
-    loop and is returned instead of the minimum."""
+    loop and is returned instead of the minimum, marked ``stopped``; every
+    stop inside a partition's search returns such a result too, so a result
+    not marked is the one ``enough`` = -inf gives.  ``memo``, a dict the
+    caller keeps for one g and ctx, holds the partitions' lower bound (key
+    None) and each classified topology between calls."""
     n = g.vertex_count
     if n < 1:
         raise ValueError("empty instance")
@@ -646,14 +637,14 @@ def optimal_2block_closure(g: Graph, points: Sequence[Point2],
                               (("s1", u), ("s1", "s2"), ("s2", v)), "block", None)
         return _separate_embedding(emb, points)
 
-    comps = connected_components(g)
-    lower = partition_bounds(ctx, bcf)
+    memo = {} if memo is None else memo
+    lower = memo.get(None) or memo.setdefault(None, partition_bounds(ctx, bcf))
     best: EmbeddedClosure | None = None
-    for part in enumerate_partitions(bcf, len(comps) <= 1):
+    for part in enumerate_partitions(bcf, len(bcf.components) <= 1):
         limit = bound if best is None else min(bound, best.radius)
         if lower(part) >= limit + ctx.eps:
             continue
-        topo = classify(g, part, bcf, comps)
+        topo = memo.get(part) or memo.setdefault(part, classify(g, part, bcf))
         locate = {"case1": locate_case1, "case2": locate_case2}.get(topo.case_tag, locate_case3)
         emb = locate(g, points, topo, ctx, limit, enough)
         if emb is not None:
@@ -661,4 +652,6 @@ def optimal_2block_closure(g: Graph, points: Sequence[Point2],
             if emb.radius <= enough:
                 break
     assert best is not None or bound < math.inf, "no partition produced a closure"
-    return None if best is None else _separate_embedding(best, points)
+    if best is None:
+        return None
+    return dataclasses.replace(_separate_embedding(best, points), stopped=best.radius <= enough)

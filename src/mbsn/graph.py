@@ -36,15 +36,6 @@ class Graph:
         if self.lengths is not None and len(self.lengths) != len(self.edges):
             raise ValueError("lengths do not align with edges")
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
-
 
 def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]],
                lengths: Iterable[float] | None = None) -> Graph:
@@ -63,30 +54,12 @@ def geometric_graph(points: Sequence[Point2], edges: Iterable[tuple[int, int]]) 
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    adj = g.adjacency()
-    seen = [False] * g.vertex_count
-    comps: list[list[int]] = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+    """Sorted vertex lists, ordered by their least vertex."""
+    return [list(c) for c in block_cut_forest(g).components]
 
 
 def is_connected(g: Graph) -> bool:
-    if g.vertex_count <= 1:
-        return True
-    return len(connected_components(g)) == 1
+    return len(block_cut_forest(g).components) <= 1
 
 
 @dataclass(frozen=True)
@@ -95,6 +68,8 @@ class BlockCutForest:
 
     ``blocks`` are sorted vertex tuples; classification is per block by the
     number of cut-vertices it contains (0 = isolated, 1 = leaf).
+    ``components`` are the connected components, as sorted vertex tuples
+    ordered by their least vertex.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -104,67 +79,72 @@ class BlockCutForest:
     block_adjacency: dict[int, tuple[int, ...]] = field(repr=False)
     interiors: tuple[tuple[int, ...], ...] = field(repr=False)
     leaf_tau: dict[int, int] = field(repr=False)
+    components: tuple[tuple[int, ...], ...] = field(repr=False)
 
 
 def block_cut_forest(g: Graph) -> BlockCutForest:
-    """Block decomposition by one depth-first pass with low-points and an
-    edge stack; isolated vertices are emitted as singleton blocks."""
+    """Block decomposition by one depth-first pass with low-points and a
+    vertex stack; isolated vertices are emitted as singleton blocks.  The
+    pass also labels each vertex with its component, the root's.  The
+    result does not depend on the order in which the pass meets vertices."""
     n = g.vertex_count
-    adj = g.adjacency()
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     disc = [-1] * n
     low = [0] * n
-    parent = [-1] * n
     cut = [False] * n
-    edge_stack: list[tuple[int, int]] = []
-    raw_blocks: list[list[tuple[int, int]]] = []
-    timer = 0
+    comp = [-1] * n
+    at = [0] * n  # each vertex's position on ``seen``
+    block_sets: list[tuple[int, ...]] = []
+    timer = components = 0
 
     for root in range(n):
-        if disc[root] != -1 or not adj[root]:
+        if comp[root] != -1:
+            continue
+        comp[root] = components
+        components += 1
+        if not adj[root]:
+            block_sets.append((root,))
             continue
         disc[root] = low[root] = timer
         timer += 1
         root_children = 0
-        stack: list[tuple[int, object]] = [(root, iter(adj[root]))]
+        seen = []  # vertices of the blocks not emitted yet, in discovery order
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:  # type: ignore[union-attr]
+            v, p, it = stack[-1]
+            for w in it:
                 if disc[w] == -1:
-                    parent[w] = v
-                    if v == root:
-                        root_children += 1
-                    edge_stack.append((v, w))
+                    comp[w] = comp[root]
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
+                    at[w] = len(seen)
+                    seen.append(w)
+                    stack.append((w, v, iter(adj[w])))
                     break
-                if w != parent[v] and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if not advanced:
+                if w != p and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
                 stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] >= disc[u]:
-                        blk: list[tuple[int, int]] = []
-                        while True:
-                            e = edge_stack.pop()
-                            blk.append(e)
-                            if e == (u, v):
-                                break
-                        raw_blocks.append(blk)
-                        if u != root:
-                            cut[u] = True
+                if p < 0:
+                    continue
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:  # p separates v's subtree: a block ends
+                    block_sets.append(tuple(sorted(seen[at[v]:] + [p])))
+                    del seen[at[v]:]
+                    if p != root:
+                        cut[p] = True
+                    else:
+                        root_children += 1
         if root_children >= 2:
             cut[root] = True
 
-    block_sets = [tuple(sorted({v for e in blk for v in e})) for blk in raw_blocks]
-    block_sets += [(v,) for v in range(n) if not adj[v]]
+    comps: list[list[int]] = [[] for _ in range(components)]
+    for v in range(n):  # roots go in ascending order, so components do too
+        comps[comp[v]].append(v)
     block_sets.sort()
 
     cut_vs = frozenset(v for v in range(n) if cut[v])
@@ -191,6 +171,7 @@ def block_cut_forest(g: Graph) -> BlockCutForest:
         block_adjacency={v: tuple(ids) for v, ids in adjacency.items()},
         interiors=tuple(interiors),
         leaf_tau=leaf_tau,
+        components=tuple(map(tuple, comps)),
     )
 
 
@@ -236,6 +217,25 @@ def is_biconnected_edges(n: int, edges: Sequence[tuple[int, int]]) -> bool:
                 if low[v] < low[p]:
                     low[p] = low[v]
     return timer == n
+
+
+def connecting_prefix(n: int, edges: Sequence[tuple[int, int]]) -> int:
+    """The least p for which ``edges[:p]`` connects vertices 0..n-1 (one
+    union-find pass); len(edges) + 1 when no prefix does."""
+    root, joins = list(range(n)), n - 1
+    if joins <= 0:
+        return 0
+    for p, (u, v) in enumerate(edges):
+        while root[u] != u:  # path halving
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u != v:
+            root[u] = v
+            joins -= 1
+            if not joins:
+                return p + 1
+    return len(edges) + 1
 
 
 def b_count(g: Graph, bcf: BlockCutForest | None = None) -> int:

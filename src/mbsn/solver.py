@@ -4,14 +4,17 @@ k = 0, 1 or 2 Steiner points.
 Every k runs one pipeline: a binary search with incumbent tracking over the
 ordered edge lengths of the 2-relative neighbourhood graph, pricing each
 threshold graph G_t, then one assembly of G_t* plus the k Steiner points
-and their edges.  For k = 0 a threshold is feasible exactly when G_t is
-2-connected; the 2-RNG edges are sorted by length once, and a probe tests
-the prefix of edges of length at most t without building a ``Graph``.  For
-k >= 1 it is infeasible when the leaf/isolated-block counter exceeds 5k
-(plus, for k = 1, when G_t is disconnected); otherwise the optimal k-block
-closure of G_t prices it at max(closure radius, t).  The k = 2 schedule is
-prepended with 0 because an optimal network minus its Steiner points may
-be edgeless.
+and their edges.  The 2-RNG edges are sorted by (length, edge) once, so
+G_t is a prefix of them.  For k = 0 a threshold is feasible exactly when
+the prefix is 2-connected; no ``Graph`` is built.  For k >= 1 it is
+infeasible when the leaf/isolated-block counter exceeds 5k (plus, for
+k = 1, below the connectivity index: the least prefix that connects,
+from one union-find pass); otherwise the optimal k-block closure of G_t
+prices it at max(closure radius, t).  Each distinct k >= 1 threshold has
+one probe state, shared by all its evaluations until the solve ends: the
+prefix ``Graph``, its forest (with its components) and the k = 2
+closure's memo.  The k = 2 schedule is prepended with 0 because an
+optimal network minus its Steiner points may be edgeless.
 
 A k = 2 probe's closure may report it ABOVE its cutoff: each probe is
 decided at its own threshold and only the crossing is priced
@@ -28,13 +31,15 @@ from typing import Callable, Sequence
 from .closure1 import optimal_1block_closure
 from .closure2 import nudge_growth, optimal_2block_closure, separate_coincident
 from .geom import Point2, distance, geometry_eps
-from .graph import (Graph, b_count, block_cut_forest, is_biconnected, is_biconnected_edges,
-                    is_connected, make_graph)
-from .rng import build_2rng, length_schedule, threshold_subgraph
+# is_connected and threshold_subgraph: unused, but perfbench's tracer wraps them
+from .graph import (BlockCutForest, Graph, b_count, block_cut_forest, connecting_prefix,  # noqa: F401
+                    is_biconnected, is_biconnected_edges, is_connected, make_graph)
+from .rng import build_2rng, length_schedule, threshold_subgraph  # noqa: F401
 from .scsd import ScsdContext
 
 # (feasible, closure radius, (edges of G_t, Steiner points, Steiner edges));
-# Steiner point i has index n + i in the edges
+# Steiner point i has index n + i in the edges; no payload when the radius
+# is not below the cutoff (ABOVE) or the closure stopped at ``enough``
 Evaluation = tuple[bool, float, object]
 ABOVE: Evaluation = (True, math.inf, None)  # feasible, radius not below the cutoff
 Evaluate = Callable[[float, float, float], Evaluation]  # (t, cutoff, enough)
@@ -91,7 +96,7 @@ class ThresholdEval:
     objective: float | None
 
 
-def _binary_search(lengths: Sequence[float], evaluate: Evaluate, exact: bool = False):
+def _binary_search(lengths: Sequence[float], evaluate: Evaluate):
     """Classical lo/hi index search for the best feasible (objective,
     threshold, payload); the first probe visited wins a tie.
 
@@ -100,21 +105,21 @@ def _binary_search(lengths: Sequence[float], evaluate: Evaluate, exact: bool = F
     t_j, the first threshold with r <= t, after an up-probe at t_{j-1}: the
     optimum is min(t_j, r(t_{j-1})).  A probe is decided with the cutoff t+
     (x+ the next float above x) and ``enough`` = t: its verdict (infeasible,
-    above t, or r <= t) is exact, so it moves as uncut, but on r <= t its
-    payload may be any one at most t, kept only if ``exact`` says the
-    evaluator ignores ``enough``.  Then only the crossing is priced: the last
-    feasible up-probe with the cutoff t_j+ and, if r <= t_j, the earlier ones
-    in visit order with the cutoff r+, up to the first not above r: it starts
-    r's plateau.  When t_j wins with no payload kept, it is evaluated once
-    more with the cutoff t_j+."""
+    above t, or r <= t) is exact, so it moves as uncut; on r <= t the
+    evaluator returns a payload only when it is the one ``enough`` = -inf
+    gives (always for k = 0 and 1, which ignore ``enough``).  Then only the
+    crossing is priced: the last feasible up-probe with the cutoff t_j+ and,
+    if r <= t_j, the earlier ones in visit order with the cutoff r+, up to
+    the first not above r: it starts r's plateau.  When t_j wins with no
+    payload, it is evaluated once more with the cutoff t_j+."""
     lo, hi = 0, len(lengths) - 1
     (ups_before, t_j, payload), ups = (0, math.inf, None), []  # last down-probe; feasible up-probes
     while lo <= hi:
         mid = (lo + hi) // 2
         t = lengths[mid]
         ev = evaluate(t, math.nextafter(t, math.inf), t)
-        if ev[0] and ev[2] is not None and ev[1] <= t:
-            (ups_before, t_j, payload), hi = (len(ups), t, ev[2] if exact else None), mid - 1
+        if ev[0] and ev[1] <= t:
+            (ups_before, t_j, payload), hi = (len(ups), t, ev[2]), mid - 1
         else:
             if ev[0]:
                 ups.append([t, ev])
@@ -136,54 +141,54 @@ def _binary_search(lengths: Sequence[float], evaluate: Evaluate, exact: bool = F
 
 def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Evaluate:
     """Prices one threshold of the 2-RNG ``r``; for k >= 1 every probe shares
-    one global colour-disk context, and a probe's block counter and closure
-    share one block decomposition of G_t.  k = 2 returns ABOVE when the
-    closure cannot go strictly below the cutoff, or any closure at most
-    ``enough``: the first one found at most ``enough`` - ``nudge_growth``
-    before the nudge.  k = 0 and 1 ignore both."""
+    one global colour-disk context.  k = 2 returns ABOVE when the closure
+    cannot go strictly below the cutoff, or any closure at most ``enough``:
+    the first one found at most ``enough`` - ``nudge_growth`` before the
+    nudge, without a payload.  k = 0 and 1 ignore both."""
+    n = len(pts)
+    order = sorted(range(len(r.edges)), key=r.lengths.__getitem__)  # stable: ties by edge
+    edges = [r.edges[i] for i in order]
+    lengths = [r.lengths[i] for i in order]
     if k == 0:
-        order = sorted(range(len(r.edges)), key=r.lengths.__getitem__)
-        edges = [r.edges[i] for i in order]
-        lengths = [r.lengths[i] for i in order]
-
         def evaluate(t: float, cutoff: float = math.inf, enough: float = -math.inf) -> Evaluation:
             prefix = edges[:bisect_right(lengths, t)]
-            return is_biconnected_edges(len(pts), prefix), 0.0, (prefix, (), ())
+            return is_biconnected_edges(n, prefix), 0.0, (prefix, (), ())
 
         return evaluate
 
-    n = len(pts)
     ctx = ScsdContext(pts)
-    if k == 1:
-        def evaluate(t: float, cutoff: float = math.inf, enough: float = -math.inf) -> Evaluation:
-            g = threshold_subgraph(r, t)
-            bcf = block_cut_forest(g) if is_connected(g) else None
-            if bcf is None or b_count(g, bcf) > 5:
-                return False, math.inf, None
+    # k = 1: G_t is connected from this prefix length on
+    connected_at = connecting_prefix(n, edges) if k == 1 else 0
+    states: dict[int, tuple[Graph, BlockCutForest, dict]] = {}  # G_t, its forest, closure memo
+    index = {"s1": n, "s2": n + 1}
+
+    def evaluate(t: float, cutoff: float = math.inf, enough: float = -math.inf) -> Evaluation:
+        p = bisect_right(lengths, t)
+        if p < connected_at:
+            return False, math.inf, None
+        if p not in states:
+            g = Graph(n, tuple(edges[:p]), tuple(lengths[:p]))
+            states[p] = g, block_cut_forest(g), {}
+        g, bcf, memo = states[p]
+        if b_count(g, bcf) > 5 * k:
+            return False, math.inf, None
+        if k == 1:
             clo = optimal_1block_closure(g, pts, ctx, bcf)
             # the disk centre may sit on a terminal; nudge it off
             s = separate_coincident(pts, [clo.steiner],
                                     [[pts[v] for v in clo.steiner_edges]], [])[0]
             return True, clo.radius, (g.edges, (s,), tuple((v, n) for v in clo.steiner_edges))
-
-        return evaluate
-
-    index = {"s1": n, "s2": n + 1}
-
-    def evaluate(t: float, cutoff: float = math.inf, enough: float = -math.inf) -> Evaluation:
-        g = threshold_subgraph(r, t)
-        bcf = block_cut_forest(g)
-        if b_count(g, bcf) > 10:
-            return False, math.inf, None
         # the cutoff bounds the radius before the nudge, which only grows it (+ eps: rounding),
         # and by at most nudge_growth: a closure at most enough minus that stays at most enough
         stop = enough - nudge_growth(pts, enough) if math.isfinite(enough) else enough
-        emb = optimal_2block_closure(g, pts, ctx, bcf, cutoff + ctx.eps, stop)
+        emb = optimal_2block_closure(g, pts, ctx, bcf, cutoff + ctx.eps, stop, memo)
         if emb is None:
             return ABOVE
-        edges = tuple((index[a], index[b] if isinstance(b, str) else b)
-                      for a, b in emb.steiner_edges)
-        return True, emb.radius, (g.edges, (emb.s1, emb.s2), edges)
+        if emb.stopped:  # at most enough, but maybe not the least: the search prices it again
+            return True, emb.radius, None
+        steiner_edges = tuple((index[a], index[b] if isinstance(b, str) else b)
+                              for a, b in emb.steiner_edges)
+        return True, emb.radius, (g.edges, (emb.s1, emb.s2), steiner_edges)
 
     return evaluate
 
@@ -211,7 +216,7 @@ def solve(points: Sequence[Point2], k: int) -> SolutionNetwork:
     points; raises ValueError for k outside 0..2, fewer than 2 points or
     duplicate points."""
     pts, lengths, evaluate = _pipeline(points, k)
-    _, t_star, payload = _binary_search(lengths, evaluate, exact=k < 2)  # k < 2 ignores enough
+    _, t_star, payload = _binary_search(lengths, evaluate)
     return _assemble(pts, t_star, payload)
 
 

@@ -17,11 +17,11 @@ from mbsn.closure1 import optimal_1block_closure
 from mbsn.closure2 import (classify, enumerate_partitions, locate_case1, locate_case2,
                            locate_case3, optimal_2block_closure, partition_bounds)
 from mbsn.geom import Point2, distance
-from mbsn.graph import (b_count, block_cut_forest, connected_components, is_biconnected,
-                        is_connected, make_graph)
+from mbsn.graph import b_count, block_cut_forest, is_biconnected, is_connected, make_graph
 from mbsn.oracle import oracle_k1, oracle_k2, oracle_mbsn0
 from mbsn.rng import build_2rng, length_schedule, threshold_subgraph
 from mbsn.scsd import ScsdContext, color_system, smallest_color_spanning_disk
+from mbsn import solver
 from mbsn.solver import mbsn0, mbsn1, mbsn2, threshold_scan
 
 from conftest import (grid_min_spanning_radius, naive_b_count, naive_blocks,
@@ -202,6 +202,32 @@ def test_criterion_7_binary_search_fidelity():
           "for k=1 and k=2 on 100 instances")
 
 
+def test_kept_decision_payloads_equal_repriced_ones():
+    # a k = 2 decision (cutoff t+, enough = t) at or below its threshold keeps
+    # its payload only when its closure never stopped at enough; the search
+    # then does not price it again, so it must be the payload of the exact
+    # evaluation with the same cutoff.  Most decisions stop, a few do not.
+    kept = downs = 0
+    for pts in SUITE1 + SUITE2:
+        _, lengths, evaluate = solver._pipeline(pts, 2)
+        decided = []
+
+        def recording(t, cutoff, enough=-math.inf):
+            ev = evaluate(t, cutoff, enough)
+            if enough == t:
+                decided.append((t, ev))
+            return ev
+
+        solver._binary_search(lengths, recording)
+        for t, ev in decided:
+            if ev[0] and ev[1] <= t:
+                downs += 1
+                if ev[2] is not None:
+                    assert evaluate(t, math.nextafter(t, math.inf)) == ev, (len(pts), t)
+                    kept += 1
+    assert downs > 500 and kept > 0, (downs, kept)
+
+
 def test_partition_lower_bound_never_exceeds_the_closure_radius():
     # every partition of G_t at a quarter and at half the k = 2 schedule of
     # each suite 1-2 instance: the bound the closure skips partitions by is
@@ -217,9 +243,9 @@ def test_partition_lower_bound_never_exceeds_the_closure_radius():
             bcf = block_cut_forest(g)
             if b_count(g, bcf) > 10 or len(bcf.blocks) == 1:
                 continue
-            lower, comps = partition_bounds(ctx, bcf), connected_components(g)
+            lower = partition_bounds(ctx, bcf)
             for part in enumerate_partitions(bcf, is_connected(g)):
-                topo = classify(g, part, bcf, comps)
+                topo = classify(g, part, bcf)
                 radius = locate[topo.case_tag](g, pts, topo, ctx).radius
                 assert lower(part) <= radius + 1e-12, (len(pts), t, part)
                 checked += 1

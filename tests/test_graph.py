@@ -2,11 +2,16 @@ import random
 
 import pytest
 
+from mbsn.cli import generate_instance
+from mbsn.closure2 import classify, enumerate_partitions
 from mbsn.geom import Point2
-from mbsn.graph import (b_count, block_cut_forest, geometric_graph, is_biconnected,
+from mbsn.graph import (Graph, b_count, block_cut_forest, connected_components,
+                        connecting_prefix, geometric_graph, is_biconnected,
                         is_biconnected_edges, is_connected, make_graph, max_edge_length)
+from mbsn.rng import build_2rng
 
-from conftest import naive_b_count, naive_blocks, naive_cut_vertices, random_graph
+from conftest import (chunk_boundary_instances, naive_b_count, naive_blocks,
+                      naive_cut_vertices, property_sets, random_graph)
 
 
 def test_connected_path():
@@ -194,3 +199,157 @@ def test_graph_validation():
         make_graph(2, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         make_graph(2, [(0, 2)])
+
+
+def _deletion_forest(g):
+    """Blocks and cut vertices by deletion, one search of G - w per vertex w:
+    two edges at w share a block exactly when their far ends stay connected
+    in G - w, and w is a cut vertex exactly when its neighbours fall in two
+    or more components of G - w."""
+    n = g.vertex_count
+    adj = [[] for _ in range(n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    root = {e: e for e in g.edges}
+
+    def find(e):
+        while root[e] != e:
+            e = root[e]
+        return e
+
+    cuts = set()
+    for w in range(n):
+        label = [None] * n
+        label[w] = w
+        for s in adj[w]:
+            if label[s] is None:
+                label[s], stack = s, [s]
+                while stack:
+                    for y in adj[stack.pop()]:
+                        if label[y] is None:
+                            label[y] = s
+                            stack.append(y)
+        first = {}
+        for x in adj[w]:
+            e = (min(w, x), max(w, x))
+            if label[x] in first:
+                root[find(e)] = find(first[label[x]])
+            else:
+                first[label[x]] = e
+        if len(first) > 1:
+            cuts.add(w)
+    blocks = {}
+    for e in g.edges:
+        blocks.setdefault(find(e), set()).update(e)
+    return [set(b) for b in blocks.values()] + [{v} for v in range(n) if not adj[v]], cuts
+
+
+def _components(g):
+    """Components by union-find, as sorted tuples ordered by least vertex."""
+    root = list(range(g.vertex_count))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges:
+        root[find(u)] = find(v)
+    comps = {}
+    for v in range(g.vertex_count):
+        comps.setdefault(find(v), []).append(v)
+    return tuple(sorted(map(tuple, comps.values())))
+
+
+def _reference_forest(g):
+    """Every field of ``block_cut_forest`` from the deletion oracle and a
+    union-find."""
+    blocks, cuts = _deletion_forest(g)
+    blocks = sorted(tuple(sorted(b)) for b in blocks)
+    in_block = [[v for v in blk if v in cuts] for blk in blocks]
+    return {"blocks": tuple(blocks), "cut_vertices": frozenset(cuts),
+            "leaf_blocks": tuple(i for i, c in enumerate(in_block) if len(c) == 1),
+            "isolated_blocks": tuple(i for i, c in enumerate(in_block) if not c),
+            "interiors": tuple(tuple(v for v in blk if v not in cuts) for blk in blocks),
+            "leaf_tau": {i: c[0] for i, c in enumerate(in_block) if len(c) == 1},
+            "block_adjacency": {v: tuple(i for i, c in enumerate(in_block) if v in c)
+                                for v in cuts},
+            "components": _components(g)}
+
+
+def _length_order(r):
+    """The 2-RNG's edges sorted by (length, edge), as the solver probes them."""
+    return [e for _, e in sorted(zip(r.lengths, r.edges))]
+
+
+def _prefixes(r, step=1):
+    edges = _length_order(r)
+    for p in range(0, len(edges) + 1, step):
+        yield Graph(r.vertex_count, tuple(edges[:p]))
+
+
+def _point_sets():
+    yield from (pts for _, pts in property_sets(random.Random(31)))
+    for n, seed in ((12, 1), (20, 2), (30, 3)):
+        yield generate_instance(n, seed, "uniform" if seed % 2 else "clusters")
+
+
+def test_forest_and_components_match_the_deletion_oracle():
+    # connected_components and is_connected read the forest's components
+    rng = random.Random(77)
+    graphs = [random_graph(rng, rng.randint(0, 30), rng.uniform(0.02, 0.4)) for _ in range(300)]
+    graphs += [g for pts in _point_sets() for g in _prefixes(build_2rng(pts))]
+    # the chunk-boundary 2-RNGs, at every fortieth prefix and in full
+    graphs += [g for pts in chunk_boundary_instances().values()
+               for g in _prefixes(build_2rng(pts), 40)]
+    graphs += [build_2rng(pts) for pts in chunk_boundary_instances().values()]
+    for g in graphs:
+        bcf, want = block_cut_forest(g), _reference_forest(g)
+        assert {f: getattr(bcf, f) for f in want} == want, g
+        assert connected_components(g) == list(map(list, want["components"]))
+        assert is_connected(g) == (len(want["components"]) <= 1)
+
+
+def test_connecting_prefix_is_where_prefixes_become_connected():
+    rng = random.Random(78)
+    orders = []
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 14), rng.uniform(0.05, 0.6))
+        orders.append((g.vertex_count, rng.sample(g.edges, len(g.edges))))
+    orders += [(len(pts), _length_order(build_2rng(pts))) for pts in _point_sets()]
+    for n, edges in orders:
+        at = connecting_prefix(n, edges)
+        for p in range(len(edges) + 1):
+            assert (p >= at) == is_connected(make_graph(n, edges[:p])), (n, edges, p)
+        assert at <= len(edges) or not is_connected(make_graph(n, edges))
+    # monotone, so the two prefixes around the index decide it on large 2-RNGs
+    for pts in chunk_boundary_instances().values():
+        edges = _length_order(build_2rng(pts))
+        at = connecting_prefix(len(pts), edges)
+        assert is_connected(make_graph(len(pts), edges[:at]))
+        assert not is_connected(make_graph(len(pts), edges[:at - 1]))
+
+
+def test_classify_case_1_is_the_base_topology_test():
+    # classify decides case 1 on the raw edge list; the base topology built
+    # here the long way must agree on every partition of every prefix
+    seen = {True: 0, False: 0}
+    for pts in _point_sets():
+        for g in _prefixes(build_2rng(pts)):
+            bcf = block_cut_forest(g)
+            if b_count(g, bcf) > 10 or len(bcf.blocks) == 1:
+                continue
+            n = g.vertex_count
+            singles = [bcf.blocks[b] for b in bcf.isolated_blocks]
+            for part in enumerate_partitions(bcf, len(bcf.components) == 1):
+                e0 = [(n, min(bcf.interiors[b])) for b in part.side1]
+                e0 += [(n + 1, min(bcf.interiors[b])) for b in part.side2]
+                # an isolated block meets s1 at its first vertex, s2 at its second
+                e0 += [e for blk in singles for e in ((blk[0], n), (blk[:2][-1], n + 1))]
+                topo = classify(g, part, bcf)
+                base = make_graph(n + 2, list(g.edges) + e0)
+                assert (topo.case_tag == "case1") == is_biconnected(base), (n, part)
+                assert topo.base_topology == base
+                seen[topo.case_tag == "case1"] += 1
+    assert min(seen.values()) > 100, seen

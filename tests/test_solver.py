@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -211,9 +212,9 @@ def _synthetic_search_case(rng):
     """A schedule, a monotone step radius with plateaus and r == t ties above
     an infeasible prefix, and an evaluator that honours its cutoff (with a
     slack above it, as the k = 2 nudge allows) or ignores it (as k = 1), and
-    that honours ``enough`` (as k = 2) with a deliberately non-optimal
-    payload, a radius of ``enough`` itself, or ignores it (as k = 0 and 1);
-    then whether it ignores ``enough``."""
+    that honours ``enough`` (as k = 2) with a radius of ``enough`` itself and
+    no payload, as a closure that stopped there returns, or ignores it (as
+    k = 0 and 1); then whether it ignores ``enough``."""
     m = rng.randint(1, 14)
     lengths = sorted(float(x) for x in rng.sample(range(0, 3 * m + 2), m))
     infeasible = rng.randint(0, m - 1)
@@ -232,14 +233,14 @@ def _synthetic_search_case(rng):
         if honours and r >= cutoff + slack:
             return solver.ABOVE
         if decides and r <= enough:
-            return True, enough, ("decided", t)
+            return True, enough, None
         return True, r, ("payload", t)
 
     return lengths, evaluate, not decides
 
 
 def test_split_search_equals_the_record_as_you_go_search():
-    # a search told that its evaluator ignores ``enough`` keeps its decision
+    # a search whose evaluator ignores ``enough`` keeps its decision
     # payloads, and evaluates no down-probe twice
     rng = random.Random(13)
     for _ in range(4000):
@@ -253,7 +254,7 @@ def test_split_search_equals_the_record_as_you_go_search():
                 seen.append(t)
                 return evaluate(t, cutoff, enough)
 
-            assert solver._binary_search(lengths, counting, exact=True) == want
+            assert solver._binary_search(lengths, counting) == want
             downs = [t for t in set(seen) if evaluate(t)[0] and evaluate(t)[1] <= t]
             assert all(seen.count(t) == 1 for t in downs)
 
@@ -263,9 +264,12 @@ def test_k2_search_decides_at_each_threshold_and_prices_only_after():
     # visits the mids of the record-as-you-go search; any higher cutoff
     # comes after it, once per feasible up-probe at most; the last
     # down-probe is evaluated again, exactly, only when it is the answer
+    # and its decision stopped at ``enough`` (it then has no payload)
     priced_calls = repriced = 0
     instances = [generate_instance(28, seed, "clusters") for seed in (1000, 1001)]
-    for pts in instances + [[Point2(i, j) for i in range(5) for j in range(5)]]:
+    instances += [[Point2(i, j) for i in range(5) for j in range(5)],
+                  generate_instance(6, 10_002, "uniform")]
+    for pts in instances:
         _, lengths, evaluate = solver._pipeline(pts, 2)
         calls, visited = [], []
 
@@ -283,34 +287,96 @@ def test_k2_search_decides_at_each_threshold_and_prices_only_after():
         assert [t for t, _, _, _ in decided] == visited
         assert all(cutoff == math.nextafter(t, math.inf) and enough == t
                    for t, cutoff, _, enough in decided)
-        ups = {t for t, _, (feasible, r, payload), _ in decided
-               if feasible and (payload is None or r > t)}
-        downs = [t for t, _, (feasible, r, payload), _ in decided
-                 if feasible and payload is not None and r <= t]
+        ups = {t for t, _, (feasible, r, _), _ in decided if feasible and r > t}
+        downs = [(t, payload) for t, _, (feasible, r, payload), _ in decided
+                 if feasible and r <= t]
         if priced and priced[-1][0] not in ups:  # the last down-probe won
             t, cutoff, _, enough = priced.pop()
-            assert answer[1] == t == downs[-1]
+            assert answer[1] == t == downs[-1][0] and downs[-1][1] is None
             assert (cutoff, enough) == (math.nextafter(t, math.inf), -math.inf)
             repriced += 1
+        elif downs and answer[1] == downs[-1][0]:
+            assert answer[2] is downs[-1][1]  # kept, not priced again
         assert all(cutoff > math.nextafter(t, math.inf) for t, cutoff, _, _ in priced)
         assert len({t for t, _, _, _ in priced}) == len(priced) and {t for t, _, _, _ in priced} <= ups
         priced_calls += len(priced)
     assert priced_calls > 0
-    assert repriced > 0  # the lattice
+    assert repriced > 0  # the uniform n = 6
+
+
+def _recording_probes(monkeypatch):
+    """Records every threshold the solver evaluates, every forest it builds
+    (the graphs, by edge count) and every topology closure2 classifies."""
+    seen = {"evaluated": [], "forests": [], "topologies": [], "block_paths": []}
+    make, build, path, topology = (solver._evaluator, solver.block_cut_forest,
+                                   closure2._block_path, closure2.classify)
+
+    def evaluator(r, pts, k):
+        evaluate = make(r, pts, k)
+        return lambda t, *args: seen["evaluated"].append(t) or evaluate(t, *args)
+
+    def classify(g, part, bcf=None):
+        topo = topology(g, part, bcf)
+        seen["topologies"].append((len(g.edges), part, topo.case_tag))
+        return topo
+
+    monkeypatch.setattr(solver, "_evaluator", evaluator)
+    monkeypatch.setattr(solver, "block_cut_forest",
+                        lambda g: seen["forests"].append(len(g.edges)) or build(g))
+    monkeypatch.setattr(closure2, "_block_path",
+                        lambda m0, n: seen["block_paths"].append(n) or path(m0, n))
+    monkeypatch.setattr(closure2, "classify", classify)
+    return seen
+
+
+def test_k2_probe_states_decompose_each_threshold_once(monkeypatch):
+    # one forest per distinct threshold, however often the decision,
+    # crossing, plateau and re-pricing evaluate it; one classify per
+    # threshold and partition; one block path per case-2 topology
+    seen = _recording_probes(monkeypatch)
+    repeats = case2 = 0
+    for pts in _k2_cut_instances():
+        for v in seen.values():
+            v.clear()
+        solve(pts, 2)
+        distinct = set(seen["evaluated"])
+        repeats += len(seen["evaluated"]) - len(distinct)
+        assert len(seen["forests"]) == len(set(seen["forests"])) == len(distinct)
+        assert len(set(seen["topologies"])) == len(seen["topologies"])
+        case2 += len(seen["block_paths"])
+        assert len(seen["block_paths"]) == sum(tag == "case2" for _, _, tag in seen["topologies"])
+    assert repeats > 0 and case2 > 0, (repeats, case2)
+
+
+def test_k1_builds_no_forest_below_the_connectivity_index(monkeypatch):
+    seen = _recording_probes(monkeypatch)
+    below = 0
+    for seed in (1000, 1001, 11000, 11001):
+        pts = generate_instance(96, seed, "uniform" if seed % 2 == 0 else "clusters")
+        for v in seen.values():
+            v.clear()
+        solve(pts, 1)
+        r = build_2rng(pts)
+        connected = [t for t in seen["evaluated"] if is_connected(threshold_subgraph(r, t))]
+        below += len(seen["evaluated"]) - len(connected)
+        assert sorted(seen["forests"]) == sorted(len(threshold_subgraph(r, t).edges)
+                                                 for t in connected)
+    assert below > 0
 
 
 def _verdict(ev, t):
-    feasible, r, payload = ev
-    return "infeasible" if not feasible else "ABOVE" if payload is None else \
+    feasible, r, _ = ev
+    return "infeasible" if not feasible else "ABOVE" if ev == solver.ABOVE else \
         "r <= t" if r <= t else "r > t"
 
 
 def test_k2_decided_verdicts_equal_exact_verdicts(monkeypatch):
     # at every threshold, deciding with enough = t gives the exact
-    # evaluation's verdict, and a decided payload at most t assembles into a
-    # valid network with a bottleneck at most t; wherever the nudge moves a
-    # Steiner point it lengthens no edge by more than nudge_growth of the
-    # radius before it
+    # evaluation's verdict, and a decided closure at most t (also one that
+    # stopped at enough, whose payload the evaluator drops: it is kept here)
+    # assembles into a valid network with a bottleneck at most t; wherever
+    # the nudge moves a Steiner point it lengthens no edge by more than
+    # nudge_growth of the radius before it
     shifted = [Point2(1e6 + 1e-3 * p.x, 1e6 + 1e-3 * p.y)
                for p in generate_instance(16, 1000, "clusters")]
     sets = [generate_instance(28, seed, "clusters") for seed in range(1000, 1004)]
@@ -326,7 +392,15 @@ def test_k2_decided_verdicts_equal_exact_verdicts(monkeypatch):
             nudges.append(out.radius - emb.radius <= closure2.nudge_growth(points, emb.radius))
         return out
 
+    stops, closure = [], solver.optimal_2block_closure
+
+    def keeping(*args):
+        emb = closure(*args)
+        stops.append(emb is not None and emb.stopped)
+        return emb and dataclasses.replace(emb, stopped=False)
+
     monkeypatch.setattr(closure2, "_separate_embedding", recording)
+    monkeypatch.setattr(solver, "optimal_2block_closure", keeping)
     stopped = 0
     for pts in sets:
         _, lengths, evaluate = solver._pipeline(pts, 2)
@@ -338,7 +412,8 @@ def test_k2_decided_verdicts_equal_exact_verdicts(monkeypatch):
                 net = solver._assemble(tuple(pts), t, decided[2])
                 net.validate()
                 assert net.bottleneck <= t, (len(pts), t)
-                stopped += decided != exact
+                stopped += stops[-1]
+                assert stops[-1] or decided == exact
     assert stopped > 0 and nudges and all(nudges), (stopped, nudges)
 
 
