@@ -13,6 +13,7 @@
     python3 bench/bench_scsd.py ../parent --topic k2pair    # BENCH_k2pair.json
     python3 bench/bench_scsd.py ../parent --topic k2coupled # BENCH_k2coupled.json
     python3 bench/bench_scsd.py ../parent --topic k1probes  # BENCH_k1probes.json
+    python3 bench/bench_scsd.py ../parent --topic 2rngcert  # BENCH_2rngcert.json
 
 Run it from the root of this checkout; ``--output`` names another file.
 Every topic makes, one process at a time:
@@ -96,6 +97,15 @@ space:
   of ``k2decide`` at k = 2, acceptance suites 1-2 at k = 0 and 1, the
   k1-large instances of seeds 1-2 and 11-20 at k = 1, k = 1 at uniform
   n = 512 (seed 1), and the 48 degenerate sets at k = 0, 1 and 2.
+* ``2rngcert``: ``build_2rng`` alone at uniform and clustered n = 256,
+  512, 1024, 2048, 4096 and 8192 (instance seed 1000), one process per
+  size and path: the parent, the change with the dense witness pass forced
+  (switch above n) and the change with the sector certificate forced
+  (switch at 0), with the fastest of several calls, every call's time,
+  peak RSS and whether edges and lengths equal the parent's; the 2-RNG
+  edges and lengths of the parent, the change and the change with the
+  certificate forced, over every instance set listed in ``RNG_SETS``; the
+  k = 0 solves of ``k0probes``; and the whole answers of ``k1probes``.
 
 The evaluation counts and phase times of ``k2decide``, ``k2stop`` and
 ``k2pair`` come from three more runs a side in alternating order: the counts
@@ -735,12 +745,103 @@ def k1probes_rows(parent: Path, change: Path) -> tuple[dict, bool]:
                                     "bottleneck_identical": p["bottleneck"] == c["bottleneck"]}
         same &= p["bottleneck"] == c["bottleneck"]
         print(n, {"parent": p["time_s"], "change": c["time_s"]}, flush=True)
+    rows["answers"] = answers_rows(parent, change)
+    print("answers", rows["answers"], flush=True)
+    return rows, same and rows["answers"]["identical"] == rows["answers"]["solves"]
+
+
+# build_2rng alone: the fastest of {reps} calls, with the switch at
+# {certify_above} (None: the checkout's own)
+BUILD_2RNG = PRELUDE + """
+import hashlib
+from mbsn import rng
+if {certify_above!r} is not None:
+    rng._CERTIFY_ABOVE = {certify_above!r}
+pts = generate_instance({n}, 1000, "{dist}")
+times = []
+for _ in range({reps}):
+    t0 = time.perf_counter()
+    g = rng.build_2rng(pts)
+    times.append(time.perf_counter() - t0)
+print(json.dumps({{"time_s": round(min(times), 5), "runs_s": [round(t, 5) for t in times],
+                  "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+                  "edges": len(g.edges),
+                  "digest": hashlib.sha256(repr((g.edges, g.lengths)).encode()).hexdigest()}}))
+"""
+
+# the 2-RNG edges and lengths of every instance set, one digest per line,
+# with the switch at {certify_above} (None: the checkout's own)
+RNG_SETS = PRELUDE + """
+import hashlib, math
+from mbsn import rng
+from mbsn.geom import Point2
+if {certify_above!r} is not None:
+    rng._CERTIFY_ABOVE = {certify_above!r}
+def suite(count, n_lo, n_hi, seed0):
+    return [(n_lo + i % (n_hi - n_lo + 1), seed0 + i, "uniform" if i % 2 == 0 else "clusters")
+            for i in range(count)]
+def sets():
+    shapes = [(n, seed, d) for n in [*range(2, 40), 60, 96, 200, 257, 300, 511, 512, 513, 514,
+                                     600, 800, 1024, 1500, 2048]
+              for d in ("uniform", "clusters") for seed in (1, 2)]
+    shapes += [(n, 7, d) for n in (513, 700, 1000, 2000, 3000, 4096) for d in ("uniform", "clusters")]
+    shapes += suite(300, 4, 40, 10_000) + suite(200, 4, 12, 20_000)
+    for s in (1, 2, *range(11, 21)):
+        shapes += [(1024, s * 1000 + i, d) for i, d in enumerate(("uniform", "clusters"))]
+        shapes += [(96, s * 1000 + i, d) for i, d in enumerate(("uniform", "clusters") * 2)]
+        shapes += [(28, s * 1000 + i, "clusters") for i in range(32)]
+    for n, seed, d in shapes:
+        yield f"{{d}}-n{{n}}-s{{seed}}", generate_instance(n, seed, d)
+    for m in (6, 17, 23, 24, 30):
+        yield f"lattice-{{m}}", [Point2(i, j) for i in range(m) for j in range(m)]
+        yield f"lattice-{{m}}-rect", [Point2(i, 1.5 * j) for i in range(m) for j in range(m)]
+    yield "collinear-600", [Point2(0.5 * i, 0.25 * i) for i in range(600)]
+    yield "cocircular-600", [Point2(math.cos(2 * math.pi * i / 600), math.sin(2 * math.pi * i / 600))
+                             for i in range(600)]
+    base = generate_instance(700, 5, "uniform")
+    yield "shifted-anisotropic-700", [Point2(1e6 + 3 * p.x, -1e6 + 0.01 * p.y) for p in base]
+    yield "near-duplicates-702", base + [Point2(base[0].x + 1e-10, base[0].y),
+                                         Point2(base[1].x, base[1].y + 1e-8)]
+for key, pts in sets():
+    g = rng.build_2rng(pts)
+    print(json.dumps([key, hashlib.sha256(repr((g.edges, g.lengths)).encode()).hexdigest()]))
+"""
+
+
+def answers_rows(parent: Path, change: Path) -> dict:
+    """Whole answers of one untimed run a side over ``ANSWERS``."""
     code = ANSWERS.format(groups=list(k2decide_groups().values()))
     answers = {side: run_code(path, code) for side, path in (("parent", parent), ("change", change))}
     pairs = list(zip(answers["parent"], answers["change"]))
-    rows["answers"] = {"solves": len(pairs), "identical": sum(a == b for a, b in pairs)}
+    return {"solves": len(pairs), "identical": sum(a == b for a, b in pairs)}
+
+
+def rng2cert_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+    rows, same = {"build_2rng": {}}, True
+    paths = (("parent", parent, None), ("change dense", change, 1 << 30),
+             ("change certified", change, 0))
+    for dist in ("uniform", "clusters"):
+        for n in (256, 512, 1024, 2048, 4096, 8192):
+            reps = 9 if n <= 1024 else 3 if n <= 4096 else 2
+            row = {side: run_code(path, BUILD_2RNG.format(n=n, dist=dist, reps=reps,
+                                                          certify_above=above))[0]
+                   for side, path, above in paths}
+            row["identical"] = all(r["digest"] == row["parent"]["digest"] for r in row.values())
+            same &= row["identical"]
+            rows["build_2rng"][f"{dist}-n{n}"] = row
+            print(dist, n, {side: row[side]["time_s"] for side, _, _ in paths}, flush=True)
+    digests = {side: run_code(path, RNG_SETS.format(certify_above=above))
+               for side, path, above in (("parent", parent, None), ("change", change, None),
+                                         ("change certified", change, 0))}
+    rows["rng_sets"] = {"sets": len(digests["parent"]),
+                        **{f"{side}_identical": sum(a == b for a, b in zip(digests["parent"], d))
+                           for side, d in digests.items() if side != "parent"}}
+    same &= all(v == len(digests["parent"]) for k, v in rows["rng_sets"].items())
+    print("rng sets", rows["rng_sets"], flush=True)
+    rows["k0_solves"], k0_same = k0_rows(parent, change)
+    rows["answers"] = answers_rows(parent, change)
     print("answers", rows["answers"], flush=True)
-    return rows, same and rows["answers"]["identical"] == len(pairs)
+    return rows, same and k0_same and rows["answers"]["identical"] == rows["answers"]["solves"]
 
 
 TOPICS = {
@@ -984,6 +1085,24 @@ TOPICS = {
                    "closure2.classify.calls", "closure2.classify.self_s", "graph.self_s",
                    "closure1.self_s", "closure2.self_s", "trace.solve_s"),
         "rows": ("k1probes_rows", k1probes_rows),
+    },
+    "2rngcert": {
+        "layer": "rng.build_2rng",
+        "what": "above n = 512, build_2rng drops a pair pq when |pq| >= 2 delta_2 (1 + 1e-12) "
+                "in q's 60 degree sector about p or p's about q (delta_2 the second nearest of "
+                "the point's 32 nearest neighbours in that sector at distance >= 16 eps, a "
+                "law-of-cosines certificate that two points lie inside the lune), row block by "
+                "row block, then runs the 8-witness test on the candidate pairs only and the "
+                "exact count on the rest; nearest neighbours come from argpartition over row "
+                "blocks, so the distance matrix is the only n x n array; up to n = 512 the "
+                "dense witness pass stays (was: the dense witness pass over all n^2 ordered "
+                "pairs at every n, with an n x n argpartition index array, an int8 count "
+                "matrix and boolean n x n temporaries)",
+        "parent": "3cc3e0a",
+        "traced": ("rng.build_2rng.calls", "rng.build_2rng.self_s", "rng.build_2rng.kept_frac",
+                   "rng.self_s", "solver.self_s", "graph.self_s", "scsd.self_s",
+                   "closure2.self_s", "trace.solve_s"),
+        "rows": ("rows", rng2cert_rows),
     },
 }
 

@@ -6,24 +6,49 @@ disks of radius |pq| centred at p and q).  Points on the lune boundary,
 up to the instance tolerance, do not count as interior: r is inside the
 lune of pq when d(p, r) < d(p, q) - eps and d(q, r) < d(p, q) - eps.
 
-The graph is built in two passes over one dense distance matrix, filled
-with one ``hypot`` per unordered pair, both using that predicate and
-nothing else:
+The graph is built over one dense distance matrix, filled with one
+``hypot`` per unordered pair.  Each pair passes through up to three
+filters, a row block at a time; only the last one decides:
 
-* Witness pass.  The ``_WITNESSES`` nearest other points of each point
+* Sector certificate (n > ``_CERTIFY_ABOVE``).  Split the plane about
+  each point p into six fixed 60 degree sectors (by ``atan2``), and let
+  delta_2 be the distance to the second nearest of p's ``_NEIGHBOURS``
+  nearest other points in a sector, counting only those at distance
+  16 eps or more.  Then pq is dropped when d(p, q) >= 2 delta_2 (1 + 1e-12)
+  in q's sector about p, or in p's sector about q.  Proof: let w be one
+  of those two neighbours, a = |pw| and b = |pq|, so 16 eps <= a <= b / 2
+  and the angle theta between pw and pq is below 60 degrees; allowing
+  for the rounding of ``atan2`` and of the differences it reads,
+  cos theta >= 0.49.  The law of cosines gives
+  |qw|^2 = b^2 + a^2 - 2ab cos theta <= b^2 - a (0.98 b - a)
+  <= b^2 - 0.48 ab <= b^2 - 7.68 eps b < (b - 2 eps)^2, and
+  a <= b / 2 <= b - 16 eps.  So both neighbours pass the strict lune
+  predicate for pq with a margin of eps, far above the relative rounding
+  (about 1e-16) of every computed distance, and the lune holds two
+  points.  The 16 eps floor keeps near-duplicates out of the certificate
+  (they would leave no margin); a sector with fewer than two counted
+  neighbours certifies nothing.  The pairs left, a few per cent, go to
+  the witness test one list at a time.
+* Witness test.  The ``_WITNESSES`` nearest other points of each point
   are its witnesses.  A pair pq is dropped when at least two witnesses of
   p, or at least two witnesses of q, pass the predicate.  Each counted
   witness is a distinct point inside the lune, so a drop proves the lune
   holds two points.  Neither p nor q ever passes: for each of them one of
-  the two inequalities reads d(p, q) < d(p, q) - eps.  This costs O(K n^2).
-* Exact count.  Every pair the witness pass leaves is counted against
-  all n points, in chunks of pairs, and kept when fewer than two points
-  pass.  This costs O(n) per survivor.
+  the two inequalities reads d(p, q) < d(p, q) - eps.  Up to the switch
+  this test runs densely over all pairs, into an n x n count matrix.
+* Exact count.  Every pair left is counted against all n points, in
+  chunks of pairs, and kept when fewer than two points pass.  This costs
+  O(n) per survivor.
 
 A pair is kept exactly when the full count is below two, as in the direct
-O(n^3) count, so the result is the same graph; the witness pass only
-decides which pairs need the full count.  On uniform points only a few
-per cent of the pairs survive it.
+O(n^3) count, so the result is the same graph, with the same edge order
+and lengths; the first two filters only decide which pairs need the full
+count.  The switch is a size, not an option: up to a few hundred points
+the number of numpy calls, not n^2, sets the cost, and the dense pass is
+faster than the certificate's fixed cost (measured crossover near
+n = 512).  Above it the distance matrix is the only n x n array: nearest
+neighbours are chosen by ``argpartition`` one row block at a time, and
+the candidate pairs are kept as index lists.
 """
 
 from __future__ import annotations
@@ -37,6 +62,8 @@ from .graph import Graph, make_graph
 
 
 _WITNESSES = 8  # nearest other points per point tried before the full count
+_NEIGHBOURS = 32  # nearest other points per point read by the sector certificate
+_CERTIFY_ABOVE = 512  # n above which the sector certificate runs
 _CHUNK = 256  # rows, or survivor pairs, handled at once
 
 
@@ -50,20 +77,52 @@ def build_2rng(points: Sequence[Point2]) -> Graph:
     eps = geometry_eps(points)
     x = np.array([p.x for p in points])
     y = np.array([p.y for p in points])
-    # one hypot per unordered pair, mirrored below the diagonal: x_j - x_i is
-    # exactly -(x_i - x_j) and hypot ignores signs: the dense matrix, bit for bit
+    dist = _distance_matrix(x, y)
+    if n > _CERTIFY_ABOVE:
+        iu, ju = _certified_survivors(dist, x, y, eps)
+    else:
+        iu, ju = _dense_survivors(dist, eps)
+
+    # exact count over all points for the pairs the filters left
+    keep = np.empty(len(iu), dtype=bool)
+    for s in range(0, len(iu), _CHUNK):
+        i, j = iu[s:s + _CHUNK], ju[s:s + _CHUNK]
+        thr = (dist[i, j] - eps)[:, None]
+        keep[s:s + _CHUNK] = ((dist[i] < thr) & (dist[j] < thr)).sum(axis=1) < 2
+    iu, ju = iu[keep], ju[keep]
+    return make_graph(n, zip(iu.tolist(), ju.tolist()), dist[iu, ju].tolist())
+
+
+def _distance_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The dense hypot matrix, bit for bit, with one hypot per unordered
+    pair: x_j - x_i is exactly -(x_i - x_j) and hypot ignores signs."""
+    n = len(x)
     dist = np.empty((n, n))
     for s in range(0, n, _CHUNK):
         blk = np.hypot(x[s:s + _CHUNK, None] - x[s:], y[s:s + _CHUNK, None] - y[s:])
         dist[s:s + _CHUNK, s:] = blk
         dist[s:, s:s + _CHUNK] = blk.T
+    return dist
 
-    # witness pass: hits[i, j] counts the witnesses of i inside the lune of ij
-    kw = min(_WITNESSES, n - 1)
+
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the min(k, n - 1) nearest other points of each point, in
+    no particular order, selected one row block at a time."""
+    n = len(dist)
+    k = min(k, n - 1)
     np.fill_diagonal(dist, np.inf)
-    # copied so that the n x n index array argpartition returns is freed
-    witnesses = np.argpartition(dist, kw - 1, axis=1)[:, :kw].copy()
+    out = np.empty((n, k), dtype=np.intp)
+    for s in range(0, n, _CHUNK):
+        out[s:s + _CHUNK] = np.argpartition(dist[s:s + _CHUNK], k - 1, axis=1)[:, :k]
     np.fill_diagonal(dist, 0.0)
+    return out
+
+
+def _dense_survivors(dist: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs i < j, in row-major order, left by the witness test over all pairs."""
+    n = len(dist)
+    witnesses = _nearest(dist, _WITNESSES)
+    # hits[i, j] counts the witnesses of i inside the lune of ij
     hits = np.zeros((n, n), dtype=np.int8)
     for s in range(0, n, _CHUNK):
         rows = np.arange(s, min(s + _CHUNK, n))
@@ -72,16 +131,76 @@ def build_2rng(points: Sequence[Point2]) -> Graph:
         for w in witnesses[rows].T:
             block += (dist[rows, w][:, None] < thr) & (dist[w] < thr)
     dropped = hits >= 2
-    iu, ju = np.nonzero(np.triu(~(dropped | dropped.T), 1))
+    return np.nonzero(np.triu(~(dropped | dropped.T), 1))
 
-    # exact count over all points for the pairs the witnesses left
-    keep = np.empty(len(iu), dtype=bool)
-    for s in range(0, len(iu), _CHUNK):
-        i, j = iu[s:s + _CHUNK], ju[s:s + _CHUNK]
-        thr = (dist[i, j] - eps)[:, None]
-        keep[s:s + _CHUNK] = ((dist[i] < thr) & (dist[j] < thr)).sum(axis=1) < 2
-    iu, ju = iu[keep], ju[keep]
-    return make_graph(n, zip(iu.tolist(), ju.tolist()), dist[iu, ju].tolist())
+
+def _certified_survivors(dist: np.ndarray, x: np.ndarray, y: np.ndarray,
+                         eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs i < j, in row-major order, left by the sector certificate and
+    then by the witness test, one row block of pairs at a time."""
+    n = len(dist)
+    flat = dist.ravel()
+    neighbours = _nearest(dist, _NEIGHBOURS)
+    rho, _ = _sector_radii(dist, x, y, eps, neighbours)
+    near = np.take_along_axis(dist, neighbours, axis=1)
+    kw = min(_WITNESSES, neighbours.shape[1])
+    witnesses = np.take_along_axis(
+        neighbours, np.argpartition(near, kw - 1, axis=1)[:, :kw], axis=1)
+    iu, ju = [], []
+    for s in range(0, n, _CHUNK):
+        i, j = _sector_candidates(dist, x, y, rho, s)
+        thr = (flat.take(i * n + j) - eps)[:, None]
+        ri, rj = (i * n)[:, None], (j * n)[:, None]
+        kept = np.ones(len(i), dtype=bool)
+        for w in (witnesses[i], witnesses[j]):
+            kept &= ((flat.take(ri + w) < thr) & (flat.take(rj + w) < thr)).sum(axis=1) < 2
+        iu.append(i[kept])
+        ju.append(j[kept])
+    return np.concatenate(iu), np.concatenate(ju)
+
+
+def _sector(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """The 60 degree sector, 0..5 counter-clockwise from the -x axis, of
+    each difference vector (the -x axis itself joins sector 5); the
+    opposite vector lies in (sector + 3) % 6."""
+    return np.minimum((np.arctan2(dy, dx) * (3.0 / np.pi) + 3.0).astype(np.intp), 5)
+
+
+def _sector_radii(dist: np.ndarray, x: np.ndarray, y: np.ndarray, eps: float,
+                  neighbours: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point and sector, the certificate's cutoff rho = 2 delta_2
+    (1 + 1e-12), inf when the sector holds fewer than two neighbours at
+    distance >= 16 eps, and the two neighbours it names where rho is finite."""
+    rows = np.arange(len(x))[:, None]
+    near = dist[rows, neighbours]
+    sector = _sector(x[neighbours] - x[:, None], y[neighbours] - y[:, None])
+    rho = np.full((len(x), 6), np.inf)
+    named = np.empty((len(x), 6, 2), dtype=np.intp)
+    for c in range(6):
+        d = np.where((sector == c) & (near >= 16.0 * eps), near, np.inf)
+        two = np.argpartition(d, 1, axis=1)[:, :2]
+        d2 = d[rows, two].max(axis=1)
+        rho[:, c] = 2.0 * d2 * (1.0 + 1e-12)
+        named[:, c] = neighbours[rows, two]
+    return rho, named
+
+
+def _sector_candidates(dist: np.ndarray, x: np.ndarray, y: np.ndarray, rho: np.ndarray,
+                       s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs i < j with i in the row block starting at s, in row-major
+    order, that the sector certificate with cutoffs rho does not drop."""
+    n = len(dist)
+    reach = rho.max(axis=1)  # no pair of a point at or beyond it is a candidate
+    d = dist[s:s + _CHUNK, s:]
+    i, j = np.nonzero((d < reach[s:s + _CHUNK, None]) & (d < reach[s:]))
+    upper = j > i
+    i, j = i[upper] + s, j[upper] + s
+    dij = dist.ravel().take(i * n + j)
+    c = _sector(x.take(j) - x.take(i), y.take(j) - y.take(i))  # j's sector about i
+    # cutoffs by flat index 6 p + c: of p in sector c, and of p in the sector opposite c
+    kept = ((dij < rho.ravel().take(6 * i + c))
+            & (dij < np.roll(rho, 3, axis=1).ravel().take(6 * j + c)))
+    return i[kept], j[kept]
 
 
 def threshold_subgraph(g: Graph, t: float) -> Graph:

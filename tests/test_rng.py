@@ -7,7 +7,10 @@ import pytest
 from mbsn.cli import generate_instance
 from mbsn.geom import Point2, bbox_diagonal, geometry_eps
 from mbsn.graph import is_biconnected
-from mbsn.rng import _CHUNK, _WITNESSES, build_2rng, length_schedule, threshold_subgraph
+from mbsn import rng as rng_module
+from mbsn.rng import (_CERTIFY_ABOVE, _CHUNK, _NEIGHBOURS, _WITNESSES, _distance_matrix, _nearest,
+                      _sector, _sector_candidates, _sector_radii, build_2rng, length_schedule,
+                      threshold_subgraph)
 
 from conftest import chunk_boundary_instances, naive_lune_graph, random_points
 
@@ -155,10 +158,72 @@ def _direct_2rng(pts: list[Point2]) -> tuple[tuple, tuple]:
     return tuple(zip(iu.tolist(), ju.tolist())), tuple(dist[iu, ju].tolist())
 
 
-@pytest.mark.parametrize("name", sorted(chunk_boundary_instances()))
+def _certificate_instances() -> dict[str, list[Point2]]:
+    """Small sets for the sector certificate, which runs on them only when
+    forced: random uniform and clustered, the degenerate sets, a pair closer
+    than 16 eps, and a set shifted by 1e6 and scaled anisotropically."""
+    rng = random.Random(41)
+    sets = {}
+    for trial in range(8):
+        n = rng.randint(12, 80)
+        dist = "uniform" if trial % 2 == 0 else "clusters"
+        sets[f"{dist}-{n}-{trial}"] = generate_instance(n, rng.randrange(10**6), dist)
+    sets.update(_degenerate_instances())
+    base = generate_instance(60, 5, "uniform")
+    close = 8.0 * geometry_eps(base)
+    sets["pair-within-16eps"] = base + [Point2(base[0].x + close, base[0].y + close / 3)]
+    sets["shifted-anisotropic"] = [Point2(1e6 + 3.0 * p.x, -1e6 + 0.01 * p.y) for p in base]
+    sets["tiny"] = [Point2(0, 0), Point2(3, 0), Point2(1, 2)]
+    return sets
+
+
+@pytest.mark.parametrize("name", sorted(_certificate_instances()))
+def test_sector_certificate_drops_only_pairs_with_two_points_in_their_lune(name, monkeypatch):
+    pts = _certificate_instances()[name]
+    n, eps = len(pts), geometry_eps(pts)
+    x = np.array([p.x for p in pts])
+    y = np.array([p.y for p in pts])
+    dist = _distance_matrix(x, y)
+    rho, named = _sector_radii(dist, x, y, eps, _nearest(dist, _NEIGHBOURS))
+    kept = set()
+    for s in range(0, n, _CHUNK):
+        i, j = _sector_candidates(dist, x, y, rho, s)
+        assert np.all(i < j)
+        kept |= set(zip(i.tolist(), j.tolist()))
+    edges, lengths = _direct_2rng(pts)
+    assert set(edges) <= kept
+    dropped = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in kept]
+    for i, j in dropped:
+        # one endpoint's sector names two points, other than i and j, that
+        # pass the strict lune predicate for ij
+        certified = False
+        for p, q in ((i, j), (j, i)):
+            c = _sector(x[[q]] - x[p], y[[q]] - y[p])[0]
+            if dist[p, q] >= rho[p, c]:
+                w = named[p, c]
+                assert len({p, q, *w.tolist()}) == 4
+                assert np.all(dist[p, w] < dist[p, q] - eps) and np.all(dist[q, w] < dist[p, q] - eps)
+                certified = True
+        assert certified, (i, j)
+    assert dropped or n < 4  # the certificate does drop pairs
+    # the whole build with the certificate forced on is still the direct count
+    monkeypatch.setattr(rng_module, "_CERTIFY_ABOVE", 0)
+    g = build_2rng(pts)
+    assert (g.edges, g.lengths) == (edges, lengths)
+
+
+def _switch_instances() -> dict[str, list[Point2]]:
+    """Sets just above the certificate's switch; the lattice has many equal lengths."""
+    n = _CERTIFY_ABOVE + 1
+    return {"uniform-above-switch": generate_instance(n, 11, "uniform"),
+            "clusters-above-switch": generate_instance(n, 12, "clusters"),
+            "lattice-23x23": [Point2(i, j) for i in range(23) for j in range(23)]}
+
+
+@pytest.mark.parametrize("name", sorted({**chunk_boundary_instances(), **_switch_instances()}))
 def test_2rng_across_row_blocks_equals_direct_count(name):
-    pts = chunk_boundary_instances()[name]
-    assert len(pts) > _CHUNK
+    pts = {**chunk_boundary_instances(), **_switch_instances()}[name]
+    assert len(pts) > (_CERTIFY_ABOVE if name in _switch_instances() else _CHUNK)
     g = build_2rng(pts)
     edges, lengths = _direct_2rng(pts)
     assert g.edges == edges
