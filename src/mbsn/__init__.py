@@ -8,7 +8,7 @@ from .graph import (BlockCutForest, Graph, b_count, block_cut_forest,
 from .rng import build_2rng, length_schedule, threshold_subgraph
 from .scsd import (ColorSystem, ScsdResult, color_system, coupled_two_disk,
                    nearest_per_color, smallest_color_spanning_disk)
-from .closure1 import OneBlockClosure, optimal_1block_closure
+from .closure1 import optimal_1block_closure
 from .closure2 import (CriticalTopology, EmbeddedClosure, Partition,
                        classify, enumerate_partitions, locate_case1,
                        locate_case2, locate_case3, optimal_2block_closure)
@@ -22,7 +22,7 @@ __all__ = [
     "build_2rng", "length_schedule", "threshold_subgraph",
     "ColorSystem", "ScsdResult", "color_system", "coupled_two_disk",
     "nearest_per_color", "smallest_color_spanning_disk",
-    "OneBlockClosure", "optimal_1block_closure",
+    "optimal_1block_closure",
     "CriticalTopology", "EmbeddedClosure", "Partition", "classify",
     "enumerate_partitions", "locate_case1", "locate_case2", "locate_case3",
     "optimal_2block_closure",

@@ -34,8 +34,6 @@ from .graph import (Graph, BlockCutForest, block_cut_forest, connected_component
                     is_biconnected, is_biconnected_edges, is_connected, make_graph)
 from .scsd import ScsdContext, coupled_two_disk
 
-SteinerEdge = tuple[str, object]  # ('s1', v) | ('s2', v) | ('s1', 's2')
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -83,18 +81,19 @@ class CriticalTopology:
 
 @dataclass(frozen=True)
 class EmbeddedClosure:
+    """The result of a 1- or 2-block closure of a graph on n vertices:
+    Steiner point i is vertex n + i of ``edges``, the sorted vertex pairs of
+    the Steiner points' edges; ``radius`` is the longest of them once
+    ``separate_embedding`` has nudged the points (before it, inside the
+    closures' searches)."""
+
     radius: float
-    s1: Point2
-    s2: Point2
-    steiner_edges: tuple[SteinerEdge, ...]
-    case_tag: str  # 'block' | 'case1' | 'case2_1' | 'case2_2' | 'case3'
-    partition: Partition | None
+    steiner: tuple[Point2, ...]
+    edges: tuple[tuple[int, int], ...]
+    case_tag: str  # 'block' | 'star' (k = 1) | 'case1' | 'case2_1' | 'case2_2' | 'case3'
+    partition: Partition | None = None
     chosen_index: int | None = None  # split index for case2_1
     stopped: bool = False  # a search stopped at its first result at most ``enough``
-
-
-def _edge_key(e: SteinerEdge) -> tuple:
-    return (e[0], 1 if isinstance(e[1], str) else 0, e[1] if isinstance(e[1], int) else -1)
 
 
 def enumerate_partitions(bcf: BlockCutForest, connected: bool) -> tuple[Partition, ...]:
@@ -131,7 +130,7 @@ def _block_path(base_topology: Graph, n: int) -> BlockPath:
             break
         assert len(cuts) == 1, "base topology decomposition is not a path"
         tau = cuts[0]
-        nxt = [bi for bi in bcfm.block_adjacency[tau] if bi != order[-1]]
+        nxt = [i for i, blk in enumerate(blocks) if tau in blk and i != order[-1]]
         assert len(nxt) == 1, "base topology decomposition is not a path"
         order.append(nxt[0])
         prev_cut = tau
@@ -361,9 +360,9 @@ def locate_case1(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
     if pair is None:
         return None
     r, c1, c2, picks1, picks2 = pair
-    edges = {("s1", v) for v in picks1} | {("s2", v) for v in picks2}
-    return EmbeddedClosure(r, c1, c2, tuple(sorted(edges, key=_edge_key)),
-                           topo.case_tag, topo.partition)
+    n = g.vertex_count
+    edges = {(v, n) for v in picks1} | {(v, n + 1) for v in picks2}
+    return EmbeddedClosure(r, (c1, c2), tuple(sorted(edges)), topo.case_tag, topo.partition)
 
 
 # one body serves both tags; optimal_2block_closure still dispatches case 3
@@ -440,45 +439,33 @@ def locate_case2(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
             # Steiner point keeps at least two edges of its own
             assert len(side2) >= 2
             r2, c2, picks2 = ctx.best_center(side2)
-            h2pick = None
         elif len(side2) == 1 and b == p - 1:
             res2 = _distinct_disk(ctx, side2[0], list(range(n)))
             if res2 is None:
                 continue
             r2, c2, picks2 = res2
-            h2pick = picks2[-1]
-            picks2 = picks2[:-1]
         else:
             tau_b = bp.junctions[b - 1] if b < p else None
             h2 = sorted(v for cell in cells_x[:b] for v in cell if v != tau_b)
             if not h2:
                 continue
             r2, c2, picks2 = ctx.best_center(side2 + [h2])
-            h2pick = picks2[-1]
-            picks2 = picks2[:-1]
         r = max(r1, r2)
         if r < limit:
-            edges: set[SteinerEdge] = {("s1", v) for v in picks1[:-1]} | {("s1", hpick)}
-            edges |= {("s2", v) for v in picks2}
-            if h2pick is not None:
-                edges.add(("s2", h2pick))
-            best21, limit = (r, c1, c2, tuple(sorted(edges, key=_edge_key)), a), r
+            edges = {(v, n) for v in picks1} | {(v, n + 1) for v in picks2}
+            best21, limit = (r, (c1, c2), tuple(sorted(edges)), a), r
             if r <= enough:
                 break
 
     # case 2_2 wins only strictly below case 2_1
     coupled = coupled_two_disk(ctx, side1, side2, limit, enough) if limit > enough else None
     if coupled is None:
-        return best21 and EmbeddedClosure(*best21[:4], "case2_1", topo.partition,
-                                          chosen_index=best21[4])
+        return best21 and EmbeddedClosure(*best21[:3], "case2_1", topo.partition,
+                                          chosen_index=best21[3])
     s1c, s2c, rc = coupled
-    edges22: set[SteinerEdge] = {("s1", "s2")}
-    for cls in side1:
-        edges22.add(("s1", ctx.nearest_in_class(s1c, cls)))
-    for cls in side2:
-        edges22.add(("s2", ctx.nearest_in_class(s2c, cls)))
-    return EmbeddedClosure(rc, s1c, s2c, tuple(sorted(edges22, key=_edge_key)),
-                           "case2_2", topo.partition)
+    edges22 = {(n, n + 1)} | {(ctx.nearest_in_class(s1c, cls), n) for cls in side1}
+    edges22 |= {(ctx.nearest_in_class(s2c, cls), n + 1) for cls in side2}
+    return EmbeddedClosure(rc, (s1c, s2c), tuple(sorted(edges22)), "case2_2", topo.partition)
 
 
 _ANGLES = [2.0 * math.pi * k / 16.0 for k in range(16)]
@@ -562,23 +549,18 @@ def separate_coincident(points: Sequence[Point2], steiner: list[Point2],
     return out
 
 
-def _separate_embedding(emb: EmbeddedClosure, points: Sequence[Point2]) -> EmbeddedClosure:
-    nbrs1 = [points[e[1]] for e in emb.steiner_edges if e[0] == "s1" and isinstance(e[1], int)]
-    nbrs2 = [points[e[1]] for e in emb.steiner_edges if e[0] == "s2" and isinstance(e[1], int)]
-    has_ss = ("s1", "s2") in emb.steiner_edges
-    fixed = separate_coincident(points, [emb.s1, emb.s2], [nbrs1, nbrs2],
-                                [(0, 1)] if has_ss else [])
-    s1, s2 = fixed
-    r = 0.0
-    for e in emb.steiner_edges:
-        if e == ("s1", "s2"):
-            r = max(r, distance(s1, s2))
-        elif e[0] == "s1":
-            r = max(r, distance(s1, points[e[1]]))
-        else:
-            r = max(r, distance(s2, points[e[1]]))
-    return EmbeddedClosure(r, s1, s2, emb.steiner_edges, emb.case_tag,
-                           emb.partition, emb.chosen_index)
+def separate_embedding(emb: EmbeddedClosure, points: Sequence[Point2]) -> EmbeddedClosure:
+    """``emb`` with its Steiner points nudged off the terminals and each
+    other (``separate_coincident``, each point's planned edges read from
+    ``emb.edges``) and its radius the longest Steiner edge after the nudge."""
+    n = len(points)
+    nbrs = [[points[u] for u, v in emb.edges if v == s and u < n]
+            for s in range(n, n + len(emb.steiner))]
+    links = [(u - n, v - n) for u, v in emb.edges if u >= n]
+    steiner = tuple(separate_coincident(points, list(emb.steiner), nbrs, links))
+    at = [*points, *steiner]
+    return dataclasses.replace(emb, steiner=steiner,
+                               radius=max(distance(at[u], at[v]) for u, v in emb.edges))
 
 
 def partition_bounds(ctx: ScsdContext, bcf: BlockCutForest):
@@ -625,17 +607,15 @@ def optimal_2block_closure(g: Graph, points: Sequence[Point2],
     if len(bcf.blocks) == 1:  # g is 2-connected, K1 and K2 included
         if not g.edges:
             # single vertex: a 4-cycle through two zero-cost Steiner points
-            emb = EmbeddedClosure(0.0, points[0], points[0],
-                                  (("s1", 0), ("s1", "s2"), ("s2", 0)), "block", None)
-            return _separate_embedding(emb, points)
+            emb = EmbeddedClosure(0.0, (points[0], points[0]), ((0, 1), (0, 2), (1, 2)), "block")
+            return separate_embedding(emb, points)
         assert g.lengths is not None
         ln, (u, v) = min(zip(g.lengths, g.edges))
         pu, pv = points[u], points[v]
         s1 = Point2(pu.x + (pv.x - pu.x) / 3.0, pu.y + (pv.y - pu.y) / 3.0)
         s2 = Point2(pu.x + 2.0 * (pv.x - pu.x) / 3.0, pu.y + 2.0 * (pv.y - pu.y) / 3.0)
-        emb = EmbeddedClosure(ln / 3.0, s1, s2,
-                              (("s1", u), ("s1", "s2"), ("s2", v)), "block", None)
-        return _separate_embedding(emb, points)
+        emb = EmbeddedClosure(ln / 3.0, (s1, s2), ((u, n), (v, n + 1), (n, n + 1)), "block")
+        return separate_embedding(emb, points)
 
     memo = {} if memo is None else memo
     lower = memo.get(None) or memo.setdefault(None, partition_bounds(ctx, bcf))
@@ -654,4 +634,4 @@ def optimal_2block_closure(g: Graph, points: Sequence[Point2],
     assert best is not None or bound < math.inf, "no partition produced a closure"
     if best is None:
         return None
-    return dataclasses.replace(_separate_embedding(best, points), stopped=best.radius <= enough)
+    return dataclasses.replace(separate_embedding(best, points), stopped=best.radius <= enough)

@@ -76,9 +76,7 @@ class BlockCutForest:
     cut_vertices: frozenset[int]
     leaf_blocks: tuple[int, ...]
     isolated_blocks: tuple[int, ...]
-    block_adjacency: dict[int, tuple[int, ...]] = field(repr=False)
     interiors: tuple[tuple[int, ...], ...] = field(repr=False)
-    leaf_tau: dict[int, int] = field(repr=False)
     components: tuple[tuple[int, ...], ...] = field(repr=False)
 
 
@@ -151,26 +149,19 @@ def block_cut_forest(g: Graph) -> BlockCutForest:
     leaf: list[int] = []
     isolated: list[int] = []
     interiors: list[tuple[int, ...]] = []
-    leaf_tau: dict[int, int] = {}
-    adjacency: dict[int, list[int]] = {v: [] for v in cut_vs}
     for i, blk in enumerate(block_sets):
-        cuts_in = [v for v in blk if v in cut_vs]
         interiors.append(tuple(v for v in blk if v not in cut_vs))
-        for v in cuts_in:
-            adjacency[v].append(i)
-        if len(cuts_in) == 0:
+        cuts_in = len(blk) - len(interiors[-1])
+        if cuts_in == 0:
             isolated.append(i)
-        elif len(cuts_in) == 1:
+        elif cuts_in == 1:
             leaf.append(i)
-            leaf_tau[i] = cuts_in[0]
     return BlockCutForest(
         blocks=tuple(block_sets),
         cut_vertices=cut_vs,
         leaf_blocks=tuple(leaf),
         isolated_blocks=tuple(isolated),
-        block_adjacency={v: tuple(ids) for v, ids in adjacency.items()},
         interiors=tuple(interiors),
-        leaf_tau=leaf_tau,
         components=tuple(map(tuple, comps)),
     )
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .closure1 import optimal_1block_closure
-from .closure2 import nudge_growth, optimal_2block_closure, separate_coincident
+# separate_coincident: unused, but perfbench's tracer wraps it
+from .closure2 import nudge_growth, optimal_2block_closure, separate_coincident  # noqa: F401
 from .geom import Point2, distance, geometry_eps
 # is_connected and threshold_subgraph: unused, but perfbench's tracer wraps them
 from .graph import (BlockCutForest, Graph, b_count, block_cut_forest, connecting_prefix,  # noqa: F401
@@ -160,7 +161,6 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Evaluate:
     # k = 1: G_t is connected from this prefix length on
     connected_at = connecting_prefix(n, edges) if k == 1 else 0
     states: dict[int, tuple[Graph, BlockCutForest, dict]] = {}  # G_t, its forest, closure memo
-    index = {"s1": n, "s2": n + 1}
 
     def evaluate(t: float, cutoff: float = math.inf, enough: float = -math.inf) -> Evaluation:
         p = bisect_right(lengths, t)
@@ -174,21 +174,16 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Evaluate:
             return False, math.inf, None
         if k == 1:
             clo = optimal_1block_closure(g, pts, ctx, bcf)
-            # the disk centre may sit on a terminal; nudge it off
-            s = separate_coincident(pts, [clo.steiner],
-                                    [[pts[v] for v in clo.steiner_edges]], [])[0]
-            return True, clo.radius, (g.edges, (s,), tuple((v, n) for v in clo.steiner_edges))
-        # the cutoff bounds the radius before the nudge, which only grows it (+ eps: rounding),
-        # and by at most nudge_growth: a closure at most enough minus that stays at most enough
-        stop = enough - nudge_growth(pts, enough) if math.isfinite(enough) else enough
-        emb = optimal_2block_closure(g, pts, ctx, bcf, cutoff + ctx.eps, stop, memo)
-        if emb is None:
-            return ABOVE
-        if emb.stopped:  # at most enough, but maybe not the least: the search prices it again
-            return True, emb.radius, None
-        steiner_edges = tuple((index[a], index[b] if isinstance(b, str) else b)
-                              for a, b in emb.steiner_edges)
-        return True, emb.radius, (g.edges, (emb.s1, emb.s2), steiner_edges)
+        else:
+            # the cutoff bounds the radius before the nudge, which only grows it (+ eps: rounding),
+            # and by at most nudge_growth: a closure at most enough minus that stays at most enough
+            stop = enough - nudge_growth(pts, enough) if math.isfinite(enough) else enough
+            clo = optimal_2block_closure(g, pts, ctx, bcf, cutoff + ctx.eps, stop, memo)
+            if clo is None:
+                return ABOVE
+            if clo.stopped:  # at most enough, but maybe not the least: the search prices it again
+                return True, clo.radius, None
+        return True, clo.radius, (g.edges, clo.steiner, clo.edges)
 
     return evaluate
 

@@ -110,7 +110,7 @@ def test_criterion_4_worked_instances():
     g_t = threshold_subgraph(r2rng, net.threshold)
     clo = optimal_1block_closure(g_t, tri)
     assert clo.radius == pytest.approx(5.0, abs=1e-12)
-    assert clo.steiner.as_tuple() == pytest.approx((5.0, 0.0), abs=1e-12)
+    assert clo.steiner[0].as_tuple() == pytest.approx((5.0, 0.0), abs=1e-12)
 
     dumbbell = [Point2(0, 0), Point2(0, 1), Point2(10, 0), Point2(10, 1)]
     net2 = mbsn2(dumbbell)

@@ -11,19 +11,16 @@ from conftest import grid_min_spanning_radius, random_points
 
 
 def _with_closure(g, points, clo):
-    pts = list(points) + [clo.steiner]
-    s = len(points)
-    edges = list(g.edges) + [(v, s) for v in clo.steiner_edges]
-    return geometric_graph(pts, edges)
+    return geometric_graph(list(points) + list(clo.steiner), list(g.edges) + list(clo.edges))
 
 
 def test_path_closure():
     pts = [Point2(0, 0), Point2(5, 1), Point2(10, 0)]
     g = geometric_graph(pts, [(0, 1), (1, 2)])
     clo = optimal_1block_closure(g, pts)
-    assert clo.steiner == Point2(5.0, 0.0)
+    assert clo.steiner == (Point2(5.0, 0.0),)
     assert clo.radius == pytest.approx(5.0)
-    assert set(clo.steiner_edges) == {0, 2}
+    assert clo.edges == ((0, 3), (2, 3))
     assert is_biconnected(_with_closure(g, pts, clo))
 
 
@@ -32,10 +29,11 @@ def test_block_uses_shortest_edge_midpoint():
     g = geometric_graph(pts, [(0, 1), (1, 2), (2, 3), (0, 3)])
     clo = optimal_1block_closure(g, pts)
     assert clo.radius == pytest.approx(0.5)
-    assert len(clo.steiner_edges) == 2
-    u, v = clo.steiner_edges
+    assert len(clo.edges) == 2
+    (u, s), (v, t) = clo.edges
+    assert s == t == 4  # the Steiner point is vertex n
     assert distance(pts[u], pts[v]) == pytest.approx(1.0)
-    assert clo.steiner == Point2((pts[u].x + pts[v].x) / 2, (pts[u].y + pts[v].y) / 2)
+    assert clo.steiner == (Point2((pts[u].x + pts[v].x) / 2, (pts[u].y + pts[v].y) / 2),)
 
 
 def test_disconnected_rejected():

@@ -25,15 +25,7 @@ DUMBBELL = [Point2(0, 0), Point2(0, 1), Point2(10, 0), Point2(10, 1)]
 
 
 def _embedded_graph(g, points, emb):
-    pts = list(points) + [emb.s1, emb.s2]
-    n = len(points)
-    idx = {"s1": n, "s2": n + 1}
-    edges = list(g.edges)
-    for a, b in emb.steiner_edges:
-        u = idx[a]
-        v = idx[b] if isinstance(b, str) else b
-        edges.append((min(u, v), max(u, v)))
-    return geometric_graph(pts, set(edges))
+    return geometric_graph(list(points) + list(emb.steiner), set(g.edges) | set(emb.edges))
 
 
 def test_partition_counts():
@@ -93,7 +85,7 @@ def test_classify_covered_component_case3():
     emb = locate_case3(g, pts, topo)
     assert is_biconnected(_embedded_graph(g, pts, emb))
     # the extra edge to the covered component comes from the other point
-    assert any(e[0] == "s2" and e[1] in (0, 1, 2) for e in emb.steiner_edges)
+    assert any(e in emb.edges for e in ((0, 7), (1, 7), (2, 7)))  # s2 is vertex 7
 
 
 def test_case1_with_isolated_vertex():
@@ -109,7 +101,7 @@ def test_case1_with_isolated_vertex():
         if topo.case_tag == "case1" and len(part.side1) == 1 and len(part.side2) == 1:
             found = locate_case1(g, pts, topo)
     assert found is not None
-    centres = sorted([found.s1.as_tuple(), found.s2.as_tuple()])
+    centres = sorted(s.as_tuple() for s in found.steiner)
     assert centres[0] == pytest.approx((2.5, 2.0))   # midpoint of (0,0),(5,4)
     assert centres[1] == pytest.approx((7.5, 2.0))   # midpoint of (10,0),(5,4)
     assert found.radius == pytest.approx(math.hypot(5, 4) / 2)
@@ -138,13 +130,13 @@ def test_dumbbell_case1_trace():
     emb = optimal_2block_closure(g, DUMBBELL)
     assert emb.case_tag == "case1"
     assert emb.radius == pytest.approx(5.0)
-    centres = sorted([emb.s1.as_tuple(), emb.s2.as_tuple()])
+    centres = sorted(s.as_tuple() for s in emb.steiner)
     assert centres[0] == pytest.approx((5.0, 0.0))
     assert centres[1] == pytest.approx((5.0, 1.0))
-    # each Steiner point keeps its own pair of distinct block endpoints
+    # each Steiner point (vertices 4 and 5) keeps its own pair of distinct block endpoints
     for blk in ((0, 1), (2, 3)):
-        p1 = {e[1] for e in emb.steiner_edges if e[0] == "s1" and e[1] in blk}
-        p2 = {e[1] for e in emb.steiner_edges if e[0] == "s2" and e[1] in blk}
+        p1 = {u for u, s in emb.edges if s == 4 and u in blk}
+        p2 = {u for u, s in emb.edges if s == 5 and u in blk}
         assert p1 and p2 and not (p1 & p2)
     assert is_biconnected(_embedded_graph(g, DUMBBELL, emb))
 
@@ -154,8 +146,9 @@ def test_two_isolated_vertices_threshold_zero():
     g = make_graph(2, [])
     emb = optimal_2block_closure(g, pts)
     assert emb.radius == pytest.approx(5.0, abs=1e-6)
-    assert emb.s1 != emb.s2  # separated after coincident optimum
-    assert distance(emb.s1, emb.s2) <= 1e-6
+    s1, s2 = emb.steiner
+    assert s1 != s2  # separated after coincident optimum
+    assert distance(s1, s2) <= 1e-6
     assert is_biconnected(_embedded_graph(g, pts, emb))
 
 
@@ -166,7 +159,7 @@ def test_biconnected_block_trisection():
     assert emb.case_tag == "block"
     # trisection of the shortest edge: the longest new edge is a third of it
     assert emb.radius == pytest.approx(1.0 / 3.0)
-    assert ("s1", "s2") in emb.steiner_edges
+    assert (4, 5) in emb.edges  # the Steiner-Steiner edge
     assert is_biconnected(_embedded_graph(g, pts, emb))
 
 
@@ -239,7 +232,7 @@ def test_embedded_closures_biconnected_random():
         eg = _embedded_graph(g, pts, emb)
         assert is_biconnected(eg), (done, emb.case_tag)
         # recorded radius equals the longest Steiner edge
-        spt = {len(pts): emb.s1, len(pts) + 1: emb.s2}
+        spt = {len(pts): emb.steiner[0], len(pts) + 1: emb.steiner[1]}
         worst = 0.0
         for u, v in eg.edges:
             if u in spt or v in spt:

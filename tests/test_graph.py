@@ -66,7 +66,6 @@ def test_bcf_path_interiors():
     assert set(bcf.blocks) == {(0, 1), (1, 2)}
     assert bcf.cut_vertices == frozenset({1})
     assert set(bcf.interiors) == {(0,), (2,)}
-    assert set(bcf.leaf_tau.values()) == {1}
 
 
 def test_b_count_triangle():
@@ -272,9 +271,6 @@ def _reference_forest(g):
             "leaf_blocks": tuple(i for i, c in enumerate(in_block) if len(c) == 1),
             "isolated_blocks": tuple(i for i, c in enumerate(in_block) if not c),
             "interiors": tuple(tuple(v for v in blk if v not in cuts) for blk in blocks),
-            "leaf_tau": {i: c[0] for i, c in enumerate(in_block) if len(c) == 1},
-            "block_adjacency": {v: tuple(i for i, c in enumerate(in_block) if v in c)
-                                for v in cuts},
             "components": _components(g)}
 
 

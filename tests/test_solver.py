@@ -16,7 +16,8 @@ from mbsn.graph import block_cut_forest, is_connected
 from mbsn.rng import build_2rng, length_schedule, threshold_subgraph
 from mbsn.solver import mbsn0, mbsn1, mbsn2, solve, threshold_scan
 
-from conftest import chunk_boundary_instances, random_points
+from conftest import chunk_boundary_instances, property_sets, random_points
+from test_rng import _degenerate_instances
 
 SQUARE = [Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(0, 1)]
 TRI = [Point2(0, 0), Point2(10, 0), Point2(5, 1)]
@@ -110,10 +111,18 @@ def test_solve_dispatch_and_input_checks():
         mbsn1([Point2(0, 0), Point2(0, 0)])
 
 
+def _degenerate_sets():
+    """The lattice, collinear, cocircular, near-duplicate and far-cluster
+    generators' point sets."""
+    return ([pts for _, pts in property_sets(random.Random(7))]
+            + list(_degenerate_instances().values()))
+
+
 def test_sandwich_and_invariants_random():
     rng = random.Random(8)
-    for _ in range(25):
-        pts = random_points(rng, rng.randint(2, 10))
+    sets = [random_points(rng, rng.randint(2, 10)) for _ in range(25)]
+    sets += _degenerate_sets() + [pts for _, pts in property_sets(random.Random(8))]
+    for pts in sets:
         n0, n1, n2 = mbsn0(pts), mbsn1(pts), mbsn2(pts)
         for net in (n0, n1, n2):
             net.validate()
@@ -124,6 +133,24 @@ def test_sandwich_and_invariants_random():
         g_t = set(threshold_subgraph(build_2rng(pts), n1.threshold).edges)
         assert g_t <= set(n1.edges)
         assert all(len(pts) in e for e in set(n1.edges) - g_t)
+
+
+def test_each_evaluation_prices_the_network_it_returns():
+    # a k >= 1 evaluation's radius is the longest Steiner edge of its
+    # payload, bit for bit: the closure prices its points after the nudge
+    evaluations = 0
+    for pts in _degenerate_sets():
+        for k in (1, 2):
+            _, lengths, evaluate = solver._pipeline(pts, k)
+            for t in lengths:
+                feasible, radius, payload = evaluate(t)
+                if not feasible:
+                    continue
+                _, steiner, edges = payload
+                at = pts + list(steiner)
+                assert radius == max(distance(at[u], at[v]) for u, v in edges), (len(pts), k, t)
+                evaluations += 1
+    assert evaluations > 200
 
 
 def test_binary_search_equals_exhaustive_scan():
@@ -384,11 +411,11 @@ def test_k2_decided_verdicts_equal_exact_verdicts(monkeypatch):
              [Point2(0.25 * t - 1.0, 0.5 - 0.5 * t) for t in (0, 1, 3, 4, 7, 8, 9, 13, 20)],
              [Point2(0.25 * t - 1.0, 0.5 - 0.5 * t) for t in range(4)],  # its case 2 nudges
              shifted]
-    nudges, separate = [], closure2._separate_embedding
+    nudges, separate = [], closure2.separate_embedding
 
     def recording(emb, points):
         out = separate(emb, points)
-        if (out.s1, out.s2) != (emb.s1, emb.s2):
+        if out.steiner != emb.steiner:
             nudges.append(out.radius - emb.radius <= closure2.nudge_growth(points, emb.radius))
         return out
 
@@ -399,7 +426,7 @@ def test_k2_decided_verdicts_equal_exact_verdicts(monkeypatch):
         stops.append(emb is not None and emb.stopped)
         return emb and dataclasses.replace(emb, stopped=False)
 
-    monkeypatch.setattr(closure2, "_separate_embedding", recording)
+    monkeypatch.setattr(closure2, "separate_embedding", recording)
     monkeypatch.setattr(solver, "optimal_2block_closure", keeping)
     stopped = 0
     for pts in sets:
