@@ -16,17 +16,16 @@ from typing import Sequence
 
 from .closure2 import EmbeddedClosure, separate_embedding
 from .geom import Point2
-# is_connected and is_biconnected: unused, but perfbench's tracer wraps them
-from .graph import BlockCutForest, Graph, block_cut_forest, is_biconnected, is_connected  # noqa: F401
+# block_cut_forest, is_connected and is_biconnected: unused, but perfbench's tracer wraps them
+from .graph import Graph, block_cut_forest, is_biconnected, is_connected  # noqa: F401
 from .scsd import ScsdContext
 
 
 def optimal_1block_closure(g: Graph, points: Sequence[Point2],
-                           ctx: ScsdContext | None = None,
-                           bcf: BlockCutForest | None = None) -> EmbeddedClosure:
-    """Raises ValueError on disconnected input; ``bcf`` is g's forest, if
-    known, and tells whether g is connected and whether it is one block."""
-    bcf = bcf or block_cut_forest(g)
+                           ctx: ScsdContext | None = None) -> EmbeddedClosure:
+    """Raises ValueError on disconnected input; g's forest tells whether g
+    is connected and whether it is one block."""
+    bcf = g.forest
     if len(bcf.components) > 1:
         raise ValueError("1-block closure requires a connected graph")
     n = g.vertex_count

@@ -10,7 +10,8 @@ branch-and-bound over s1's witness vertex in each such block.
 Case 2 (connected input, base topology a path of blocks): either two
 crossing Steiner edges chosen by scanning a split index along the block
 path, or a direct Steiner-Steiner edge placed by the coupled two-disk
-solver; the cheaper wins.
+solver; the cheaper wins.  The block path is read off one low-point pass
+(``graph.closed_blocks``) over the base topology's raw edges.
 
 Case 3 (disconnected input with covered components): components reachable
 from only one Steiner point receive one extra edge from the other, and
@@ -29,9 +30,11 @@ from typing import Sequence
 import numpy as np
 
 from .geom import Point2, distance, geometry_eps
-# connected_components, is_biconnected and is_connected: unused, but perfbench's tracer wraps them
-from .graph import (Graph, BlockCutForest, block_cut_forest, connected_components,  # noqa: F401
-                    is_biconnected, is_biconnected_edges, is_connected, make_graph)
+# block_cut_forest, connected_components, is_biconnected and is_connected: unused,
+# but perfbench's tracer wraps them
+from .graph import (Graph, BlockCutForest, block_cut_forest, closed_blocks,  # noqa: F401
+                    connected_components, is_biconnected, is_biconnected_edges, is_connected,
+                    make_graph)
 from .scsd import ScsdContext, coupled_two_disk
 
 
@@ -47,10 +50,11 @@ class Partition:
 class BlockPath:
     """Path structure of the base topology for Case 2.
 
-    ``blocks`` are vertex sets of the abstract topology in path order with
-    the first Steiner point interior to the first block; ``cells`` partition
+    ``blocks`` are sorted vertex sets of the abstract topology in path order
+    with the first Steiner point interior to the first block; ``junctions``
+    are the cut vertices between consecutive blocks; ``cells`` partition
     its vertices (first cell equals the first block, later cells drop the
-    preceding cut vertex).
+    preceding junction).
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -96,9 +100,10 @@ class EmbeddedClosure:
     stopped: bool = False  # a search stopped at its first result at most ``enough``
 
 
-def enumerate_partitions(bcf: BlockCutForest, connected: bool) -> tuple[Partition, ...]:
+def enumerate_partitions(bcf: BlockCutForest) -> tuple[Partition, ...]:
     """All unordered 2-partitions of the leaf blocks; an empty side is
     allowed only for disconnected graphs."""
+    connected = len(bcf.components) <= 1
     leafs = list(bcf.leaf_blocks)
     q = len(leafs)
     if q == 0:
@@ -115,50 +120,30 @@ def enumerate_partitions(bcf: BlockCutForest, connected: bool) -> tuple[Partitio
     return tuple(parts)
 
 
-def _block_path(base_topology: Graph, n: int) -> BlockPath:
-    bcfm = block_cut_forest(base_topology)
-    blocks = list(bcfm.blocks)
-    assert len(blocks) >= 2
-    ends = [i for i in bcfm.leaf_blocks]
-    start = next(i for i in ends if n in blocks[i])
-    order = [start]
-    prev_cut: int | None = None
-    while True:
-        cur = blocks[order[-1]]
-        cuts = [v for v in cur if v in bcfm.cut_vertices and v != prev_cut]
-        if not cuts:
-            break
-        assert len(cuts) == 1, "base topology decomposition is not a path"
-        tau = cuts[0]
-        nxt = [i for i, blk in enumerate(blocks) if tau in blk and i != order[-1]]
-        assert len(nxt) == 1, "base topology decomposition is not a path"
-        order.append(nxt[0])
-        prev_cut = tau
-    path_blocks = tuple(blocks[i] for i in order)
-    assert n in path_blocks[0] and n + 1 in path_blocks[-1]
-    junctions = []
-    for a, b in zip(path_blocks, path_blocks[1:]):
-        shared = set(a) & set(b)
-        assert len(shared) == 1
-        junctions.append(shared.pop())
-    cells = [path_blocks[0]]
-    for i in range(1, len(path_blocks)):
-        cells.append(tuple(v for v in path_blocks[i] if v != junctions[i - 1]))
+def _block_path(m0: Sequence[tuple[int, int]], n: int) -> BlockPath:
+    """The block path of a case-2 base topology with edges ``m0``.  There
+    s1 = n is no cut vertex (G_t is connected and holds all its
+    neighbours), so one pass from s1 closes the blocks from s2's end back to
+    s1's: reversed, they are the path.  Each later block closes at its
+    junction, the vertex it shares with the block before it, and is its
+    cell once that vertex is dropped."""
+    path = list(closed_blocks(n + 2, m0, (n,)))[::-1]
+    assert len(path) >= 2 and n + 1 in path[-1], "base topology decomposition is not a path"
+    blocks = tuple(tuple(sorted(blk)) for blk in path)
     return BlockPath(
-        blocks=path_blocks,
-        junctions=tuple(junctions),
-        cells=tuple(cells),
-        single_edge_first=len(path_blocks[0]) == 2,
-        single_edge_last=len(path_blocks[-1]) == 2,
+        blocks=blocks,
+        junctions=tuple(blk[-1] for blk in path[1:]),
+        cells=blocks[:1] + tuple(tuple(sorted(blk[:-1])) for blk in path[1:]),
+        single_edge_first=len(path[0]) == 2,
+        single_edge_last=len(path[-1]) == 2,
     )
 
 
-def classify(g: Graph, partition: Partition,
-             bcf: BlockCutForest | None = None) -> CriticalTopology:
-    """Build the abstract base topology for one partition and tag the case;
-    ``bcf`` is g's forest, if known.  Case 1 is decided on the raw edge
-    list; a base topology ``Graph`` is built only for case 2's block path."""
-    bcf = bcf or block_cut_forest(g)
+def classify(g: Graph, partition: Partition) -> CriticalTopology:
+    """Build the abstract base topology for one partition, from g's forest,
+    and tag the case.  Case 1 and case 2's block path are decided on the
+    base topology's raw edge list; no base topology ``Graph`` is built."""
+    bcf = g.forest
     leaf_ids = set(bcf.leaf_blocks)
     s1set, s2set = set(partition.side1), set(partition.side2)
     if s1set | s2set != leaf_ids or s1set & s2set:
@@ -196,7 +181,7 @@ def classify(g: Graph, partition: Partition,
         tag, bp = "case3", None
     else:
         assert connected, "uncovered disconnected base topology must be 2-connected"
-        tag, bp = "case2", _block_path(make_graph(n + 2, m0), n)
+        tag, bp = "case2", _block_path(m0, n)
 
     return CriticalTopology(
         partition=partition,
@@ -582,13 +567,12 @@ def partition_bounds(ctx: ScsdContext, bcf: BlockCutForest):
 
 def optimal_2block_closure(g: Graph, points: Sequence[Point2],
                            ctx: ScsdContext | None = None,
-                           bcf: BlockCutForest | None = None,
                            bound: float = math.inf,
                            enough: float = -math.inf,
                            memo: dict | None = None) -> EmbeddedClosure | None:
     """Minimum over all partitions and applicable cases; Steiner points are
-    nudged apart when the optimiser returns coincident locations.  ``bcf``
-    is g's block cut-vertex forest, if known.  Exact when the radius before
+    nudged apart when the optimiser returns coincident locations; the
+    partitions are those of g's forest.  Exact when the radius before
     the nudge is below ``bound``, else possibly None: each partition is
     priced against min(bound, best so far), since only a strictly lower
     radius replaces the best, or skipped when its lower bound reaches that
@@ -603,7 +587,7 @@ def optimal_2block_closure(g: Graph, points: Sequence[Point2],
         raise ValueError("empty instance")
     if ctx is None:
         ctx = ScsdContext(points)
-    bcf = bcf or block_cut_forest(g)
+    bcf = g.forest
     if len(bcf.blocks) == 1:  # g is 2-connected, K1 and K2 included
         if not g.edges:
             # single vertex: a 4-cycle through two zero-cost Steiner points
@@ -620,11 +604,11 @@ def optimal_2block_closure(g: Graph, points: Sequence[Point2],
     memo = {} if memo is None else memo
     lower = memo.get(None) or memo.setdefault(None, partition_bounds(ctx, bcf))
     best: EmbeddedClosure | None = None
-    for part in enumerate_partitions(bcf, len(bcf.components) <= 1):
+    for part in enumerate_partitions(bcf):
         limit = bound if best is None else min(bound, best.radius)
         if lower(part) >= limit + ctx.eps:
             continue
-        topo = memo.get(part) or memo.setdefault(part, classify(g, part, bcf))
+        topo = memo.get(part) or memo.setdefault(part, classify(g, part))
         locate = {"case1": locate_case1, "case2": locate_case2}.get(topo.case_tag, locate_case3)
         emb = locate(g, points, topo, ctx, limit, enough)
         if emb is not None:

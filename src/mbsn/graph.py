@@ -1,14 +1,20 @@
 """Undirected simple graphs on indexed vertices, block cut-vertex forests,
 and the leaf/isolated-block counter used as the search feasibility filter.
 
+One iterative low-point pass, ``closed_blocks``, answers every block
+question: it builds the forest, which each graph keeps once built
+(``Graph.forest``), decides 2-connectivity of a raw edge list, and gives
+closure2 the block path of a case-2 base topology.
+
 Isolated vertices and isolated edges count as blocks (K1 and K2 are treated
 as 2-connected throughout).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .geom import Point2, distance
 
@@ -36,6 +42,11 @@ class Graph:
         if self.lengths is not None and len(self.lengths) != len(self.edges):
             raise ValueError("lengths do not align with edges")
 
+    @functools.cached_property
+    def forest(self) -> BlockCutForest:
+        """The block cut-vertex forest, built once per graph."""
+        return block_cut_forest(self)
+
 
 def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]],
                lengths: Iterable[float] | None = None) -> Graph:
@@ -55,11 +66,11 @@ def geometric_graph(points: Sequence[Point2], edges: Iterable[tuple[int, int]]) 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Sorted vertex lists, ordered by their least vertex."""
-    return [list(c) for c in block_cut_forest(g).components]
+    return [list(c) for c in g.forest.components]
 
 
 def is_connected(g: Graph) -> bool:
-    return len(block_cut_forest(g).components) <= 1
+    return len(g.forest.components) <= 1
 
 
 @dataclass(frozen=True)
@@ -80,42 +91,37 @@ class BlockCutForest:
     components: tuple[tuple[int, ...], ...] = field(repr=False)
 
 
-def block_cut_forest(g: Graph) -> BlockCutForest:
-    """Block decomposition by one depth-first pass with low-points and a
-    vertex stack; isolated vertices are emitted as singleton blocks.  The
-    pass also labels each vertex with its component, the root's.  The
-    result does not depend on the order in which the pass meets vertices."""
-    n = g.vertex_count
+def closed_blocks(n: int, edges: Iterable[tuple[int, int]],
+                  roots: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The blocks of vertices 0..n-1 with ``edges`` in any order and
+    orientation, as one iterative depth-first pass with low-points and a
+    vertex stack closes them: from each root not yet reached, in turn.  A
+    block lists the vertex it closes at last, its other vertices in
+    discovery order; a root without edges closes as the block (root,).  The
+    blocks of one component come in a row, the last of them closing at its
+    root, and each block closes after every block below it."""
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
+    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     disc = [-1] * n
     low = [0] * n
-    cut = [False] * n
-    comp = [-1] * n
     at = [0] * n  # each vertex's position on ``seen``
-    block_sets: list[tuple[int, ...]] = []
-    timer = components = 0
-
-    for root in range(n):
-        if comp[root] != -1:
-            continue
-        comp[root] = components
-        components += 1
-        if not adj[root]:
-            block_sets.append((root,))
+    timer = 0
+    for root in roots:
+        if disc[root] != -1:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        root_children = 0
-        seen = []  # vertices of the blocks not emitted yet, in discovery order
+        if not adj[root]:
+            yield (root,)
+            continue
+        seen = []  # vertices of the blocks not closed yet, in discovery order
         stack = [(root, -1, iter(adj[root]))]
         while stack:
             v, p, it = stack[-1]
             for w in it:
                 if disc[w] == -1:
-                    comp[w] = comp[root]
                     disc[w] = low[w] = timer
                     timer += 1
                     at[w] = len(seen)
@@ -130,35 +136,54 @@ def block_cut_forest(g: Graph) -> BlockCutForest:
                     continue
                 if low[v] < low[p]:
                     low[p] = low[v]
-                if low[v] >= disc[p]:  # p separates v's subtree: a block ends
-                    block_sets.append(tuple(sorted(seen[at[v]:] + [p])))
+                if low[v] >= disc[p]:  # p separates v's subtree: a block closes at p
+                    yield (*seen[at[v]:], p)
                     del seen[at[v]:]
-                    if p != root:
-                        cut[p] = True
-                    else:
-                        root_children += 1
-        if root_children >= 2:
-            cut[root] = True
 
-    comps: list[list[int]] = [[] for _ in range(components)]
-    for v in range(n):  # roots go in ascending order, so components do too
+
+def block_cut_forest(g: Graph) -> BlockCutForest:
+    """Blocks, cut vertices and components from ``closed_blocks`` run from
+    every vertex in ascending order, so each component's root is its least
+    vertex.  Read backwards, a component starts at the last block closing at
+    its root, and every block joins the component of the vertex it closes
+    at.  A vertex already placed when a block closes at it lies in two
+    blocks, so it is a cut vertex: a non-root is placed by the block it
+    shares with its parent, which closes after its own, and a root by its
+    last block.  The result does not depend on the order in which the pass
+    meets vertices."""
+    n = g.vertex_count
+    closed = list(closed_blocks(n, g.edges, range(n)))
+    comp = [-1] * n  # components numbered from the last root down
+    cut: set[int] = set()
+    count = 0
+    for blk in reversed(closed):
+        c = comp[blk[-1]]
+        if c < 0:
+            c, count = count, count + 1
+        else:
+            cut.add(blk[-1])
+        for w in blk:
+            comp[w] = c
+    comps: list[list[int]] = [[] for _ in range(count)]
+    for v in range(n):
         comps[comp[v]].append(v)
-    block_sets.sort()
+    comps.reverse()  # roots ascend, so components go by their least vertex
+    block_sets = sorted(tuple(sorted(blk)) for blk in closed)
 
-    cut_vs = frozenset(v for v in range(n) if cut[v])
     leaf: list[int] = []
     isolated: list[int] = []
     interiors: list[tuple[int, ...]] = []
     for i, blk in enumerate(block_sets):
-        interiors.append(tuple(v for v in blk if v not in cut_vs))
-        cuts_in = len(blk) - len(interiors[-1])
+        inner = blk if cut.isdisjoint(blk) else tuple(v for v in blk if v not in cut)
+        interiors.append(inner)
+        cuts_in = len(blk) - len(inner)
         if cuts_in == 0:
             isolated.append(i)
         elif cuts_in == 1:
             leaf.append(i)
     return BlockCutForest(
         blocks=tuple(block_sets),
-        cut_vertices=cut_vs,
+        cut_vertices=frozenset(cut),
         leaf_blocks=tuple(leaf),
         isolated_blocks=tuple(isolated),
         interiors=tuple(interiors),
@@ -173,41 +198,13 @@ def is_biconnected(g: Graph) -> bool:
 
 def is_biconnected_edges(n: int, edges: Sequence[tuple[int, int]]) -> bool:
     """2-connectivity of vertices 0..n-1 with ``edges`` in any order and
-    orientation (K1, K2 and n = 0 count as 2-connected): one iterative
-    low-point pass from vertex 0 that stops at the first cut vertex, at a
-    second root child or with a vertex unreached."""
+    orientation (K1, K2 and n = 0 count as 2-connected): whether the first
+    block ``closed_blocks`` closes from vertex 0 holds every vertex.  The
+    pass stops there: at the first cut vertex, at the root's first child
+    when it has a second, or with the whole component reached."""
     if n <= 2:
         return n < 2 or len(edges) == 1
-    if len(edges) < n:
-        return False
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    disc = [0] + [-1] * (n - 1)
-    low = [0] * n
-    timer = 1
-    stack = [(0, -1, iter(adj[0]))]
-    while stack:
-        v, p, it = stack[-1]
-        for w in it:
-            if disc[w] == -1:
-                if v == 0 and timer > 1:
-                    return False  # a second root child: the root is a cut vertex
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, v, iter(adj[w])))
-                break
-            if w != p and disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            stack.pop()
-            if p > 0:
-                if low[v] >= disc[p]:
-                    return False  # p separates v's subtree from the root
-                if low[v] < low[p]:
-                    low[p] = low[v]
-    return timer == n
+    return len(edges) >= n and len(next(closed_blocks(n, edges, (0,)))) == n
 
 
 def connecting_prefix(n: int, edges: Sequence[tuple[int, int]]) -> int:
@@ -229,10 +226,9 @@ def connecting_prefix(n: int, edges: Sequence[tuple[int, int]]) -> int:
     return len(edges) + 1
 
 
-def b_count(g: Graph, bcf: BlockCutForest | None = None) -> int:
-    """Leaf blocks plus twice the isolated blocks of g (or of its forest ``bcf``)."""
-    bcf = bcf or block_cut_forest(g)
-    return len(bcf.leaf_blocks) + 2 * len(bcf.isolated_blocks)
+def b_count(g: Graph) -> int:
+    """Leaf blocks plus twice the isolated blocks of g."""
+    return len(g.forest.leaf_blocks) + 2 * len(g.forest.isolated_blocks)
 
 
 def max_edge_length(g: Graph) -> tuple[float, tuple[int, int]]:

@@ -201,7 +201,7 @@ def smallest_color_spanning_disk(cs: ColorSystem) -> ScsdResult:
     ctx = ScsdContext(pts)
     r, center, picks = ctx.best_center([range(e - len(c), e) for c, e in zip(cs.classes, ends)])
     nearest = tuple(pts[v] for v in picks)
-    tol = max(ctx.eps, 1e-12 * (1.0 + r))
+    tol = ctx.eps
     on = sorted({p.as_tuple() for p in nearest if abs(distance(center, p) - r) <= tol})
     dets = (nearest[0],) if r <= tol else tuple(Point2(x, y) for x, y in on)
     return ScsdResult(Circle(center, r), dets, nearest)

@@ -12,9 +12,10 @@ k = 1, below the connectivity index: the least prefix that connects,
 from one union-find pass); otherwise the optimal k-block closure of G_t
 prices it at max(closure radius, t).  Each distinct k >= 1 threshold has
 one probe state, shared by all its evaluations until the solve ends: the
-prefix ``Graph``, its forest (with its components) and the k = 2
-closure's memo.  The k = 2 schedule is prepended with 0 because an
-optimal network minus its Steiner points may be edgeless.
+prefix ``Graph``, which keeps its forest (``Graph.forest``, with its
+components) once built, and the k = 2 closure's memo.  The k = 2
+schedule is prepended with 0 because an optimal network minus its Steiner
+points may be edgeless.
 
 A k = 2 probe's closure may report it ABOVE its cutoff: each probe is
 decided at its own threshold and only the crossing is priced
@@ -33,8 +34,8 @@ from .closure1 import optimal_1block_closure
 from .closure2 import nudge_growth, optimal_2block_closure, separate_coincident  # noqa: F401
 from .geom import Point2, distance, geometry_eps
 # is_connected and threshold_subgraph: unused, but perfbench's tracer wraps them
-from .graph import (BlockCutForest, Graph, b_count, block_cut_forest, connecting_prefix,  # noqa: F401
-                    is_biconnected, is_biconnected_edges, is_connected, make_graph)
+from .graph import (Graph, b_count, connecting_prefix, is_biconnected,  # noqa: F401
+                    is_biconnected_edges, is_connected, make_graph)
 from .rng import build_2rng, length_schedule, threshold_subgraph  # noqa: F401
 from .scsd import ScsdContext
 
@@ -84,7 +85,7 @@ class SolutionNetwork:
             raise ValueError("Steiner points must be distinct from all other points")
         if not is_biconnected(self.as_graph()):
             raise ValueError("network is not 2-connected")
-        eps = max(geometry_eps(pts), 1e-12)
+        eps = geometry_eps(pts)
         if abs(self.recomputed_bottleneck() - self.bottleneck) > eps:
             raise ValueError("recorded bottleneck disagrees with the edge list")
 
@@ -160,25 +161,24 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Evaluate:
     ctx = ScsdContext(pts)
     # k = 1: G_t is connected from this prefix length on
     connected_at = connecting_prefix(n, edges) if k == 1 else 0
-    states: dict[int, tuple[Graph, BlockCutForest, dict]] = {}  # G_t, its forest, closure memo
+    states: dict[int, tuple[Graph, dict]] = {}  # G_t (its forest kept on it), closure memo
 
     def evaluate(t: float, cutoff: float = math.inf, enough: float = -math.inf) -> Evaluation:
         p = bisect_right(lengths, t)
         if p < connected_at:
             return False, math.inf, None
         if p not in states:
-            g = Graph(n, tuple(edges[:p]), tuple(lengths[:p]))
-            states[p] = g, block_cut_forest(g), {}
-        g, bcf, memo = states[p]
-        if b_count(g, bcf) > 5 * k:
+            states[p] = Graph(n, tuple(edges[:p]), tuple(lengths[:p])), {}
+        g, memo = states[p]
+        if b_count(g) > 5 * k:
             return False, math.inf, None
         if k == 1:
-            clo = optimal_1block_closure(g, pts, ctx, bcf)
+            clo = optimal_1block_closure(g, pts, ctx)
         else:
             # the cutoff bounds the radius before the nudge, which only grows it (+ eps: rounding),
             # and by at most nudge_growth: a closure at most enough minus that stays at most enough
             stop = enough - nudge_growth(pts, enough) if math.isfinite(enough) else enough
-            clo = optimal_2block_closure(g, pts, ctx, bcf, cutoff + ctx.eps, stop, memo)
+            clo = optimal_2block_closure(g, pts, ctx, cutoff + ctx.eps, stop, memo)
             if clo is None:
                 return ABOVE
             if clo.stopped:  # at most enough, but maybe not the least: the search prices it again

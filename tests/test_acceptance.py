@@ -241,11 +241,11 @@ def test_partition_lower_bound_never_exceeds_the_closure_radius():
         for t in (lengths[len(lengths) // 4], lengths[len(lengths) // 2]):
             g = threshold_subgraph(r, t)
             bcf = block_cut_forest(g)
-            if b_count(g, bcf) > 10 or len(bcf.blocks) == 1:
+            if b_count(g) > 10 or len(bcf.blocks) == 1:
                 continue
             lower = partition_bounds(ctx, bcf)
-            for part in enumerate_partitions(bcf, is_connected(g)):
-                topo = classify(g, part, bcf)
+            for part in enumerate_partitions(bcf):
+                topo = classify(g, part)
                 radius = locate[topo.case_tag](g, pts, topo, ctx).radius
                 assert lower(part) <= radius + 1e-12, (len(pts), t, part)
                 checked += 1

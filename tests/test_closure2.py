@@ -31,25 +31,25 @@ def _embedded_graph(g, points, emb):
 def test_partition_counts():
     g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])  # path: 2 leaf blocks
     bcf = block_cut_forest(g)
-    assert len(enumerate_partitions(bcf, True)) == 1
+    assert len(enumerate_partitions(bcf)) == 1
 
     g3 = make_graph(7, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (4, 6)])
     bcf3 = block_cut_forest(g3)
     if len(bcf3.leaf_blocks) == 3:
-        assert len(enumerate_partitions(bcf3, True)) == 3
+        assert len(enumerate_partitions(bcf3)) == 3
 
     edgeless = make_graph(2, [])
-    assert enumerate_partitions(block_cut_forest(edgeless), False) == \
-        enumerate_partitions(block_cut_forest(edgeless), False)
-    assert len(enumerate_partitions(block_cut_forest(edgeless), False)) == 1
+    assert enumerate_partitions(block_cut_forest(edgeless)) == \
+        enumerate_partitions(block_cut_forest(edgeless))
+    assert len(enumerate_partitions(block_cut_forest(edgeless))) == 1
 
 
 def test_classify_dumbbell_case1():
     g = geometric_graph(DUMBBELL, [(0, 1), (2, 3)])
     bcf = block_cut_forest(g)
-    parts = enumerate_partitions(bcf, False)
+    parts = enumerate_partitions(bcf)
     assert len(parts) == 1
-    topo = classify(g, parts[0], bcf)
+    topo = classify(g, parts[0])
     assert topo.case_tag == "case1"
     assert len(topo.isolated_multis) == 2
     assert topo.isolated_vertices == ()
@@ -60,8 +60,8 @@ def test_classify_path_case2():
     pts = [Point2(float(i), 0) for i in range(5)]
     g = geometric_graph(pts, [(0, 1), (1, 2), (2, 3), (3, 4)])
     bcf = block_cut_forest(g)
-    parts = enumerate_partitions(bcf, True)
-    topo = classify(g, parts[0], bcf)
+    parts = enumerate_partitions(bcf)
+    topo = classify(g, parts[0])
     assert topo.case_tag == "case2"
     # the base topology of a 5-vertex path is a path of 6 single-edge blocks
     assert len(topo.block_path.blocks) == 6
@@ -78,7 +78,7 @@ def test_classify_covered_component_case3():
     bcf = block_cut_forest(g)
     from mbsn.closure2 import Partition
     leafs = bcf.leaf_blocks
-    topo = classify(g, Partition(tuple(leafs), ()), bcf)
+    topo = classify(g, Partition(tuple(leafs), ()))
     assert topo.case_tag == "case3"
     assert topo.covered_by_s1 == ((0, 1, 2),)
     assert topo.covered_by_s2 == ()
@@ -94,10 +94,10 @@ def test_case1_with_isolated_vertex():
     pts = [Point2(0, 0), Point2(5, 1), Point2(10, 0), Point2(5, 4)]
     g = geometric_graph(pts, [(0, 1), (1, 2)])
     bcf = block_cut_forest(g)
-    parts = enumerate_partitions(bcf, False)
+    parts = enumerate_partitions(bcf)
     found = None
     for part in parts:
-        topo = classify(g, part, bcf)
+        topo = classify(g, part)
         if topo.case_tag == "case1" and len(part.side1) == 1 and len(part.side2) == 1:
             found = locate_case1(g, pts, topo)
     assert found is not None
@@ -118,7 +118,7 @@ def test_case3_both_components_covered():
     from mbsn.closure2 import Partition
     comp_a = [b for b in bcf.leaf_blocks if bcf.blocks[b][0] < 3]
     comp_b = [b for b in bcf.leaf_blocks if bcf.blocks[b][0] >= 3]
-    topo = classify(g, Partition(tuple(comp_a), tuple(comp_b)), bcf)
+    topo = classify(g, Partition(tuple(comp_a), tuple(comp_b)))
     assert topo.case_tag == "case3"
     assert len(topo.covered_by_s1) == 1 and len(topo.covered_by_s2) == 1
     emb = locate_case3(g, pts, topo)
@@ -169,7 +169,7 @@ def test_case2_subcase22_three_leg_balance():
     pts = [Point2(0, 0), Point2(4, 0), Point2(8, 0)]
     g = geometric_graph(pts, [(0, 1), (1, 2)])
     bcf = block_cut_forest(g)
-    topo = classify(g, enumerate_partitions(bcf, True)[0], bcf)
+    topo = classify(g, enumerate_partitions(bcf)[0])
     emb = locate_case2(g, pts, topo)
     assert is_biconnected(_embedded_graph(g, pts, emb))
     assert emb.radius <= 8.0 / 3.0 + 1e-9
@@ -189,10 +189,10 @@ def test_case2_monotone_split_radii():
         if not is_connected(g) or is_biconnected(g):
             continue
         bcf = block_cut_forest(g)
-        parts = enumerate_partitions(bcf, True)
+        parts = enumerate_partitions(bcf)
         topo = None
         for p in parts:
-            t = classify(g, p, bcf)
+            t = classify(g, p)
             if t.case_tag == "case2":
                 topo = t
                 break
@@ -276,8 +276,8 @@ def test_closure_beats_every_enumerated_candidate():
         best = optimal_2block_closure(g, pts)
         bcf = block_cut_forest(g)
         ctx = ScsdContext(pts)
-        for part in enumerate_partitions(bcf, is_connected(g)):
-            topo = classify(g, part, bcf)
+        for part in enumerate_partitions(bcf):
+            topo = classify(g, part)
             emb = {"case1": locate_case1, "case2": locate_case2,
                    "case3": locate_case3}[topo.case_tag](g, pts, topo, ctx)
             assert best.radius <= emb.radius + 1e-9
@@ -614,8 +614,8 @@ def test_crossing_edges_structural_form():
     pts = [Point2(float(i), 0.1 * (i % 2)) for i in range(6)]
     g = geometric_graph(pts, [(i, i + 1) for i in range(5)])
     bcf = block_cut_forest(g)
-    for part in enumerate_partitions(bcf, True):
-        topo = classify(g, part, bcf)
+    for part in enumerate_partitions(bcf):
+        topo = classify(g, part)
         if topo.case_tag != "case2":
             continue
         emb = locate_case2(g, pts, topo)

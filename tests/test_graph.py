@@ -334,18 +334,50 @@ def test_classify_case_1_is_the_base_topology_test():
     for pts in _point_sets():
         for g in _prefixes(build_2rng(pts)):
             bcf = block_cut_forest(g)
-            if b_count(g, bcf) > 10 or len(bcf.blocks) == 1:
+            if b_count(g) > 10 or len(bcf.blocks) == 1:
                 continue
             n = g.vertex_count
             singles = [bcf.blocks[b] for b in bcf.isolated_blocks]
-            for part in enumerate_partitions(bcf, len(bcf.components) == 1):
+            for part in enumerate_partitions(bcf):
                 e0 = [(n, min(bcf.interiors[b])) for b in part.side1]
                 e0 += [(n + 1, min(bcf.interiors[b])) for b in part.side2]
                 # an isolated block meets s1 at its first vertex, s2 at its second
                 e0 += [e for blk in singles for e in ((blk[0], n), (blk[:2][-1], n + 1))]
-                topo = classify(g, part, bcf)
+                topo = classify(g, part)
                 base = make_graph(n + 2, list(g.edges) + e0)
                 assert (topo.case_tag == "case1") == is_biconnected(base), (n, part)
                 assert topo.base_topology == base
                 seen[topo.case_tag == "case1"] += 1
     assert min(seen.values()) > 100, seen
+
+
+def test_case2_block_path_is_the_base_topology_forest_in_path_order():
+    # the block path read off one pass from s1 holds the blocks of the base
+    # topology's full forest, from s1's end to s2's, each sharing exactly its
+    # junction with the one before, and its cells partition every vertex
+    paths = 0
+    for pts in _point_sets():
+        for g in _prefixes(build_2rng(pts)):
+            bcf = block_cut_forest(g)
+            if b_count(g) > 10 or len(bcf.blocks) == 1:
+                continue
+            n = g.vertex_count
+            for part in enumerate_partitions(bcf):
+                topo = classify(g, part)
+                if topo.case_tag != "case2":
+                    continue
+                bp = topo.block_path
+                base = block_cut_forest(make_graph(n + 2, topo.base_edges))
+                assert sorted(bp.blocks) == list(base.blocks), (n, part)
+                assert n in bp.blocks[0] and n + 1 in bp.blocks[-1]
+                assert len(bp.junctions) == len(bp.blocks) - 1
+                for a, b, j in zip(bp.blocks, bp.blocks[1:], bp.junctions):
+                    assert set(a) & set(b) == {j} and j in base.cut_vertices
+                assert bp.cells[0] == bp.blocks[0]
+                for cell, blk, j in zip(bp.cells[1:], bp.blocks[1:], bp.junctions):
+                    assert cell == tuple(v for v in blk if v != j)
+                assert sorted(v for cell in bp.cells for v in cell) == list(range(n + 2))
+                assert bp.single_edge_first == (len(bp.blocks[0]) == 2)
+                assert bp.single_edge_last == (len(bp.blocks[-1]) == 2)
+                paths += 1
+    assert paths > 50, paths

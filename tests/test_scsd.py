@@ -62,6 +62,18 @@ def test_single_class_zero_radius():
     assert res.determinators == (Point2(7.0, 7.0),)
 
 
+def test_determinators_do_not_depend_on_the_scale():
+    # three classes of one point each: all three lie on the disk at every
+    # scale, none is taken for a zero radius at a small one
+    counts = []
+    for s in (1e-13, 1.0, 1e6):
+        cs = color_system([[Point2(0, 0)], [Point2(2 * s, 0)], [Point2(s, 1.5 * s)]])
+        res = smallest_color_spanning_disk(cs)
+        assert res.disk.radius > 0.0
+        counts.append(len(res.determinators))
+    assert counts == [3, 3, 3]
+
+
 def test_single_class_lexicographic_pick():
     res = smallest_color_spanning_disk(
         color_system([[Point2(3, 1), Point2(0, 5), Point2(0, 2)]]))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mbsn import closure2, solver
+from mbsn import closure2, graph, solver
 from mbsn.cli import generate_instance
 from mbsn.geom import Point2, distance
 from mbsn.graph import block_cut_forest, is_connected
@@ -109,6 +109,19 @@ def test_solve_dispatch_and_input_checks():
         mbsn0([Point2(0, 0)])
     with pytest.raises(ValueError):
         mbsn1([Point2(0, 0), Point2(0, 0)])
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+def test_validate_checks_the_bottleneck_at_every_scale(scale):
+    # the bottleneck check is relative to the instance: at 1e-13 a recorded
+    # bottleneck of 0 is as wrong as at 1e6
+    pts = [Point2(0, 0), Point2(scale, 0), Point2(scale, scale), Point2(0.5 * scale, 1.5 * scale)]
+    for k in (0, 1, 2):
+        net = solve(pts, k)
+        net.validate()
+        for wrong in (0.0, 0.5 * net.bottleneck, 2.0 * net.bottleneck):
+            with pytest.raises(ValueError):
+                dataclasses.replace(net, bottleneck=wrong).validate()
 
 
 def _degenerate_sets():
@@ -332,23 +345,23 @@ def test_k2_search_decides_at_each_threshold_and_prices_only_after():
 
 
 def _recording_probes(monkeypatch):
-    """Records every threshold the solver evaluates, every forest it builds
+    """Records every threshold the solver evaluates, every forest built
     (the graphs, by edge count) and every topology closure2 classifies."""
     seen = {"evaluated": [], "forests": [], "topologies": [], "block_paths": []}
-    make, build, path, topology = (solver._evaluator, solver.block_cut_forest,
+    make, build, path, topology = (solver._evaluator, graph.block_cut_forest,
                                    closure2._block_path, closure2.classify)
 
     def evaluator(r, pts, k):
         evaluate = make(r, pts, k)
         return lambda t, *args: seen["evaluated"].append(t) or evaluate(t, *args)
 
-    def classify(g, part, bcf=None):
-        topo = topology(g, part, bcf)
+    def classify(g, part):
+        topo = topology(g, part)
         seen["topologies"].append((len(g.edges), part, topo.case_tag))
         return topo
 
     monkeypatch.setattr(solver, "_evaluator", evaluator)
-    monkeypatch.setattr(solver, "block_cut_forest",
+    monkeypatch.setattr(graph, "block_cut_forest",
                         lambda g: seen["forests"].append(len(g.edges)) or build(g))
     monkeypatch.setattr(closure2, "_block_path",
                         lambda m0, n: seen["block_paths"].append(n) or path(m0, n))
@@ -383,11 +396,11 @@ def test_k1_builds_no_forest_below_the_connectivity_index(monkeypatch):
         for v in seen.values():
             v.clear()
         solve(pts, 1)
+        forests = list(seen["forests"])  # before is_connected below builds forests of its own
         r = build_2rng(pts)
         connected = [t for t in seen["evaluated"] if is_connected(threshold_subgraph(r, t))]
         below += len(seen["evaluated"]) - len(connected)
-        assert sorted(seen["forests"]) == sorted(len(threshold_subgraph(r, t).edges)
-                                                 for t in connected)
+        assert sorted(forests) == sorted(len(threshold_subgraph(r, t).edges) for t in connected)
     assert below > 0
 
 
