@@ -194,12 +194,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         oracle_val = oracle_mbsn0(pts)
         err = 0.0
         ok = abs(net.bottleneck - oracle_val) <= lo
-    elif args.k == 1:
-        oracle_val, s, err = oracle_k1(pts, tol)
-        ok = (oracle_val - err - lo <= net.bottleneck <= oracle_val + hi)
-        ok = ok and all(domain_contains(pts, sp) for sp in net.steiner)
     else:
-        oracle_val, s1, s2, err = oracle_k2(pts, tol)
+        oracle_val, *_, err = (oracle_k1 if args.k == 1 else oracle_k2)(pts, tol)
         ok = (oracle_val - err - lo <= net.bottleneck <= oracle_val + hi)
         ok = ok and all(domain_contains(pts, sp) for sp in net.steiner)
     verdict = "pass" if ok else "FAIL"

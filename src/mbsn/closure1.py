@@ -7,12 +7,11 @@ per leaf block) with one edge to the nearest interior point of each leaf
 block.  For a block it sits at the midpoint of the shortest edge.  The
 result is closure2's ``EmbeddedClosure`` with one Steiner point, vertex n:
 nudged off the terminals and priced after the nudge by
-``separate_embedding``, as the 2-block closure is.
+``separate_embedding``, as the 2-block closure is.  The instance is the
+probe's colour-disk context: g's vertex i is ``ctx.points[i]``.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from .closure2 import EmbeddedClosure, separate_embedding
 from .geom import Point2
@@ -21,26 +20,23 @@ from .graph import Graph, block_cut_forest, is_biconnected, is_connected  # noqa
 from .scsd import ScsdContext
 
 
-def optimal_1block_closure(g: Graph, points: Sequence[Point2],
-                           ctx: ScsdContext | None = None) -> EmbeddedClosure:
-    """Raises ValueError on disconnected input; g's forest tells whether g
-    is connected and whether it is one block."""
+def optimal_1block_closure(g: Graph, ctx: ScsdContext) -> EmbeddedClosure:
+    """The closure of g, whose vertices are ``ctx.points``.  Raises
+    ValueError below 2 vertices or on disconnected input; g's forest tells
+    whether g is connected and whether it is one block."""
+    n = g.vertex_count
+    if n < 2:
+        raise ValueError("1-block closure requires at least 2 vertices")
     bcf = g.forest
     if len(bcf.components) > 1:
         raise ValueError("1-block closure requires a connected graph")
-    n = g.vertex_count
+    points = ctx.points
     if len(bcf.blocks) == 1:
-        if not g.edges:
-            # single vertex: the closure at the vertex itself
-            emb = EmbeddedClosure(0.0, (points[0],), ((0, n),), "block")
-        else:
-            assert g.lengths is not None
-            ln, (u, v) = min(zip(g.lengths, g.edges))
-            mid = Point2((points[u].x + points[v].x) / 2.0, (points[u].y + points[v].y) / 2.0)
-            emb = EmbeddedClosure(ln / 2.0, (mid,), ((u, n), (v, n)), "block")
+        assert g.lengths is not None
+        ln, (u, v) = min(zip(g.lengths, g.edges))
+        mid = Point2((points[u].x + points[v].x) / 2.0, (points[u].y + points[v].y) / 2.0)
+        emb = EmbeddedClosure(ln / 2.0, (mid,), ((u, n), (v, n)), "block")
     else:
-        if ctx is None:
-            ctx = ScsdContext(points)
         classes = [list(bcf.interiors[b]) for b in bcf.leaf_blocks]
         r, center, picks = ctx.best_center(classes)
         emb = EmbeddedClosure(r, (center,), tuple(sorted((v, n) for v in picks)), "star")

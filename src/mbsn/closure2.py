@@ -16,6 +16,11 @@ solver; the cheaper wins.  The block path is read off one low-point pass
 Case 3 (disconnected input with covered components): components reachable
 from only one Steiner point receive one extra edge from the other, and
 the Case 1 discipline runs with those components as additional colours.
+
+The instance is the probe's colour-disk context: every function here reads
+the points from ``ctx.points``.  ``optimal_2block_closure`` owns its
+cutoff: it turns the evaluator's cutoff and ``enough`` on the nudged
+radius into the bounds of its search (``nudge_growth``).
 """
 
 from __future__ import annotations
@@ -331,8 +336,7 @@ def _locate_pair(ctx: ScsdContext,
     return best_r, c1, c2, picks1, picks2
 
 
-def locate_case1(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
-                 ctx: ScsdContext | None = None, bound: float = math.inf,
+def locate_case1(topo: CriticalTopology, ctx: ScsdContext, bound: float = math.inf,
                  enough: float = -math.inf) -> EmbeddedClosure | None:
     """Cases 1 and 3: two independent disks, each also reaching the
     components covered only by the other Steiner point; None when the
@@ -340,12 +344,12 @@ def locate_case1(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
     assert topo.case_tag in ("case1", "case3")
     base1 = topo.side1_classes + topo.covered_by_s2
     base2 = topo.side2_classes + topo.covered_by_s1
-    pair = _locate_pair(ctx or ScsdContext(points), base1, base2,
-                        topo.isolated_vertices, topo.isolated_multis, bound, enough)
+    pair = _locate_pair(ctx, base1, base2, topo.isolated_vertices, topo.isolated_multis,
+                        bound, enough)
     if pair is None:
         return None
     r, c1, c2, picks1, picks2 = pair
-    n = g.vertex_count
+    n = len(ctx.points)
     edges = {(v, n) for v in picks1} | {(v, n + 1) for v in picks2}
     return EmbeddedClosure(r, (c1, c2), tuple(sorted(edges)), topo.case_tag, topo.partition)
 
@@ -355,41 +359,42 @@ def locate_case1(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
 locate_case3 = locate_case1
 
 
-def _distinct_disk(ctx: ScsdContext, cls: list[int], h: list[int]):
-    """best_center of [cls, h], cls a subset of h, with the extra requirement
-    that the disk reaches two distinct vertices; exact by conditioning on the
-    witness x of cls (forcing the class to one vertex loses no solution).
-    Unconditioned, the answer is r = 0 on a vertex both picks share, so it is
-    not asked.  Conditioned, it is half the distance from x to its nearest
-    other vertex of h; an x where that is the least one + eps or more cannot
-    win the strict <."""
-    d = ctx.dist[np.ix_(cls, h)]
-    d[np.asarray(cls)[:, None] == np.asarray(h)[None, :]] = np.inf
+def _distinct_disk(ctx: ScsdContext, cls: list[int]):
+    """best_center of [cls, h], h every vertex of ``ctx``, with the extra
+    requirement that the disk reaches two distinct vertices; exact by
+    conditioning on the witness x of cls (forcing the class to one vertex
+    loses no solution).  Unconditioned, the answer is r = 0 on a vertex both
+    picks share, so it is not asked.  Conditioned, it is half the distance
+    from x to its nearest other vertex; an x where that is the least one +
+    eps or more cannot win the strict <, and the x with the least one is
+    always asked."""
+    d = ctx.dist.take(cls, 0)
+    d[np.arange(len(cls)), cls] = np.inf
     half = d.min(axis=1) / 2.0
     skip, best = half.min() + ctx.eps, None
     for x, hx in zip(cls, half):
         if hx >= skip:
             continue
-        r2, c2, p2 = ctx.best_center([[x], [v for v in h if v != x]])
+        r2, c2, p2 = ctx.best_center([[x], [v for v in range(len(ctx.points)) if v != x]])
         if best is None or r2 < best[0]:
             best = (r2, c2, p2)
     return best
 
 
-def locate_case2(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
-                 ctx: ScsdContext | None = None, bound: float = math.inf,
+def locate_case2(topo: CriticalTopology, ctx: ScsdContext, bound: float = math.inf,
                  enough: float = -math.inf) -> EmbeddedClosure | None:
     """Better of: crossing-edge topologies scanned along the block path
     (no Steiner-Steiner edge), and the adjacent-Steiner topology embedded
     by the coupled two-disk solver; None when neither goes strictly below
     ``bound``.  A split whose first disk reaches the best so far asks no
     second disk; one at most ``enough`` ends the scan and skips the coupled
-    solver, which stops at its own first pair at most ``enough``."""
+    solver, which stops at its own first pair at most ``enough``.  Every
+    split has both disks: h1 holds the junction of cell p - 1, or a terminal
+    of a fat last block; h2 holds a terminal of the first cell; and
+    ``_distinct_disk`` always asks the x with the least half-distance."""
     assert topo.case_tag == "case2" and topo.block_path is not None
-    if ctx is None:
-        ctx = ScsdContext(points)
     bp = topo.block_path
-    n = g.vertex_count
+    n = len(ctx.points)
     p = len(bp.blocks)
     cells_x = [tuple(v for v in cell if v < n) for cell in bp.cells]
     static_cell = {v: i + 1 for i, cell in enumerate(cells_x) for v in cell}
@@ -401,17 +406,11 @@ def locate_case2(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
     best21, limit = None, bound
     for a in i0:
         corner1 = len(side1) == 1 and a == 2
-        if corner1:
-            h1 = list(range(n))  # whole vertex set; attachment excluded via distinctness
-            res = _distinct_disk(ctx, side1[0], h1)
+        if corner1:  # whole vertex set; attachment excluded via distinctness
+            r1, c1, picks1 = _distinct_disk(ctx, side1[0])
         else:
             h1 = sorted(v for cell in cells_x[a - 1:] for v in cell)
-            if not h1:
-                continue
-            res = ctx.best_center(side1 + [h1])
-        if res is None:
-            continue
-        r1, c1, picks1 = res
+            r1, c1, picks1 = ctx.best_center(side1 + [h1])
         if r1 >= limit:
             continue
         hpick = picks1[-1]
@@ -425,15 +424,10 @@ def locate_case2(g: Graph, points: Sequence[Point2], topo: CriticalTopology,
             assert len(side2) >= 2
             r2, c2, picks2 = ctx.best_center(side2)
         elif len(side2) == 1 and b == p - 1:
-            res2 = _distinct_disk(ctx, side2[0], list(range(n)))
-            if res2 is None:
-                continue
-            r2, c2, picks2 = res2
+            r2, c2, picks2 = _distinct_disk(ctx, side2[0])
         else:
-            tau_b = bp.junctions[b - 1] if b < p else None
+            tau_b = bp.junctions[b - 1]
             h2 = sorted(v for cell in cells_x[:b] for v in cell if v != tau_b)
-            if not h2:
-                continue
             r2, c2, picks2 = ctx.best_center(side2 + [h2])
         r = max(r1, r2)
         if r < limit:
@@ -565,34 +559,31 @@ def partition_bounds(ctx: ScsdContext, bcf: BlockCutForest):
                             default=0.0)
 
 
-def optimal_2block_closure(g: Graph, points: Sequence[Point2],
-                           ctx: ScsdContext | None = None,
-                           bound: float = math.inf,
+def optimal_2block_closure(g: Graph, ctx: ScsdContext, cutoff: float = math.inf,
                            enough: float = -math.inf,
                            memo: dict | None = None) -> EmbeddedClosure | None:
-    """Minimum over all partitions and applicable cases; Steiner points are
-    nudged apart when the optimiser returns coincident locations; the
-    partitions are those of g's forest.  Exact when the radius before
-    the nudge is below ``bound``, else possibly None: each partition is
-    priced against min(bound, best so far), since only a strictly lower
-    radius replaces the best, or skipped when its lower bound reaches that
-    + eps.  The first partition at most ``enough`` before the nudge ends the
-    loop and is returned instead of the minimum, marked ``stopped``; every
-    stop inside a partition's search returns such a result too, so a result
-    not marked is the one ``enough`` = -inf gives.  ``memo``, a dict the
-    caller keeps for one g and ctx, holds the partitions' lower bound (key
-    None) and each classified topology between calls."""
+    """Minimum over all partitions (of g's forest) and applicable cases, g's
+    vertices being ``ctx.points``; Steiner points are nudged apart when the
+    optimiser returns coincident locations.  Raises ValueError below 2
+    vertices.  ``cutoff`` and ``enough`` are the evaluator's, on the radius
+    after the nudge, which only grows it (+ eps: rounding): exact when the
+    radius before the nudge is below ``bound`` = ``cutoff`` + eps, else
+    possibly None.  Each partition is priced against min(bound, best so
+    far), since only a strictly lower radius replaces the best, or skipped
+    when its lower bound reaches that + eps.  The nudge adds at most
+    ``nudge_growth``, so the first partition at most ``enough`` minus that
+    before the nudge ends the loop and is returned instead of the minimum,
+    marked ``stopped``; every stop inside a partition's search returns such
+    a result too, so a result not marked is the one ``enough`` = -inf gives.
+    ``memo``, a dict the caller keeps for one g and ctx, holds the
+    partitions' lower bound (key None) and each classified topology between
+    calls."""
     n = g.vertex_count
-    if n < 1:
-        raise ValueError("empty instance")
-    if ctx is None:
-        ctx = ScsdContext(points)
+    if n < 2:
+        raise ValueError("2-block closure requires at least 2 vertices")
+    points = ctx.points
     bcf = g.forest
-    if len(bcf.blocks) == 1:  # g is 2-connected, K1 and K2 included
-        if not g.edges:
-            # single vertex: a 4-cycle through two zero-cost Steiner points
-            emb = EmbeddedClosure(0.0, (points[0], points[0]), ((0, 1), (0, 2), (1, 2)), "block")
-            return separate_embedding(emb, points)
+    if len(bcf.blocks) == 1:  # g is 2-connected, K2 included
         assert g.lengths is not None
         ln, (u, v) = min(zip(g.lengths, g.edges))
         pu, pv = points[u], points[v]
@@ -601,6 +592,8 @@ def optimal_2block_closure(g: Graph, points: Sequence[Point2],
         emb = EmbeddedClosure(ln / 3.0, (s1, s2), ((u, n), (v, n + 1), (n, n + 1)), "block")
         return separate_embedding(emb, points)
 
+    bound = cutoff + ctx.eps
+    stop = enough - nudge_growth(points, enough) if math.isfinite(enough) else enough
     memo = {} if memo is None else memo
     lower = memo.get(None) or memo.setdefault(None, partition_bounds(ctx, bcf))
     best: EmbeddedClosure | None = None
@@ -610,12 +603,12 @@ def optimal_2block_closure(g: Graph, points: Sequence[Point2],
             continue
         topo = memo.get(part) or memo.setdefault(part, classify(g, part))
         locate = {"case1": locate_case1, "case2": locate_case2}.get(topo.case_tag, locate_case3)
-        emb = locate(g, points, topo, ctx, limit, enough)
+        emb = locate(topo, ctx, limit, stop)
         if emb is not None:
             best = emb
-            if emb.radius <= enough:
+            if emb.radius <= stop:
                 break
     assert best is not None or bound < math.inf, "no partition produced a closure"
     if best is None:
         return None
-    return dataclasses.replace(separate_embedding(best, points), stopped=best.radius <= enough)
+    return dataclasses.replace(separate_embedding(best, points), stopped=best.radius <= stop)

@@ -288,10 +288,15 @@ def _candidate_pairs(ctx: ScsdContext, classes1: Sequence[Sequence[int]],
     # there gives the best partner.  Anchors go in ascending f_a with no cap:
     # f_b is 1-Lipschitz, so a pair anchored at a is worth at least
     # max(f_a(a), f_b(a) / 2), and one where that reaches the incumbent + eps
-    # (eps covers rounding) cannot beat it.
+    # (eps covers rounding) cannot beat it.  An anchor that can win has f_a
+    # below the incumbent, and an unpinned centre's determinators lie within
+    # f_a of it, so pairwise within twice the incumbent: the rows with R = the
+    # incumbent hold every such anchor.  They keep the unbounded rows' order,
+    # so the stable sort tries them in the same order; a dropped row can only
+    # tie the optimum.
     for ua, ca, ub, cb, swap in ((u1, classes1, u2, classes2, False),
                                  (u2, classes2, u1, classes1, True)):
-        rows = ctx.candidates([[v] for v in ua], math.inf)
+        rows = ctx.candidates([[v] for v in ua], best[0])
         fa, fb = ctx.radii(ca, rows), ctx.radii(cb, rows)
         pos = {v: t for t, v in enumerate(ub.tolist())}
         sub, local = [ctx.points[v] for v in pos], [[pos[v] for v in c] for c in cb]

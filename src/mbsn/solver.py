@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from .closure1 import optimal_1block_closure
 # separate_coincident: unused, but perfbench's tracer wraps it
-from .closure2 import nudge_growth, optimal_2block_closure, separate_coincident  # noqa: F401
+from .closure2 import optimal_2block_closure, separate_coincident  # noqa: F401
 from .geom import Point2, distance, geometry_eps
 # is_connected and threshold_subgraph: unused, but perfbench's tracer wraps them
 from .graph import (Graph, b_count, connecting_prefix, is_biconnected,  # noqa: F401
@@ -143,10 +143,11 @@ def _binary_search(lengths: Sequence[float], evaluate: Evaluate):
 
 def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Evaluate:
     """Prices one threshold of the 2-RNG ``r``; for k >= 1 every probe shares
-    one global colour-disk context.  k = 2 returns ABOVE when the closure
-    cannot go strictly below the cutoff, or any closure at most ``enough``:
-    the first one found at most ``enough`` - ``nudge_growth`` before the
-    nudge, without a payload.  k = 0 and 1 ignore both."""
+    one global colour-disk context, the closures' only handle on the
+    points.  k = 2 passes the cutoff and ``enough`` to the closure as they
+    come: it returns ABOVE when the closure cannot go strictly below the
+    cutoff, or any closure at most ``enough`` that the closure marks
+    ``stopped``, without a payload.  k = 0 and 1 ignore both."""
     n = len(pts)
     order = sorted(range(len(r.edges)), key=r.lengths.__getitem__)  # stable: ties by edge
     edges = [r.edges[i] for i in order]
@@ -173,12 +174,9 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Evaluate:
         if b_count(g) > 5 * k:
             return False, math.inf, None
         if k == 1:
-            clo = optimal_1block_closure(g, pts, ctx)
+            clo = optimal_1block_closure(g, ctx)
         else:
-            # the cutoff bounds the radius before the nudge, which only grows it (+ eps: rounding),
-            # and by at most nudge_growth: a closure at most enough minus that stays at most enough
-            stop = enough - nudge_growth(pts, enough) if math.isfinite(enough) else enough
-            clo = optimal_2block_closure(g, pts, ctx, cutoff + ctx.eps, stop, memo)
+            clo = optimal_2block_closure(g, ctx, cutoff, enough, memo)
             if clo is None:
                 return ABOVE
             if clo.stopped:  # at most enough, but maybe not the least: the search prices it again

@@ -108,7 +108,7 @@ def test_criterion_4_worked_instances():
     # radius 5 at the Steiner point
     r2rng = build_2rng(tri)
     g_t = threshold_subgraph(r2rng, net.threshold)
-    clo = optimal_1block_closure(g_t, tri)
+    clo = optimal_1block_closure(g_t, ScsdContext(tri))
     assert clo.radius == pytest.approx(5.0, abs=1e-12)
     assert clo.steiner[0].as_tuple() == pytest.approx((5.0, 0.0), abs=1e-12)
 
@@ -159,8 +159,8 @@ def test_criterion_6_structural_monotonicity():
         j = rng.randrange(i + 1, len(ts))
         g1, g2 = threshold_subgraph(r, ts[i]), threshold_subgraph(r, ts[j])
         if is_connected(g1) and is_connected(g2):
-            assert optimal_1block_closure(g1, pts).radius >= \
-                optimal_1block_closure(g2, pts).radius - 1e-9
+            assert optimal_1block_closure(g1, ScsdContext(pts)).radius >= \
+                optimal_1block_closure(g2, ScsdContext(pts)).radius - 1e-9
         done += 1
     done = 0
     while done < 100:
@@ -172,8 +172,8 @@ def test_criterion_6_structural_monotonicity():
         g1, g2 = threshold_subgraph(r, ts[i]), threshold_subgraph(r, ts[j])
         if b_count(g1) > 10 or b_count(g2) > 10:
             continue
-        assert optimal_2block_closure(g1, pts).radius >= \
-            optimal_2block_closure(g2, pts).radius - 1e-9
+        assert optimal_2block_closure(g1, ScsdContext(pts)).radius >= \
+            optimal_2block_closure(g2, ScsdContext(pts)).radius - 1e-9
         done += 1
     # block cut forest equals naive recomputation
     for _ in range(200):
@@ -246,7 +246,7 @@ def test_partition_lower_bound_never_exceeds_the_closure_radius():
             lower = partition_bounds(ctx, bcf)
             for part in enumerate_partitions(bcf):
                 topo = classify(g, part)
-                radius = locate[topo.case_tag](g, pts, topo, ctx).radius
+                radius = locate[topo.case_tag](topo, ctx).radius
                 assert lower(part) <= radius + 1e-12, (len(pts), t, part)
                 checked += 1
                 positive += lower(part) > 0.0

@@ -6,6 +6,7 @@ from mbsn.closure1 import optimal_1block_closure
 from mbsn.geom import Point2, distance
 from mbsn.graph import geometric_graph, is_biconnected, is_connected
 from mbsn.rng import build_2rng, length_schedule, threshold_subgraph
+from mbsn.scsd import ScsdContext
 
 from conftest import grid_min_spanning_radius, random_points
 
@@ -17,7 +18,7 @@ def _with_closure(g, points, clo):
 def test_path_closure():
     pts = [Point2(0, 0), Point2(5, 1), Point2(10, 0)]
     g = geometric_graph(pts, [(0, 1), (1, 2)])
-    clo = optimal_1block_closure(g, pts)
+    clo = optimal_1block_closure(g, ScsdContext(pts))
     assert clo.steiner == (Point2(5.0, 0.0),)
     assert clo.radius == pytest.approx(5.0)
     assert clo.edges == ((0, 3), (2, 3))
@@ -27,7 +28,7 @@ def test_path_closure():
 def test_block_uses_shortest_edge_midpoint():
     pts = [Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(0, 1)]
     g = geometric_graph(pts, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    clo = optimal_1block_closure(g, pts)
+    clo = optimal_1block_closure(g, ScsdContext(pts))
     assert clo.radius == pytest.approx(0.5)
     assert len(clo.edges) == 2
     (u, s), (v, t) = clo.edges
@@ -40,7 +41,7 @@ def test_disconnected_rejected():
     pts = [Point2(0, 0), Point2(1, 0), Point2(5, 0), Point2(6, 0)]
     g = geometric_graph(pts, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
-        optimal_1block_closure(g, pts)
+        optimal_1block_closure(g, ScsdContext(pts))
 
 
 def test_closure_always_biconnects():
@@ -54,7 +55,7 @@ def test_closure_always_biconnects():
         g = threshold_subgraph(r, t)
         if not is_connected(g):
             continue
-        clo = optimal_1block_closure(g, pts)
+        clo = optimal_1block_closure(g, ScsdContext(pts))
         assert is_biconnected(_with_closure(g, pts, clo))
         done += 1
 
@@ -73,8 +74,8 @@ def test_radius_monotone_across_thresholds():
         g1, g2 = threshold_subgraph(r, t1), threshold_subgraph(r, t2)
         if not (is_connected(g1) and is_connected(g2)):
             continue
-        r1 = optimal_1block_closure(g1, pts).radius
-        r2 = optimal_1block_closure(g2, pts).radius
+        r1 = optimal_1block_closure(g1, ScsdContext(pts)).radius
+        r2 = optimal_1block_closure(g2, ScsdContext(pts)).radius
         assert r1 >= r2 - 1e-12
         done += 1
 
@@ -93,7 +94,7 @@ def test_optimality_against_grid():
         g = threshold_subgraph(r, ts[rng.randrange(len(ts))])
         if not is_connected(g) or is_biconnected(g):
             continue
-        clo = optimal_1block_closure(g, pts)
+        clo = optimal_1block_closure(g, ScsdContext(pts))
         bcf = block_cut_forest(g)
         classes = [[pts[v].as_tuple() for v in bcf.interiors[b]] for b in bcf.leaf_blocks]
         gmin, slack = grid_min_spanning_radius(classes, -0.2, 1.2, 160)

@@ -82,7 +82,7 @@ def test_classify_covered_component_case3():
     assert topo.case_tag == "case3"
     assert topo.covered_by_s1 == ((0, 1, 2),)
     assert topo.covered_by_s2 == ()
-    emb = locate_case3(g, pts, topo)
+    emb = locate_case3(topo, ScsdContext(pts))
     assert is_biconnected(_embedded_graph(g, pts, emb))
     # the extra edge to the covered component comes from the other point
     assert any(e in emb.edges for e in ((0, 7), (1, 7), (2, 7)))  # s2 is vertex 7
@@ -99,7 +99,7 @@ def test_case1_with_isolated_vertex():
     for part in parts:
         topo = classify(g, part)
         if topo.case_tag == "case1" and len(part.side1) == 1 and len(part.side2) == 1:
-            found = locate_case1(g, pts, topo)
+            found = locate_case1(topo, ScsdContext(pts))
     assert found is not None
     centres = sorted(s.as_tuple() for s in found.steiner)
     assert centres[0] == pytest.approx((2.5, 2.0))   # midpoint of (0,0),(5,4)
@@ -121,13 +121,13 @@ def test_case3_both_components_covered():
     topo = classify(g, Partition(tuple(comp_a), tuple(comp_b)))
     assert topo.case_tag == "case3"
     assert len(topo.covered_by_s1) == 1 and len(topo.covered_by_s2) == 1
-    emb = locate_case3(g, pts, topo)
+    emb = locate_case3(topo, ScsdContext(pts))
     assert is_biconnected(_embedded_graph(g, pts, emb))
 
 
 def test_dumbbell_case1_trace():
     g = geometric_graph(DUMBBELL, [(0, 1), (2, 3)])
-    emb = optimal_2block_closure(g, DUMBBELL)
+    emb = optimal_2block_closure(g, ScsdContext(DUMBBELL))
     assert emb.case_tag == "case1"
     assert emb.radius == pytest.approx(5.0)
     centres = sorted(s.as_tuple() for s in emb.steiner)
@@ -144,7 +144,7 @@ def test_dumbbell_case1_trace():
 def test_two_isolated_vertices_threshold_zero():
     pts = [Point2(0, 0), Point2(10, 0)]
     g = make_graph(2, [])
-    emb = optimal_2block_closure(g, pts)
+    emb = optimal_2block_closure(g, ScsdContext(pts))
     assert emb.radius == pytest.approx(5.0, abs=1e-6)
     s1, s2 = emb.steiner
     assert s1 != s2  # separated after coincident optimum
@@ -155,7 +155,7 @@ def test_two_isolated_vertices_threshold_zero():
 def test_biconnected_block_trisection():
     pts = [Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(0, 1)]
     g = geometric_graph(pts, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    emb = optimal_2block_closure(g, pts)
+    emb = optimal_2block_closure(g, ScsdContext(pts))
     assert emb.case_tag == "block"
     # trisection of the shortest edge: the longest new edge is a third of it
     assert emb.radius == pytest.approx(1.0 / 3.0)
@@ -170,7 +170,7 @@ def test_case2_subcase22_three_leg_balance():
     g = geometric_graph(pts, [(0, 1), (1, 2)])
     bcf = block_cut_forest(g)
     topo = classify(g, enumerate_partitions(bcf)[0])
-    emb = locate_case2(g, pts, topo)
+    emb = locate_case2(topo, ScsdContext(pts))
     assert is_biconnected(_embedded_graph(g, pts, emb))
     assert emb.radius <= 8.0 / 3.0 + 1e-9
 
@@ -228,7 +228,7 @@ def test_embedded_closures_biconnected_random():
         from mbsn.graph import b_count
         if b_count(g) > 10:
             continue
-        emb = optimal_2block_closure(g, pts)
+        emb = optimal_2block_closure(g, ScsdContext(pts))
         eg = _embedded_graph(g, pts, emb)
         assert is_biconnected(eg), (done, emb.case_tag)
         # recorded radius equals the longest Steiner edge
@@ -256,8 +256,8 @@ def test_radius_monotone_across_thresholds():
         from mbsn.graph import b_count
         if b_count(g1) > 10 or b_count(g2) > 10:
             continue
-        r1 = optimal_2block_closure(g1, pts).radius
-        r2 = optimal_2block_closure(g2, pts).radius
+        r1 = optimal_2block_closure(g1, ScsdContext(pts)).radius
+        r2 = optimal_2block_closure(g2, ScsdContext(pts)).radius
         assert r1 >= r2 - 1e-9
         done += 1
 
@@ -273,13 +273,13 @@ def test_closure_beats_every_enumerated_candidate():
         from mbsn.graph import b_count
         if b_count(g) > 10 or is_biconnected(g):
             continue
-        best = optimal_2block_closure(g, pts)
+        best = optimal_2block_closure(g, ScsdContext(pts))
         bcf = block_cut_forest(g)
         ctx = ScsdContext(pts)
         for part in enumerate_partitions(bcf):
             topo = classify(g, part)
             emb = {"case1": locate_case1, "case2": locate_case2,
-                   "case3": locate_case3}[topo.case_tag](g, pts, topo, ctx)
+                   "case3": locate_case3}[topo.case_tag](topo, ctx)
             assert best.radius <= emb.radius + 1e-9
         done += 1
 
@@ -292,7 +292,7 @@ def test_closure_releases_its_context_without_the_cycle_collector():
     ref = weakref.ref(ctx)
     gc.disable()
     try:
-        optimal_2block_closure(g, DUMBBELL, ctx)
+        optimal_2block_closure(g, ctx)
         del ctx
         assert ref() is None
     finally:
@@ -526,15 +526,15 @@ def test_pair_search_builds_each_vector_once(monkeypatch):
     equal_sides = 0
     original = closure2.locate_case1
 
-    def recorded(g, points, topo, ctx, bound, enough):
+    def recorded(topo, ctx, bound, enough):
         nonlocal equal_sides
         embs = []
         blocks = tuple(tuple(sorted(z)) for z in topo.isolated_multis)
         shared = tuple((v,) for v in topo.isolated_vertices)
         for b in (bound, math.inf):
-            rec = _RecordingContext(points)
-            emb = original(g, points, topo, rec, b)
-            assert emb == original(g, points, topo, ctx, b)
+            rec = _RecordingContext(ctx.points)
+            emb = original(topo, rec, b)
+            assert emb == original(topo, ctx, b)
             sides = [(tuple(map(tuple, base)) + shared + blocks, b)
                      for base in (topo.side1_classes + topo.covered_by_s2,
                                   topo.side2_classes + topo.covered_by_s1)]
@@ -605,7 +605,7 @@ def test_distinct_disk_equals_conditioning_on_every_witness():
                 res = ctx.best_center([[x], [v for v in h if v != x]])
                 if want is None or res[0] < want[0]:
                     want = res
-            assert closure2._distinct_disk(ctx, cls, h) == want, (len(pts), cls)
+            assert closure2._distinct_disk(ctx, cls) == want, (len(pts), cls)
 
 
 def test_crossing_edges_structural_form():
@@ -618,7 +618,87 @@ def test_crossing_edges_structural_form():
         topo = classify(g, part)
         if topo.case_tag != "case2":
             continue
-        emb = locate_case2(g, pts, topo)
+        emb = locate_case2(topo, ScsdContext(pts))
         assert is_biconnected(_embedded_graph(g, pts, emb))
         if emb.case_tag == "case2_1":
             assert emb.chosen_index is not None
+
+
+def test_side2_distinct_disk_split(monkeypatch):
+    # a G_t whose case-2 scan reaches the second point's distinct disk: the
+    # block path ends in the single edge (7, s2), the split lands on the
+    # block before it, and side 2's one class (7,) must reach two distinct
+    # vertices
+    pts = [Point2(0.5926409106271656, 0.13042279608514273),
+           Point2(0.9159448117309811, 0.47405353654712656),
+           Point2(0.5808520843500559, 0.6055995301393269),
+           Point2(0.9088184001853248, 0.4692323376190216),
+           Point2(0.5507846417600732, 0.1917441039952995),
+           Point2(0.7171480392684303, 0.5409738856290388),
+           Point2(0.5496311670270055, 0.39713457702896093),
+           Point2(0.8610221084253223, 0.23192200537667162)]
+    g = geometric_graph(pts, [(0, 4), (2, 5), (3, 5), (4, 6), (1, 5), (2, 6), (5, 6), (3, 7)])
+    asked, distinct = [], closure2._distinct_disk
+
+    def recording(ctx, cls):
+        asked.append(tuple(cls))
+        return distinct(ctx, cls)
+
+    monkeypatch.setattr(closure2, "_distinct_disk", recording)
+    emb = locate_case2(classify(g, closure2.Partition((0, 1), (4,))), ScsdContext(pts))
+    assert (7,) in asked
+    assert emb.case_tag == "case2_1"
+    assert is_biconnected(_embedded_graph(g, pts, emb))
+    s2 = len(pts) + 1
+    assert len({u for u, v in emb.edges if v == s2}) == 2
+
+
+class _UnboundedContext(ScsdContext):
+    """A context whose candidate rows ignore their radius; it counts the
+    rows that radius would have dropped."""
+
+    dropped = 0
+
+    def candidates(self, classes, radius):
+        rows = super().candidates(classes, math.inf)
+        _UnboundedContext.dropped += len(rows) - len(super().candidates(classes, radius))
+        return rows
+
+
+def test_coupled_anchors_within_the_incumbent_lose_nothing(monkeypatch):
+    # the coupled solver builds its anchors with R = the incumbent: every
+    # coupled call of these k = 2 solves (exact-collinear and line inputs,
+    # and uniform ones with case 2_2 answers) returns the same triple on a
+    # context whose rows ignore that bound, and the bound dropped rows.  On
+    # random colour systems, where anchors often win, the radius is the same
+    # (a dropped anchor can only tie, and may then be the pair found first)
+    calls, coupled = [], closure2.coupled_two_disk
+
+    def recording(ctx, *args):
+        out = coupled(ctx, *args)
+        calls.append((ctx.points, args, out))
+        return out
+
+    monkeypatch.setattr(closure2, "coupled_two_disk", recording)
+    sets = [generate_instance(22, seed, "uniform") for seed in range(10230, 10250)]
+    for n in range(12, 41, 4):
+        sets.append([Point2(0.25 * t, -0.5 * t) for t in random.Random(1).sample(range(10 * n), n)])
+        sets.append([Point2(0.37 * i, 0.11 * i) for i in range(n)])
+    for pts in sets:
+        solve(pts, 2)
+    _UnboundedContext.dropped = 0
+    for points, args, out in calls:
+        assert coupled(_UnboundedContext(points), *args) == out, (len(points), args[2:])
+    assert len(calls) >= 30 and _UnboundedContext.dropped > 0, \
+        (len(calls), _UnboundedContext.dropped)
+
+    rng = random.Random(5)
+    for _ in range(150):
+        n = rng.randint(6, 14)
+        pts = random_points(rng, n)
+        order = rng.sample(range(n), n)
+        cut = rng.randint(2, n - 2)
+        sides = (order[:cut], rng.randint(1, 3)), (order[cut:], rng.randint(1, 3))
+        classes = [[c for c in (side[i::q] for i in range(q)) if c] for side, q in sides]
+        want = coupled(_UnboundedContext(pts), *classes)[2]
+        assert coupled(ScsdContext(pts), *classes)[2] == want, (pts, classes)
