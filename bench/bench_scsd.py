@@ -14,6 +14,7 @@
     python3 bench/bench_scsd.py ../parent --topic k2coupled # BENCH_k2coupled.json
     python3 bench/bench_scsd.py ../parent --topic k1probes  # BENCH_k1probes.json
     python3 bench/bench_scsd.py ../parent --topic 2rngcert  # BENCH_2rngcert.json
+    python3 bench/bench_scsd.py ../parent --topic k0local   # BENCH_k0local.json
 
 Run it from the root of this checkout; ``--output`` names another file.
 Every topic makes, one process at a time:
@@ -106,6 +107,14 @@ space:
   edges and lengths of the parent, the change and the change with the
   certificate forced, over every instance set listed in ``RNG_SETS``; the
   k = 0 solves of ``k0probes``; and the whole answers of ``k1probes``.
+* ``k0local``: its pairs are 12 s each; k = 0 solves at uniform and
+  clustered n = 1024, 2048, 4096 and 8192 (seed 1), three times a side in
+  alternating order as in ``k0probes``; the 2-RNG edges and lengths of the
+  parent and the change over ``RNG_SETS`` and over ``RNG_K0LOCAL`` (uniform
+  and clustered n = 1024-8192 at seeds 1-3 and four n = 600 degenerate
+  sets); and the whole k = 0 answers (bottleneck, edges, threshold) over
+  the answer sets of ``k2decide``, the 48 degenerate sets and the k0-large
+  instances of seeds 1 and 11-20.
 
 The evaluation counts and phase times of ``k2decide``, ``k2stop`` and
 ``k2pair`` come from three more runs a side in alternating order: the counts
@@ -442,9 +451,8 @@ for n, seed, dist in {shapes!r}:
 print(json.dumps(c))
 """
 
-# whole answers at k = 0, 1 and 2 of 16 lattices, 8 collinear sets and 24
-# integer-grid subsets
-DEGENERATE = PRELUDE + """
+# 16 lattices, 8 collinear sets and 24 integer-grid subsets as ``sets``
+DEGENERATE_SETS = PRELUDE + """
 import random
 from mbsn.geom import Point2
 rng = random.Random(7)
@@ -455,6 +463,10 @@ sets += [[Point2(0.25 * t - 1.0, 0.5 - 0.5 * t) for t in sorted(rng.sample(range
 sets += [[Point2(float(x), float(y)) for x, y in rng.sample([(x, y) for x in range(6)
                                                              for y in range(6)], m)]
          for m in range(4, 16) for _ in range(2)]
+"""
+
+# whole answers at k = 0, 1 and 2 of the degenerate sets
+DEGENERATE = DEGENERATE_SETS + """
 for pts in sets:
     for k in (0, 1, 2):
         net = solve(pts, k)
@@ -560,9 +572,11 @@ print(json.dumps({{"time_s": round(t, 4), "answer": [net.bottleneck, net.thresho
 """
 
 
-def k0_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+def k0_rows(parent: Path, change: Path, shapes=((1024, "uniform"), (2048, "uniform"),
+                                                (4096, "uniform"), (2048, "clusters"))
+            ) -> tuple[dict, bool]:
     rows = {}
-    for n, dist in ((1024, "uniform"), (2048, "uniform"), (4096, "uniform"), (2048, "clusters")):
+    for n, dist in shapes:
         res = fastest_of_three(parent, change, K0_SOLVE.format(n=n, dist=dist))
         (p,), (c,) = res["parent"], res["change"]
         rows[f"{dist}-n{n}-s1"] = {
@@ -844,6 +858,73 @@ def rng2cert_rows(parent: Path, change: Path) -> tuple[dict, bool]:
     return rows, same and k0_same and rows["answers"]["identical"] == rows["answers"]["solves"]
 
 
+# the 2-RNG edges and lengths of the k0local sets, one digest per line:
+# uniform and clustered n = 1024-8192 at seeds 1-3, and n = 600 collinear,
+# cocircular, near-duplicate and far-cluster sets
+RNG_K0LOCAL = PRELUDE + """
+import hashlib, math, random
+from mbsn import rng
+from mbsn.geom import Point2, bbox_diagonal
+def cluster(r, m, spread=0.01):
+    pts = []
+    while len(pts) < m:
+        c = Point2(r.random() * spread, r.random() * spread)
+        if all(math.dist(c.as_tuple(), p.as_tuple()) > 1e-6 for p in pts):
+            pts.append(c)
+    return pts
+def sets():
+    for n in (1024, 2048, 4096, 8192):
+        for d in ("uniform", "clusters"):
+            for seed in (1, 2, 3):
+                yield f"{{d}}-n{{n}}-s{{seed}}", generate_instance(n, seed, d)
+    yield "collinear-600", [Point2(0.5 * i, 0.25 * i) for i in range(600)]
+    yield "cocircular-600", [Point2(math.cos(2 * math.pi * i / 600), math.sin(2 * math.pi * i / 600))
+                             for i in range(600)]
+    base = generate_instance(599, 13, "uniform")
+    yield "near-duplicate-600", base + [Point2(base[0].x + 1e-10 * bbox_diagonal(base), base[0].y)]
+    r = random.Random(2027)
+    a = cluster(r, 300)
+    yield "far-clusters-600", a + [Point2(p.x + 1000.0, p.y - 500.0) for p in cluster(r, 300)]
+for key, pts in sets():
+    g = rng.build_2rng(pts)
+    print(json.dumps([key, hashlib.sha256(repr((g.edges, g.lengths)).encode()).hexdigest()]))
+"""
+
+# whole k = 0 answers of the answer sets of ``k2decide``, the degenerate
+# sets and the k0-large instances of seeds 1 and 11-20, one line per solve
+K0_ANSWERS = DEGENERATE_SETS + """
+shapes = [shape for group in {groups!r} for shape in group]
+shapes += [(1024, s * 1000 + i, d) for s in (1, *range(11, 21))
+           for i, d in enumerate(("uniform", "clusters"))]
+sets += [generate_instance(*shape) for shape in shapes]
+for pts in sets:
+    net = solve(pts, 0)
+    print(json.dumps([net.bottleneck, net.edges, net.threshold]))
+"""
+
+
+def k0local_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+    rows = {}
+    rows["k0_solves"], same = k0_rows(parent, change, [(n, d) for d in ("uniform", "clusters")
+                                                       for n in (1024, 2048, 4096, 8192)])
+    for key, code in (("rng_sets", RNG_SETS.format(certify_above=None)),
+                      ("rng_k0local_sets", RNG_K0LOCAL)):
+        digests = {side: run_code(path, code) for side, path in (("parent", parent),
+                                                                 ("change", change))}
+        rows[key] = {"sets": len(digests["parent"]),
+                     "identical": sum(a == b for a, b in zip(digests["parent"], digests["change"]))}
+        same &= rows[key]["identical"] == rows[key]["sets"] == len(digests["change"])
+        print(key, rows[key], flush=True)
+    code = K0_ANSWERS.format(groups=list(k2decide_groups().values()))
+    answers = {side: run_code(path, code) for side, path in (("parent", parent), ("change", change))}
+    rows["k0_answers"] = {"solves": len(answers["parent"]),
+                          "identical": sum(a == b for a, b in zip(answers["parent"],
+                                                                  answers["change"]))}
+    same &= rows["k0_answers"]["identical"] == rows["k0_answers"]["solves"]
+    print("k0 answers", rows["k0_answers"], flush=True)
+    return rows, same
+
+
 TOPICS = {
     "scsd": {
         "layer": "scsd.context_global",
@@ -1103,6 +1184,21 @@ TOPICS = {
                    "rng.self_s", "solver.self_s", "graph.self_s", "scsd.self_s",
                    "closure2.self_s", "trace.solve_s"),
         "rows": ("rows", rng2cert_rows),
+    },
+    "k0local": {
+        "layer": "rng.build_2rng (the exact count) and the solver's k = 0 probes",
+        "what": "above n = 512, a 2-RNG survivor pq no longer than kd(p), the distance of p's "
+                "farthest of its 32 nearest neighbours, is counted over those 32 points alone, "
+                "else one no longer than kd(q) over q's, and only the rest against all n points; "
+                "row blocks are 128 rows (was 256); a k = 0 probe below the least connecting "
+                "prefix or the least prefix giving every vertex degree 2 is infeasible with no "
+                "graph work (was: every survivor counted against all n points, and every k = 0 "
+                "probe decided by a low-point pass)",
+        "parent": "f861c3c",
+        "seconds": 12,
+        "traced": ("rng.build_2rng.calls", "rng.build_2rng.self_s", "rng.build_2rng.kept_frac",
+                   "solver.self_s", "graph.self_s", "rng.self_s", "trace.solve_s"),
+        "rows": ("rows", k0local_rows),
     },
 }
 

@@ -226,6 +226,22 @@ def connecting_prefix(n: int, edges: Sequence[tuple[int, int]]) -> int:
     return len(edges) + 1
 
 
+def degree_prefix(n: int, edges: Sequence[tuple[int, int]]) -> int:
+    """The least p for which every vertex 0..n-1 has degree at least 2 in
+    ``edges[:p]`` (one pass); len(edges) + 1 when no prefix does."""
+    degree, short = [0] * n, n  # vertices still below degree 2
+    if not short:
+        return 0
+    for p, e in enumerate(edges):
+        for w in e:
+            degree[w] += 1
+            if degree[w] == 2:
+                short -= 1
+        if not short:
+            return p + 1
+    return len(edges) + 1
+
+
 def b_count(g: Graph) -> int:
     """Leaf blocks plus twice the isolated blocks of g."""
     return len(g.forest.leaf_blocks) + 2 * len(g.forest.isolated_blocks)

@@ -36,19 +36,26 @@ filters, a row block at a time; only the last one decides:
   holds two points.  Neither p nor q ever passes: for each of them one of
   the two inequalities reads d(p, q) < d(p, q) - eps.  Up to the switch
   this test runs densely over all pairs, into an n x n count matrix.
-* Exact count.  Every pair left is counted against all n points, in
-  chunks of pairs, and kept when fewer than two points pass.  This costs
-  O(n) per survivor.
+* Exact count.  Every pair left is kept when fewer than two points pass.
+  Up to the switch each is counted against all n points, in chunks of
+  pairs.  Above it, let kd be the distance from a point to the farthest of
+  its ``_NEIGHBOURS`` nearest other points.  A pair pq no longer than
+  kd(p) is counted over p's neighbours alone, else one no longer than
+  kd(q) over q's, and only the rest (a few per thousand) against all n
+  points.  This is exact: a point r inside the lune has d(p, r) <
+  d(p, q) - eps <= kd(p), and ``argpartition`` keeps every point closer
+  than kd(p) among p's neighbours.
 
 A pair is kept exactly when the full count is below two, as in the direct
 O(n^3) count, so the result is the same graph, with the same edge order
-and lengths; the first two filters only decide which pairs need the full
-count.  The switch is a size, not an option: up to a few hundred points
-the number of numpy calls, not n^2, sets the cost, and the dense pass is
-faster than the certificate's fixed cost (measured crossover near
-n = 512).  Above it the distance matrix is the only n x n array: nearest
-neighbours are chosen by ``argpartition`` one row block at a time, and
-the candidate pairs are kept as index lists.
+and lengths; the first two filters only decide which pairs need counting,
+and the neighbour lists only which points a count can skip.  The switch
+is a size, not an option: up to a few hundred points the number of numpy
+calls, not n^2, sets the cost, and the dense pass is faster than the
+certificate's fixed cost (measured crossover near n = 512).  Above it the
+distance matrix is the only n x n array: nearest neighbours are chosen by
+``argpartition`` one row block at a time, and the candidate pairs are
+kept as index lists.
 """
 
 from __future__ import annotations
@@ -61,10 +68,10 @@ from .geom import Point2, geometry_eps
 from .graph import Graph, make_graph
 
 
-_WITNESSES = 8  # nearest other points per point tried before the full count
+_WITNESSES = 8  # nearest other points per point tried before the exact count
 _NEIGHBOURS = 32  # nearest other points per point read by the sector certificate
 _CERTIFY_ABOVE = 512  # n above which the sector certificate runs
-_CHUNK = 256  # rows, or survivor pairs, handled at once
+_CHUNK = 128  # rows, or survivor pairs, handled at once
 
 
 def build_2rng(points: Sequence[Point2]) -> Graph:
@@ -79,18 +86,23 @@ def build_2rng(points: Sequence[Point2]) -> Graph:
     y = np.array([p.y for p in points])
     dist = _distance_matrix(x, y)
     if n > _CERTIFY_ABOVE:
-        iu, ju = _certified_survivors(dist, x, y, eps)
+        iu, ju = _certified_edges(dist, x, y, eps)
     else:
         iu, ju = _dense_survivors(dist, eps)
+        keep = _full_count(dist, iu, ju, eps) < 2
+        iu, ju = iu[keep], ju[keep]
+    return make_graph(n, zip(iu.tolist(), ju.tolist()), dist[iu, ju].tolist())
 
-    # exact count over all points for the pairs the filters left
-    keep = np.empty(len(iu), dtype=bool)
+
+def _full_count(dist: np.ndarray, iu: np.ndarray, ju: np.ndarray, eps: float) -> np.ndarray:
+    """For each pair (iu, ju), the number of points inside its lune, counted
+    against all n points, ``_CHUNK`` pairs at a time."""
+    count = np.empty(len(iu), dtype=np.intp)
     for s in range(0, len(iu), _CHUNK):
         i, j = iu[s:s + _CHUNK], ju[s:s + _CHUNK]
         thr = (dist[i, j] - eps)[:, None]
-        keep[s:s + _CHUNK] = ((dist[i] < thr) & (dist[j] < thr)).sum(axis=1) < 2
-    iu, ju = iu[keep], ju[keep]
-    return make_graph(n, zip(iu.tolist(), ju.tolist()), dist[iu, ju].tolist())
+        count[s:s + _CHUNK] = ((dist[i] < thr) & (dist[j] < thr)).sum(axis=1)
+    return count
 
 
 def _distance_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -134,29 +146,46 @@ def _dense_survivors(dist: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarr
     return np.nonzero(np.triu(~(dropped | dropped.T), 1))
 
 
-def _certified_survivors(dist: np.ndarray, x: np.ndarray, y: np.ndarray,
-                         eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs i < j, in row-major order, left by the sector certificate and
-    then by the witness test, one row block of pairs at a time."""
+def _certified_edges(dist: np.ndarray, x: np.ndarray, y: np.ndarray,
+                     eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 2-RNG edges i < j, in row-major order: the pairs left by the
+    sector certificate and then by the witness test, one row block at a
+    time, kept when the exact count finds fewer than two points in their
+    lune.  A pair no longer than the distance kd of an endpoint's farthest
+    neighbour is counted over that endpoint's neighbours alone: a point
+    inside the lune is closer to it than the pair's length - eps <= kd, and
+    ``argpartition`` keeps every point closer than kd among them."""
     n = len(dist)
-    flat = dist.ravel()
     neighbours = _nearest(dist, _NEIGHBOURS)
     rho, _ = _sector_radii(dist, x, y, eps, neighbours)
     near = np.take_along_axis(dist, neighbours, axis=1)
+    kd = near.max(axis=1)
     kw = min(_WITNESSES, neighbours.shape[1])
     witnesses = np.take_along_axis(
         neighbours, np.argpartition(near, kw - 1, axis=1)[:, :kw], axis=1)
     iu, ju = [], []
     for s in range(0, n, _CHUNK):
         i, j = _sector_candidates(dist, x, y, rho, s)
-        thr = (flat.take(i * n + j) - eps)[:, None]
-        ri, rj = (i * n)[:, None], (j * n)[:, None]
-        kept = np.ones(len(i), dtype=bool)
-        for w in (witnesses[i], witnesses[j]):
-            kept &= ((flat.take(ri + w) < thr) & (flat.take(rj + w) < thr)).sum(axis=1) < 2
-        iu.append(i[kept])
-        ju.append(j[kept])
+        dij = dist[i, j]
+        kept = ((_inside(dist, i, j, dij - eps, witnesses[i]) < 2)
+                & (_inside(dist, i, j, dij - eps, witnesses[j]) < 2))
+        i, j, dij = i[kept], j[kept], dij[kept]
+        at_i = dij <= kd.take(i)
+        far = ~at_i & (dij > kd.take(j))
+        count = _inside(dist, i, j, dij - eps,
+                        np.where(at_i[:, None], neighbours[i], neighbours[j]))
+        count[far] = _full_count(dist, i[far], j[far], eps)
+        iu.append(i[count < 2])
+        ju.append(j[count < 2])
     return np.concatenate(iu), np.concatenate(ju)
+
+
+def _inside(dist: np.ndarray, i: np.ndarray, j: np.ndarray, thr: np.ndarray,
+            w: np.ndarray) -> np.ndarray:
+    """For each pair (i, j) with cutoff thr = its length - eps, how many of
+    the points in its row of w lie strictly inside its lune."""
+    flat, n, thr = dist.ravel(), len(dist), thr[:, None]
+    return ((flat.take((i * n)[:, None] + w) < thr) & (flat.take((j * n)[:, None] + w) < thr)).sum(axis=1)
 
 
 def _sector(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:

@@ -6,7 +6,10 @@ ordered edge lengths of the 2-relative neighbourhood graph, pricing each
 threshold graph G_t, then one assembly of G_t* plus the k Steiner points
 and their edges.  The 2-RNG edges are sorted by (length, edge) once, so
 G_t is a prefix of them.  For k = 0 a threshold is feasible exactly when
-the prefix is 2-connected; no ``Graph`` is built.  For k >= 1 it is
+the prefix is 2-connected; no ``Graph`` is built, and a probe below the
+floor is rejected with no graph work: the least prefix that connects and,
+for n >= 3, the least in which every vertex has degree 2 (one union-find
+pass and one degree pass).  For k >= 1 it is
 infeasible when the leaf/isolated-block counter exceeds 5k (plus, for
 k = 1, below the connectivity index: the least prefix that connects,
 from one union-find pass); otherwise the optimal k-block closure of G_t
@@ -34,8 +37,8 @@ from .closure1 import optimal_1block_closure
 from .closure2 import optimal_2block_closure, separate_coincident  # noqa: F401
 from .geom import Point2, distance, geometry_eps
 # is_connected and threshold_subgraph: unused, but perfbench's tracer wraps them
-from .graph import (Graph, b_count, connecting_prefix, is_biconnected,  # noqa: F401
-                    is_biconnected_edges, is_connected, make_graph)
+from .graph import (Graph, b_count, connecting_prefix, degree_prefix,  # noqa: F401
+                    is_biconnected, is_biconnected_edges, is_connected, make_graph)
 from .rng import build_2rng, length_schedule, threshold_subgraph  # noqa: F401
 from .scsd import ScsdContext
 
@@ -153,8 +156,14 @@ def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Evaluate:
     edges = [r.edges[i] for i in order]
     lengths = [r.lengths[i] for i in order]
     if k == 0:
+        # no shorter prefix is 2-connected
+        floor = max(connecting_prefix(n, edges), degree_prefix(n, edges) if n >= 3 else 0)
+
         def evaluate(t: float, cutoff: float = math.inf, enough: float = -math.inf) -> Evaluation:
-            prefix = edges[:bisect_right(lengths, t)]
+            p = bisect_right(lengths, t)
+            if p < floor:
+                return False, 0.0, None
+            prefix = edges[:p]
             return is_biconnected_edges(n, prefix), 0.0, (prefix, (), ())
 
         return evaluate

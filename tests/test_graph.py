@@ -6,7 +6,7 @@ from mbsn.cli import generate_instance
 from mbsn.closure2 import classify, enumerate_partitions
 from mbsn.geom import Point2
 from mbsn.graph import (Graph, b_count, block_cut_forest, connected_components,
-                        connecting_prefix, geometric_graph, is_biconnected,
+                        connecting_prefix, degree_prefix, geometric_graph, is_biconnected,
                         is_biconnected_edges, is_connected, make_graph, max_edge_length)
 from mbsn.rng import build_2rng
 
@@ -325,6 +325,23 @@ def test_connecting_prefix_is_where_prefixes_become_connected():
         at = connecting_prefix(len(pts), edges)
         assert is_connected(make_graph(len(pts), edges[:at]))
         assert not is_connected(make_graph(len(pts), edges[:at - 1]))
+
+
+def test_degree_prefix_is_where_every_degree_reaches_two():
+    rng = random.Random(79)
+    orders = []
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 14), rng.uniform(0.05, 0.6))
+        orders.append((g.vertex_count, rng.sample(g.edges, len(g.edges))))
+    orders += [(len(pts), _length_order(build_2rng(pts))) for pts in _point_sets()]
+    for n, edges in orders:
+        at = degree_prefix(n, edges)
+        for p in range(len(edges) + 1):
+            degree = [0] * n
+            for e in edges[:p]:
+                for w in e:
+                    degree[w] += 1
+            assert (p >= at) == all(d >= 2 for d in degree), (n, edges, p)
 
 
 def test_classify_case_1_is_the_base_topology_test():

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -212,12 +213,23 @@ def test_sector_certificate_drops_only_pairs_with_two_points_in_their_lune(name,
     assert (g.edges, g.lengths) == (edges, lengths)
 
 
+@functools.cache
 def _switch_instances() -> dict[str, list[Point2]]:
-    """Sets just above the certificate's switch; the lattice has many equal lengths."""
+    """Sets just above the certificate's switch; the lattice has many equal
+    lengths, and the degenerate families of ``_degenerate_instances`` come
+    at n = 600 (the far clusters' cross edges are longer than either
+    endpoint's 32nd-neighbour distance)."""
     n = _CERTIFY_ABOVE + 1
+    base = generate_instance(599, 13, "uniform")
     return {"uniform-above-switch": generate_instance(n, 11, "uniform"),
             "clusters-above-switch": generate_instance(n, 12, "clusters"),
-            "lattice-23x23": [Point2(i, j) for i in range(23) for j in range(23)]}
+            "lattice-23x23": [Point2(i, j) for i in range(23) for j in range(23)],
+            "collinear-600": [Point2(0.5 * i, 0.25 * i) for i in range(600)],
+            "cocircular-600": [Point2(math.cos(2 * math.pi * i / 600),
+                                      math.sin(2 * math.pi * i / 600)) for i in range(600)],
+            "near-duplicate-600": base + [Point2(base[0].x + 1e-10 * bbox_diagonal(base),
+                                                 base[0].y)],
+            "far-clusters-600": _far_clusters(random.Random(2027), 600)}
 
 
 @pytest.mark.parametrize("name", sorted({**chunk_boundary_instances(), **_switch_instances()}))
@@ -228,3 +240,56 @@ def test_2rng_across_row_blocks_equals_direct_count(name):
     edges, lengths = _direct_2rng(pts)
     assert g.edges == edges
     assert g.lengths == lengths
+
+
+def _record_full_count(monkeypatch) -> list[tuple[int, int]]:
+    """The list to which every pair sent to the full-row count is appended."""
+    sent = []
+    full_count = rng_module._full_count
+
+    def recording(dist, iu, ju, eps):
+        sent.extend(zip(iu.tolist(), ju.tolist()))
+        return full_count(dist, iu, ju, eps)
+
+    monkeypatch.setattr(rng_module, "_full_count", recording)
+    return sent
+
+
+def test_local_count_and_its_fallback_both_run_above_the_switch(monkeypatch):
+    """Above the switch a survivor no longer than an endpoint's farthest
+    neighbour (kd) is counted over that endpoint's 32 neighbours; only the
+    others go to the full-row count.  Every edge survives the filters, so an
+    edge the full count never saw was counted over 32 neighbours."""
+    sent = _record_full_count(monkeypatch)
+    local, fallback = set(), set()
+    for name, pts in _switch_instances().items():
+        sent.clear()
+        g = build_2rng(pts)
+        dist = _distance_matrix(np.array([p.x for p in pts]), np.array([p.y for p in pts]))
+        kd = np.take_along_axis(dist, _nearest(dist, _NEIGHBOURS), axis=1).max(axis=1)
+        assert all(dist[i, j] > max(kd[i], kd[j]) for i, j in sent), name
+        far = {(i, j) for i, j in g.edges if dist[i, j] > max(kd[i], kd[j])}
+        assert far <= set(sent), name
+        if set(g.edges) - set(sent):
+            local.add(name)
+        if far:
+            fallback.add(name)
+    assert local == set(_switch_instances())
+    assert "far-clusters-600" in fallback
+
+
+def test_lune_points_beyond_both_neighbour_lists_are_counted(monkeypatch):
+    """p and q each have 40 neighbours on an arc of radius 0.9-1 facing away
+    from the other, so kd < |pq| = 1.2 < 1.5 kd at both ends, and the lune of
+    pq holds two points at distance 1.08 from both, in neither neighbour
+    list.  Only the full-row count sees them: pq is not an edge."""
+    rng = random.Random(5)
+    arc = [(rng.uniform(0.9, 1.0), math.radians(rng.uniform(125.0, 235.0))) for _ in range(40)]
+    pts = [Point2(0.0, 0.0), Point2(1.2, 0.0), Point2(0.6, 0.9), Point2(0.6, -0.9)]
+    pts += [Point2(r * math.cos(a), r * math.sin(a)) for r, a in arc]
+    pts += [Point2(1.2 - r * math.cos(a), r * math.sin(a)) for r, a in arc]
+    sent = _record_full_count(monkeypatch)
+    monkeypatch.setattr(rng_module, "_CERTIFY_ABOVE", 0)
+    g = build_2rng(pts)
+    assert (g.edges, g.lengths) == _direct_2rng(pts)
+    assert (0, 1) in sent and (0, 1) not in g.edges

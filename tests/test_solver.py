@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ import pytest
 from mbsn import closure2, graph, solver
 from mbsn.cli import generate_instance
 from mbsn.geom import Point2, distance
-from mbsn.graph import block_cut_forest, is_connected
+from mbsn.graph import (block_cut_forest, connecting_prefix, degree_prefix,
+                        is_biconnected_edges, is_connected)
 from mbsn.rng import build_2rng, length_schedule, threshold_subgraph
 from mbsn.solver import mbsn0, mbsn1, mbsn2, solve, threshold_scan
 
@@ -473,6 +475,34 @@ def test_k0_prefix_probes_match_threshold_graphs(name):
     net = mbsn0(pts)
     assert net.threshold == length_schedule(r)[expect.index(True)]
     assert net.edges == threshold_subgraph(r, net.threshold).edges
+
+
+def test_k0_floor_is_never_past_the_first_biconnected_prefix():
+    """A k = 0 probe below the least connecting prefix or, for n >= 3, the
+    least prefix giving every vertex degree 2 is rejected with no graph
+    work.  Neither floor passes the first 2-connected prefix of a linear
+    scan, the verdicts are the scan's, and the answer is the first feasible
+    threshold.  The degree floor binds on some sets, connectivity on others."""
+    sets = {"n2": [Point2(0, 0), Point2(7, 0)], "n3": TRI, **_degenerate_instances()}
+    for n in (12, 20, 36, 60):
+        for dist in ("uniform", "clusters"):
+            sets[f"{dist}-{n}"] = generate_instance(n, n, dist)
+    binds = set()
+    for name, pts in sets.items():
+        n, r = len(pts), build_2rng(pts)
+        edges = [e for _, e in sorted(zip(r.lengths, r.edges))]
+        first = next(p for p in range(len(edges) + 1) if is_biconnected_edges(n, edges[:p]))
+        by_connectivity = connecting_prefix(n, edges)
+        by_degree = degree_prefix(n, edges) if n >= 3 else 0
+        assert max(by_connectivity, by_degree) <= first, name
+        binds.add("degree" if by_degree > by_connectivity else
+                  "connectivity" if by_connectivity > by_degree else "both")
+        scan = threshold_scan(pts, 0)
+        lengths = sorted(r.lengths)
+        assert [e.feasible for e in scan] == [
+            is_biconnected_edges(n, edges[:bisect_right(lengths, e.threshold)]) for e in scan], name
+        assert solve(pts, 0).threshold == next(e.threshold for e in scan if e.feasible), name
+    assert {"degree", "connectivity"} <= binds, binds
 
 
 # one k = 1 solve of uniform n = 512, seed 1, with the address space capped
