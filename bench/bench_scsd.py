@@ -15,6 +15,7 @@
     python3 bench/bench_scsd.py ../parent --topic k1probes  # BENCH_k1probes.json
     python3 bench/bench_scsd.py ../parent --topic 2rngcert  # BENCH_2rngcert.json
     python3 bench/bench_scsd.py ../parent --topic k0local   # BENCH_k0local.json
+    python3 bench/bench_scsd.py ../parent --topic k0sq      # BENCH_k0sq.json
 
 Run it from the root of this checkout; ``--output`` names another file.
 Every topic makes, one process at a time:
@@ -115,6 +116,13 @@ space:
   sets); and the whole k = 0 answers (bottleneck, edges, threshold) over
   the answer sets of ``k2decide``, the 48 degenerate sets and the k0-large
   instances of seeds 1 and 11-20.
+* ``k0sq``: its pairs are 12 s each; ``build_2rng`` alone at uniform and
+  clustered n = 1024 and 8192 (seed 1), three processes a side in
+  alternating order, each the fastest of several calls with every private
+  function of ``rng`` timed by its self seconds (the checkout's own
+  function names); the 2-RNG edges and lengths of ``k0local``; k = 0
+  solves at uniform n = 8192 and 16384 as in ``k0probes``; and the whole
+  answers of ``k1probes``.
 
 The evaluation counts and phase times of ``k2decide``, ``k2stop`` and
 ``k2pair`` come from three more runs a side in alternating order: the counts
@@ -903,10 +911,9 @@ for pts in sets:
 """
 
 
-def k0local_rows(parent: Path, change: Path) -> tuple[dict, bool]:
-    rows = {}
-    rows["k0_solves"], same = k0_rows(parent, change, [(n, d) for d in ("uniform", "clusters")
-                                                       for n in (1024, 2048, 4096, 8192)])
+def rng_digest_rows(parent: Path, change: Path, rows: dict) -> bool:
+    """Compare the 2-RNG digests of ``RNG_SETS`` and ``RNG_K0LOCAL`` into rows."""
+    same = True
     for key, code in (("rng_sets", RNG_SETS.format(certify_above=None)),
                       ("rng_k0local_sets", RNG_K0LOCAL)):
         digests = {side: run_code(path, code) for side, path in (("parent", parent),
@@ -915,6 +922,14 @@ def k0local_rows(parent: Path, change: Path) -> tuple[dict, bool]:
                      "identical": sum(a == b for a, b in zip(digests["parent"], digests["change"]))}
         same &= rows[key]["identical"] == rows[key]["sets"] == len(digests["change"])
         print(key, rows[key], flush=True)
+    return same
+
+
+def k0local_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+    rows = {}
+    rows["k0_solves"], same = k0_rows(parent, change, [(n, d) for d in ("uniform", "clusters")
+                                                       for n in (1024, 2048, 4096, 8192)])
+    same &= rng_digest_rows(parent, change, rows)
     code = K0_ANSWERS.format(groups=list(k2decide_groups().values()))
     answers = {side: run_code(path, code) for side, path in (("parent", parent), ("change", change))}
     rows["k0_answers"] = {"solves": len(answers["parent"]),
@@ -923,6 +938,66 @@ def k0local_rows(parent: Path, change: Path) -> tuple[dict, bool]:
     same &= rows["k0_answers"]["identical"] == rows["k0_answers"]["solves"]
     print("k0 answers", rows["k0_answers"], flush=True)
     return rows, same
+
+
+# build_2rng alone with every private function of rng timed by its self
+# seconds (nested calls subtracted): the fastest of {reps} calls, with that
+# call's seconds per function; "(build_2rng itself)" is the rest
+BUILD_STAGES = PRELUDE + """
+import hashlib, types
+from mbsn import rng
+spent, stack = {{}}, []
+def timed(name, f):
+    def run(*args, **kwargs):
+        stack.append(0.0)
+        t0 = time.perf_counter()
+        try:
+            return f(*args, **kwargs)
+        finally:
+            t = time.perf_counter() - t0
+            spent[name] = spent.get(name, 0.0) + t - stack.pop()
+            if stack:
+                stack[-1] += t
+    return run
+for name, f in list(vars(rng).items()):
+    if name.startswith("_") and isinstance(f, types.FunctionType):
+        setattr(rng, name, timed(name, f))
+pts = generate_instance({n}, 1, "{dist}")
+best = None
+for _ in range({reps}):
+    spent.clear()
+    t0 = time.perf_counter()
+    g = rng.build_2rng(pts)
+    t = time.perf_counter() - t0
+    if best is None or t < best[0]:
+        best = (t, dict(spent))
+t, stages = best
+stages["(build_2rng itself)"] = t - sum(stages.values())
+print(json.dumps({{"time_s": round(t, 5),
+                  "stages_s": {{k: round(v, 5) for k, v in sorted(stages.items(),
+                                                                key=lambda kv: -kv[1])}},
+                  "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+                  "digest": hashlib.sha256(repr((g.edges, g.lengths)).encode()).hexdigest()}}))
+"""
+
+
+def k0sq_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+    rows, same = {"build_stages": {}}, True
+    for dist in ("uniform", "clusters"):
+        for n in (1024, 8192):
+            code = BUILD_STAGES.format(n=n, dist=dist, reps=15 if n <= 1024 else 3)
+            res = fastest_of_three(parent, change, code)
+            (p,), (c,) = res["parent"], res["change"]
+            row = {"parent": p, "change": c, "identical": p["digest"] == c["digest"]}
+            same &= row["identical"]
+            rows["build_stages"][f"{dist}-n{n}-s1"] = row
+            print(dist, n, {side: r["time_s"] for side, r in (("parent", p), ("change", c))},
+                  flush=True)
+    same &= rng_digest_rows(parent, change, rows)
+    rows["k0_solves"], k0_same = k0_rows(parent, change, [(8192, "uniform"), (16384, "uniform")])
+    rows["answers"] = answers_rows(parent, change)
+    print("answers", rows["answers"], flush=True)
+    return rows, same and k0_same and rows["answers"]["identical"] == rows["answers"]["solves"]
 
 
 TOPICS = {
@@ -1199,6 +1274,20 @@ TOPICS = {
         "traced": ("rng.build_2rng.calls", "rng.build_2rng.self_s", "rng.build_2rng.kept_frac",
                    "solver.self_s", "graph.self_s", "rng.self_s", "trace.solve_s"),
         "rows": ("rows", k0local_rows),
+    },
+    "k0sq": {
+        "layer": "rng.build_2rng",
+        "what": "build_2rng fills one n x n matrix of squared distances of the points times "
+                "the power of two 2^k that puts the largest coordinate magnitude in "
+                "[2^499, 2^500), and decides lune tests on it where the squares are sure "
+                "(a relative margin of 2^-40), by hypot on a close call; hypot gives only the "
+                "neighbour lengths, the exact count's cutoffs and the kept edges' lengths "
+                "(was: one n x n hypot matrix read by every stage)",
+        "parent": "978d441",
+        "seconds": 12,
+        "traced": ("rng.build_2rng.calls", "rng.build_2rng.self_s", "rng.build_2rng.kept_frac",
+                   "solver.self_s", "graph.self_s", "rng.self_s", "trace.solve_s"),
+        "rows": ("rows", k0sq_rows),
     },
 }
 

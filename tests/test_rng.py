@@ -8,10 +8,11 @@ import pytest
 from mbsn.cli import generate_instance
 from mbsn.geom import Point2, bbox_diagonal, geometry_eps
 from mbsn.graph import is_biconnected
+from mbsn.solver import solve
 from mbsn import rng as rng_module
-from mbsn.rng import (_CERTIFY_ABOVE, _CHUNK, _NEIGHBOURS, _WITNESSES, _distance_matrix, _nearest,
-                      _sector, _sector_candidates, _sector_radii, build_2rng, length_schedule,
-                      threshold_subgraph)
+from mbsn.rng import (_CERTIFY_ABOVE, _CHUNK, _NEIGHBOURS, _WITNESSES, _cutoff_squares, _nearest,
+                      _sector, _sector_candidates, _sector_radii, _squared_matrix, build_2rng,
+                      length_schedule, threshold_subgraph)
 
 from conftest import chunk_boundary_instances, naive_lune_graph, random_points
 
@@ -184,11 +185,13 @@ def test_sector_certificate_drops_only_pairs_with_two_points_in_their_lune(name,
     n, eps = len(pts), geometry_eps(pts)
     x = np.array([p.x for p in pts])
     y = np.array([p.y for p in pts])
-    dist = _distance_matrix(x, y)
-    rho, named = _sector_radii(dist, x, y, eps, _nearest(dist, _NEIGHBOURS))
+    dist = np.hypot(x[:, None] - x, y[:, None] - y)
+    sq, k = _squared_matrix(x, y)
+    neighbours = _nearest(sq, _NEIGHBOURS)
+    rho, named = _sector_radii(dist[np.arange(n)[:, None], neighbours], x, y, eps, neighbours)
     kept = set()
     for s in range(0, n, _CHUNK):
-        i, j = _sector_candidates(dist, x, y, rho, s)
+        i, j = _sector_candidates(sq, x, y, _cutoff_squares(rho, k)[1], s)
         assert np.all(i < j)
         kept |= set(zip(i.tolist(), j.tolist()))
     edges, lengths = _direct_2rng(pts)
@@ -247,9 +250,9 @@ def _record_full_count(monkeypatch) -> list[tuple[int, int]]:
     sent = []
     full_count = rng_module._full_count
 
-    def recording(dist, iu, ju, eps):
+    def recording(sq, x, y, k, iu, ju, t):
         sent.extend(zip(iu.tolist(), ju.tolist()))
-        return full_count(dist, iu, ju, eps)
+        return full_count(sq, x, y, k, iu, ju, t)
 
     monkeypatch.setattr(rng_module, "_full_count", recording)
     return sent
@@ -265,8 +268,10 @@ def test_local_count_and_its_fallback_both_run_above_the_switch(monkeypatch):
     for name, pts in _switch_instances().items():
         sent.clear()
         g = build_2rng(pts)
-        dist = _distance_matrix(np.array([p.x for p in pts]), np.array([p.y for p in pts]))
-        kd = np.take_along_axis(dist, _nearest(dist, _NEIGHBOURS), axis=1).max(axis=1)
+        x, y = np.array([p.x for p in pts]), np.array([p.y for p in pts])
+        dist = np.hypot(x[:, None] - x, y[:, None] - y)
+        kd = np.take_along_axis(dist, _nearest(_squared_matrix(x, y)[0], _NEIGHBOURS),
+                                axis=1).max(axis=1)
         assert all(dist[i, j] > max(kd[i], kd[j]) for i, j in sent), name
         far = {(i, j) for i, j in g.edges if dist[i, j] > max(kd[i], kd[j])}
         assert far <= set(sent), name
@@ -293,3 +298,71 @@ def test_lune_points_beyond_both_neighbour_lists_are_counted(monkeypatch):
     g = build_2rng(pts)
     assert (g.edges, g.lengths) == _direct_2rng(pts)
     assert (0, 1) in sent and (0, 1) not in g.edges
+
+
+def _close_call_instances() -> list[list[Point2]]:
+    """Sets where the lune of p = (0, 0) and q = (1, 0) holds one point for
+    sure and one point r on its bisector whose hypot distance to p and to q
+    steps, one ulp of r's y at a time, across the cutoff 1 - eps; twelve
+    points on a circle of radius 3 about the lune fix eps and keep the
+    witness and sector filters from deciding the pair."""
+    ring = [Point2(0.5 + 3.0 * math.cos(a), 3.0 * math.sin(a))
+            for a in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)]
+    t = 1.0 - geometry_eps(ring)
+    y = math.sqrt(t * t - 0.25)
+    for _ in range(8):
+        y = math.nextafter(y, 0.0)
+    sets = []
+    for _ in range(16):
+        sets.append([Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, 0.3), Point2(0.5, y), *ring])
+        y = math.nextafter(y, 1.0)
+    return sets
+
+
+@pytest.mark.parametrize("certify_above", [_CERTIFY_ABOVE, 0])
+def test_close_calls_are_decided_by_hypot(certify_above, monkeypatch):
+    """Comparisons of squares inside the close-call band go to the hypot
+    recount, which decides pq exactly as the direct count over a hypot
+    matrix does, on both sides of the lune boundary."""
+    monkeypatch.setattr(rng_module, "_CERTIFY_ABOVE", certify_above)
+    recounted = []
+    hypot_count = rng_module._hypot_count
+
+    def recording(x, y, i, j, t, w):
+        recounted.extend(zip(i.tolist(), j.tolist()))
+        return hypot_count(x, y, i, j, t, w)
+
+    monkeypatch.setattr(rng_module, "_hypot_count", recording)
+    kept = []
+    for pts in _close_call_instances():
+        recounted.clear()
+        g = build_2rng(pts)
+        assert (g.edges, g.lengths) == _direct_2rng(pts)
+        assert (0, 1) in recounted
+        kept.append((0, 1) in g.edges)
+    assert True in kept and False in kept  # the steps cross the boundary
+
+
+@pytest.mark.parametrize("e", [520, -540, -1000])
+@pytest.mark.parametrize("name", ["uniform-40", "uniform-above-switch"])
+def test_power_of_two_scales_give_the_same_graph(name, e):
+    """Scaling by 2^e, at magnitudes where squares of the raw coordinates
+    would overflow or underflow, scales the lengths and the k = 0 bottleneck
+    exactly and keeps the edges."""
+    pts = generate_instance(40, 1, "uniform") if name == "uniform-40" else _switch_instances()[name]
+    scaled = [Point2(math.ldexp(p.x, e), math.ldexp(p.y, e)) for p in pts]
+    g, h = build_2rng(pts), build_2rng(scaled)
+    assert h.edges == g.edges
+    assert h.lengths == tuple(math.ldexp(ln, e) for ln in g.lengths)
+    assert solve(scaled, 0).bottleneck == math.ldexp(solve(pts, 0).bottleneck, e)
+
+
+@pytest.mark.parametrize("n", [9, _CERTIFY_ABOVE + 1])
+def test_far_axis_parallel_lines_equal_direct_count(n):
+    """Points on an axis-parallel line so far from the origin, for its
+    length, that squares of the raw coordinate differences underflow once
+    the far coordinate sets the scale: the constant axis is left out of it."""
+    for pts in ([Point2(1e300, (i * 7919 % 601) * 1e-20) for i in range(n)],
+                [Point2((i * 7919 % 601) * 3e-200, -1e250) for i in range(n)]):
+        g = build_2rng(pts)
+        assert (g.edges, g.lengths) == _direct_2rng(pts)
