@@ -16,6 +16,7 @@
     python3 bench/bench_scsd.py ../parent --topic 2rngcert  # BENCH_2rngcert.json
     python3 bench/bench_scsd.py ../parent --topic k0local   # BENCH_k0local.json
     python3 bench/bench_scsd.py ../parent --topic k0sq      # BENCH_k0sq.json
+    python3 bench/bench_scsd.py ../parent --topic k0walk    # BENCH_k0walk.json
 
 Run it from the root of this checkout; ``--output`` names another file.
 Every topic makes, one process at a time:
@@ -123,6 +124,22 @@ space:
   function names); the 2-RNG edges and lengths of ``k0local``; k = 0
   solves at uniform n = 8192 and 16384 as in ``k0probes``; and the whole
   answers of ``k1probes``.
+* ``k0walk``: its pairs are 12 s each; k = 0 solves of the k0-large
+  instances of seeds 1-10 and of the valley line (points (x_i, 0) whose
+  gaps are 1 + 1e-3 min(i, n - 2 - i)) at n = 1024 and 4096, one process
+  per instance and three a side in alternating order, each solving its
+  instance several times: the low-point passes of one solve (the parent's
+  probes above its floor, the change's walk), the median, quartiles and
+  spread of the solve times of the fastest process, that process's
+  fastest solve split by layer (self seconds: the 2-RNG's lune tests in
+  ``build_2rng``; the hand-off, which is the 2-RNG's ``Graph``, the
+  evaluator's ordering and ``length_schedule``; the search, which is the
+  floors, the passes and ``_binary_search``; the assembly), its peak RSS
+  and whether the whole answer equals the parent's; the whole answers of
+  ``k1probes``; and whole answers of k = 0 and 1 on the chunk-boundary
+  sets of the tests, of k = 0, 1 and 2 on their degenerate and
+  certificate sets, and of k = 0 on uniform and clustered n = 3-40 (seeds
+  1-5), n = 64-2048 (seed 1) and the valley line at n = 1024 and 4096.
 
 The evaluation counts and phase times of ``k2decide``, ``k2stop`` and
 ``k2pair`` come from three more runs a side in alternating order: the counts
@@ -1000,6 +1017,132 @@ def k0sq_rows(parent: Path, change: Path) -> tuple[dict, bool]:
     return rows, same and k0_same and rows["answers"]["identical"] == rows["answers"]["solves"]
 
 
+# the valley line of ``k0walk``: points (x_i, 0) whose gaps are
+# 1 + 1e-3 min(i, n - 2 - i), as ``valley(n)``
+VALLEY = """
+import itertools
+from mbsn.geom import Point2
+def valley(n):
+    xs = itertools.accumulate((1 + 1e-3 * min(i, n - 2 - i) for i in range(n - 1)), initial=0.0)
+    return [Point2(x, 0.0) for x in xs]
+"""
+
+# one instance solved at k = 0 {reps} times: its passes, solve times, the
+# fastest solve's self seconds per layer and the answer; each layer is the
+# self time of the functions listed, reached through the module that calls
+# them, nested calls subtracted (a checkout without one of them skips it:
+# rng.make_graph is imported but not called where build_2rng builds its
+# Graph itself)
+K0_WALK = PRELUDE + VALLEY + """
+import statistics
+from mbsn import graph, rng, solver
+passes = [0]
+closed_blocks = graph.closed_blocks
+def counting(*args):
+    passes[0] += 1
+    return closed_blocks(*args)
+graph.closed_blocks = counting
+spent, stack = {{}}, []
+def timed(layer, f):
+    def run(*args, **kwargs):
+        stack.append(0.0)
+        t0 = time.perf_counter()
+        try:
+            return f(*args, **kwargs)
+        finally:
+            t = time.perf_counter() - t0
+            spent[layer] = spent.get(layer, 0.0) + t - stack.pop()
+            if stack:
+                stack[-1] += t
+    return run
+layers = {{"lune_tests": [(solver, "build_2rng")],
+          "hand_off": [(rng, "make_graph"), (rng, "Graph"), (solver, "length_schedule"),
+                       (solver, "_evaluator")],
+          "search": [(solver, "connecting_prefix"), (solver, "degree_prefix"),
+                     (solver, "is_biconnected_edges"), (solver, "least_biconnected_prefix"),
+                     (solver, "_binary_search")],
+          "assembly": [(solver, "_assemble")]}}
+for layer, sites in layers.items():
+    for module, name in sites:
+        if hasattr(module, name):
+            setattr(module, name, timed(layer, getattr(module, name)))
+pts = valley({n}) if "{dist}" == "valley" else generate_instance({n}, {seed}, "{dist}")
+times, best = [], None
+for _ in range({reps}):
+    spent.clear()
+    passes[0] = 0
+    t0 = time.perf_counter()
+    net = solve(pts, 0)
+    t = time.perf_counter() - t0
+    times.append(t)
+    if best is None or t < best[0]:
+        best = (t, dict(spent))
+t, layer_s = best
+layer_s["(solve itself)"] = t - sum(layer_s.values())
+q1, med, q3 = statistics.quantiles(times, n=4, method="inclusive")
+print(json.dumps({{"time_s": round(t, 5), "median_s": round(med, 5), "q1_s": round(q1, 5),
+                  "q3_s": round(q3, 5), "spread": round((q3 - q1) / med, 4),
+                  "layers_s": {{k: round(v, 5) for k, v in layer_s.items()}},
+                  "passes": passes[0],
+                  "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+                  "answer": [net.bottleneck, net.threshold, net.edges]}}))
+"""
+
+# whole answers of the tests' point sets and of more k = 0 inputs, one line
+# per solve
+K0_WALK_ANSWERS = PRELUDE + VALLEY + """
+sys.path.insert(0, "tests")
+from conftest import chunk_boundary_instances
+from test_rng import _certificate_instances
+jobs = [(pts, (0, 1)) for pts in chunk_boundary_instances().values()]
+jobs += [(pts, (0, 1, 2)) for pts in _certificate_instances().values()]
+jobs += [(generate_instance(n, seed, d), (0,)) for n in range(3, 41) for seed in range(1, 6)
+         for d in ("uniform", "clusters")]
+jobs += [(generate_instance(n, 1, d), (0,)) for n in (64, 128, 256, 512, 1024, 2048)
+         for d in ("uniform", "clusters")]
+jobs += [(valley(n), (0,)) for n in (1024, 4096)]
+for pts, ks in jobs:
+    for k in ks:
+        net = solve(pts, k)
+        print(json.dumps([net.bottleneck, [p.as_tuple() for p in net.steiner], net.edges,
+                          net.threshold]))
+"""
+
+
+def k0walk_rows(parent: Path, change: Path) -> tuple[dict, bool]:
+    rows, same = {"instances": {}}, True
+    shapes = [(1024, s * 1000 + i, d) for s in range(1, 11)
+              for i, d in enumerate(("uniform", "clusters"))]
+    shapes += [(1024, 0, "valley"), (4096, 0, "valley")]
+    totals = {"parent": 0, "change": 0}
+    for n, seed, dist in shapes:
+        code = K0_WALK.format(n=n, seed=seed, dist=dist, reps=15 if n <= 1024 else 5)
+        res = fastest_of_three(parent, change, code)
+        (p,), (c,) = res["parent"], res["change"]
+        row = {side: {k: v for k, v in r.items() if k != "answer"}
+               for side, r in (("parent", p), ("change", c))}
+        row["answers_identical"] = p["answer"] == c["answer"]
+        same &= row["answers_identical"]
+        if dist != "valley":
+            totals["parent"] += p["passes"]
+            totals["change"] += c["passes"]
+        rows["instances"][f"{dist}-n{n}-s{seed}"] = row
+        print(dist, n, seed, {side: (r["time_s"], r["passes"]) for side, r in
+                              (("parent", p), ("change", c))}, flush=True)
+    rows["k0_large_passes"] = totals
+    rows["answers"] = answers_rows(parent, change)
+    print("answers", rows["answers"], flush=True)
+    answers = {side: run_code(path, K0_WALK_ANSWERS) for side, path in (("parent", parent),
+                                                                         ("change", change))}
+    rows["test_set_answers"] = {
+        "solves": len(answers["parent"]),
+        "identical": sum(a == b for a, b in zip(answers["parent"], answers["change"]))}
+    print("test set answers", rows["test_set_answers"], flush=True)
+    return rows, (same and rows["answers"]["identical"] == rows["answers"]["solves"]
+                  and rows["test_set_answers"]["identical"] == rows["test_set_answers"]["solves"]
+                  == len(answers["change"]))
+
+
 TOPICS = {
     "scsd": {
         "layer": "scsd.context_global",
@@ -1288,6 +1431,27 @@ TOPICS = {
         "traced": ("rng.build_2rng.calls", "rng.build_2rng.self_s", "rng.build_2rng.kept_frac",
                    "solver.self_s", "graph.self_s", "rng.self_s", "trace.solve_s"),
         "rows": ("rows", k0sq_rows),
+    },
+    "k0walk": {
+        "layer": "solver k = 0 search (graph.least_biconnected_prefix) and the 2-RNG hand-off "
+                 "(rng.build_2rng's Graph, the evaluator's ordering, length_schedule, _assemble)",
+        "what": "k = 0 finds the least 2-connected prefix once, by a walk from the floor: a "
+                "failed low-point pass jumps past, for each leaf block, the first later edge "
+                "that leaves it, and from the fourth pass on every second pass bisects, and every "
+                "probe compares its prefix with it; build_2rng hands its row-major pairs to Graph "
+                "as they are, the evaluator orders them by one stable argsort, length_schedule "
+                "uses np.unique and _assemble neither reorients edges nor calls distance; the "
+                "sector radii come from one lexsort per point by (sector, length), and a pair's "
+                "second endpoint's witnesses are tried only on the pairs the first's leave (was: "
+                "a low-point pass per probe above the floor, make_graph's re-sort, a sort by key, "
+                "a set sort, per-edge min/max, six argpartition passes and both witness lists "
+                "on every pair)",
+        "parent": "cb8ef2f",
+        "seconds": 12,
+        "traced": ("rng.build_2rng.calls", "rng.build_2rng.self_s", "graph.is_biconnected.calls",
+                   "graph.Graph.__post_init__.self_s", "solver.probes", "solver.self_s",
+                   "graph.self_s", "rng.self_s", "trace.solve_s"),
+        "rows": ("rows", k0walk_rows),
     },
 }
 

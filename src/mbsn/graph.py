@@ -3,8 +3,10 @@ and the leaf/isolated-block counter used as the search feasibility filter.
 
 One iterative low-point pass, ``closed_blocks``, answers every block
 question: it builds the forest, which each graph keeps once built
-(``Graph.forest``), decides 2-connectivity of a raw edge list, and gives
-closure2 the block path of a case-2 base topology.
+(``Graph.forest``), decides 2-connectivity of a raw edge list, names the
+leaf blocks that every longer 2-connected prefix of an edge list must
+leave (``least_biconnected_prefix``, k = 0's walk), and gives closure2
+the block path of a case-2 base topology.
 
 Isolated vertices and isolated edges count as blocks (K1 and K2 are treated
 as 2-connected throughout).
@@ -13,6 +15,7 @@ as 2-connected throughout).
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -205,6 +208,56 @@ def is_biconnected_edges(n: int, edges: Sequence[tuple[int, int]]) -> bool:
     if n <= 2:
         return n < 2 or len(edges) == 1
     return len(edges) >= n and len(next(closed_blocks(n, edges, (0,)))) == n
+
+
+def least_biconnected_prefix(n: int, edges: Sequence[tuple[int, int]], floor: int = 0) -> int:
+    """The least p for which ``edges[:p]`` is 2-connected on vertices
+    0..n-1 (as ``is_biconnected_edges``), given that no prefix shorter than
+    ``floor`` is; len(edges) + 1 when none is.  Each probe is one
+    ``closed_blocks`` pass from every root.  A failed pass names its pieces:
+    each leaf block L but its cut vertex c, and each component that is one
+    block, whole.  Every edge at a piece's vertex lies in its block, so a
+    longer prefix with no edge from the piece to a vertex outside L (or
+    outside the component) is not 2-connected: c still separates the piece
+    from the rest, or it is still a component.  The walk jumps past the
+    last of these first leaving edges.  Jumps alone may creep (a line of
+    blocks whose two leaf blocks gain an edge each per jump takes about
+    m / 2 passes), so from the fourth probe on every second one bisects
+    between the raised floor and the least prefix known to be 2-connected:
+    at most 2 ceil(log2 m) + 2 passes for m edges, as at least n are
+    needed."""
+    if n <= 2:
+        return n // 2  # K1 or K2 (n = 0 counts too): no edge, or the one edge
+    lo, hi, probe = max(floor, n), len(edges) + 1, 0  # least in [lo, hi]; hi 2-connected or none
+    while lo < hi:
+        p = (lo + hi) // 2 if probe >= 3 and probe % 2 else lo
+        probe += 1
+        blocks = list(closed_blocks(n, edges[:p], range(n)))
+        if len(blocks[0]) == n:
+            hi = p
+            continue
+        count = Counter(v for blk in blocks for v in blk)  # above 1 at a cut vertex
+        piece, attach = [-1] * n, []  # each vertex's piece; each piece's cut vertex or -1
+        for blk in blocks:
+            cuts = [v for v in blk if count[v] > 1]
+            if len(cuts) <= 1:
+                for v in set(blk).difference(cuts):
+                    piece[v] = len(attach)
+                attach.append(cuts[0] if cuts else -1)
+        left = set(range(len(attach)))  # pieces no later edge has left yet
+        for q in range(p, len(edges)):
+            u, v = edges[q]
+            if piece[u] != piece[v]:
+                if piece[u] in left and v != attach[piece[u]]:
+                    left.discard(piece[u])
+                if piece[v] in left and u != attach[piece[v]]:
+                    left.discard(piece[v])
+            if not left:
+                lo = q + 1
+                break
+        else:
+            return len(edges) + 1  # a piece no edge leaves
+    return hi
 
 
 def connecting_prefix(n: int, edges: Sequence[tuple[int, int]]) -> int:

@@ -63,7 +63,8 @@ comparison:
   inside the lune, so a drop proves the lune holds two points.  Neither p
   nor q ever passes: for each of them one of the two inequalities reads
   d(p, q) < d(p, q) - eps.  Up to the switch this test runs densely over
-  all pairs, into an n x n count matrix.
+  all pairs, into an n x n count matrix; above it q's witnesses are tried
+  only on the pairs that p's leave.
 * Exact count.  Every pair left is kept when fewer than two points pass.
   Its cutoff d(p, q) - eps comes from ``hypot``; a point is decided by its
   two squares where they are sure, and a pair with a close call is
@@ -81,7 +82,9 @@ comparison:
 
 A pair is kept exactly when the full count is below two, as in the direct
 O(n^3) count over a ``hypot`` matrix, so the result is the same graph,
-with the same edge order and lengths; the first two filters only decide
+with the same edge order and lengths (the kept pairs i < j come in
+row-major order, which is the ``Graph``'s lexicographic order, so they are
+handed over as they are); the first two filters only decide
 which pairs need counting, and the neighbour lists only which points a
 count can skip.  The switch is a size, not an option: up to a few hundred
 points the number of numpy calls, not n^2, sets the cost, and the dense
@@ -99,7 +102,8 @@ from typing import Sequence
 import numpy as np
 
 from .geom import Point2, geometry_eps
-from .graph import Graph, make_graph
+# make_graph: unused, but perfbench's tracer wraps it
+from .graph import Graph, make_graph  # noqa: F401
 
 
 _WITNESSES = 8  # nearest other points per point tried before the exact count
@@ -126,7 +130,7 @@ def build_2rng(points: Sequence[Point2]) -> Graph:
         iu, ju = _dense_survivors(sq, math.ldexp(eps, k))
         keep = _full_count(sq, x, y, k, iu, ju, _lengths(x, y, iu, ju) - eps) < 2
         iu, ju = iu[keep], ju[keep]
-    return make_graph(n, zip(iu.tolist(), ju.tolist()), _lengths(x, y, iu, ju).tolist())
+    return Graph(n, tuple(zip(iu.tolist(), ju.tolist())), tuple(_lengths(x, y, iu, ju).tolist()))
 
 
 def _lengths(x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -273,7 +277,9 @@ def _certified_edges(sq: np.ndarray, x: np.ndarray, y: np.ndarray, k: int,
     for s in range(0, n, _CHUNK):
         i, j = _sector_candidates(sq, x, y, rho_sq, s)
         cut = _sure_cutoff(sq.ravel().take(i * n + j), eps_k)
-        kept = (_inside(sq, i, j, cut, witnesses[i]) < 2) & (_inside(sq, i, j, cut, witnesses[j]) < 2)
+        kept = _inside(sq, i, j, cut, witnesses[i]) < 2
+        i, j, cut = i[kept], j[kept], cut[kept]
+        kept = _inside(sq, i, j, cut, witnesses[j]) < 2
         i, j = i[kept], j[kept]
         dij = _lengths(x, y, i, j)
         at_i = dij <= kd.take(i)
@@ -313,18 +319,19 @@ def _sector_radii(near: np.ndarray, x: np.ndarray, y: np.ndarray, eps: float,
     """Per point and sector, the certificate's cutoff rho = 2 delta_2
     (1 + 1e-12), inf when the sector holds fewer than two neighbours at
     distance >= 16 eps, and the two neighbours it names where rho is finite;
-    near holds the lengths to the neighbours."""
-    rows = np.arange(len(x))[:, None]
+    near holds the lengths to the neighbours.  One sort of each row by
+    (sector, length), the uncounted neighbours last, puts each sector's
+    nearest two at the sector's start."""
+    n, k = near.shape
+    rows = np.arange(n)[:, None]
     sector = _sector(x[neighbours] - x[:, None], y[neighbours] - y[:, None])
-    rho = np.full((len(x), 6), np.inf)
-    named = np.empty((len(x), 6, 2), dtype=np.intp)
-    for c in range(6):
-        d = np.where((sector == c) & (near >= 16.0 * eps), near, np.inf)
-        two = np.argpartition(d, 1, axis=1)[:, :2]
-        d2 = d[rows, two].max(axis=1)
-        rho[:, c] = 2.0 * d2 * (1.0 + 1e-12)
-        named[:, c] = neighbours[rows, two]
-    return rho, named
+    sector[near < 16.0 * eps] = 6
+    order = np.lexsort((near, sector))
+    count = np.bincount((sector + 7 * rows).ravel(), minlength=7 * n).reshape(n, 7)[:, :6]
+    two = np.minimum((np.cumsum(count, axis=1) - count)[:, :, None] + [0, 1], k - 1)
+    pick = order[rows[:, :, None], two]  # each sector's nearest two, where it has them
+    rho = np.where(count >= 2, 2.0 * near[rows, pick[:, :, 1]] * (1.0 + 1e-12), np.inf)
+    return rho, neighbours[rows[:, :, None], pick]
 
 
 def _sector_candidates(sq: np.ndarray, x: np.ndarray, y: np.ndarray, rho_sq: np.ndarray,
@@ -359,7 +366,8 @@ def length_schedule(g: Graph, include_zero: bool = False) -> tuple[float, ...]:
     """Distinct ascending edge lengths of g; 0 is prepended on request."""
     if g.lengths is None:
         raise ValueError("graph has no edge lengths")
-    lengths = sorted(set(g.lengths))
+    lengths = np.sort(g.lengths)  # not np.unique, whose first call imports numpy.ma (1.6 MB)
+    lengths = lengths[np.diff(lengths, prepend=-np.inf) > 0].tolist()
     if include_zero and (not lengths or lengths[0] > 0.0):
         lengths.insert(0, 0.0)
     return tuple(lengths)

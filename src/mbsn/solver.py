@@ -4,13 +4,17 @@ k = 0, 1 or 2 Steiner points.
 Every k runs one pipeline: a binary search with incumbent tracking over the
 ordered edge lengths of the 2-relative neighbourhood graph, pricing each
 threshold graph G_t, then one assembly of G_t* plus the k Steiner points
-and their edges.  The 2-RNG edges are sorted by (length, edge) once, so
-G_t is a prefix of them.  For k = 0 a threshold is feasible exactly when
-the prefix is 2-connected; no ``Graph`` is built, and a probe below the
-floor is rejected with no graph work: the least prefix that connects and,
-for n >= 3, the least in which every vertex has degree 2 (one union-find
-pass and one degree pass).  For k >= 1 it is
-infeasible when the leaf/isolated-block counter exceeds 5k (plus, for
+and their edges.  The 2-RNG comes with its edges in lexicographic order;
+one stable argsort by length orders them by (length, edge), so G_t is a
+prefix of them.  For k = 0 a threshold is feasible exactly when the prefix
+is 2-connected, and no ``Graph`` is built: the least 2-connected prefix
+is found once, by ``graph.least_biconnected_prefix``, a walk from the
+floor (the least prefix that connects and, for n >= 3, the least in which
+every vertex has degree 2: one union-find pass and one degree pass).  A
+failed low-point pass jumps past the first later edge leaving each leaf
+block; after three passes every second one bisects, so at most
+2 ceil(log2 m) + 2 passes are made (1-3 at n = 1024).  For k >= 1 a
+threshold is infeasible when the leaf/isolated-block counter exceeds 5k (plus, for
 k = 1, below the connectivity index: the least prefix that connects,
 from one union-find pass); otherwise the optimal k-block closure of G_t
 prices it at max(closure radius, t).  Each distinct k >= 1 threshold has
@@ -32,13 +36,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .closure1 import optimal_1block_closure
 # separate_coincident: unused, but perfbench's tracer wraps it
 from .closure2 import optimal_2block_closure, separate_coincident  # noqa: F401
 from .geom import Point2, distance, geometry_eps
 # is_connected and threshold_subgraph: unused, but perfbench's tracer wraps them
 from .graph import (Graph, b_count, connecting_prefix, degree_prefix,  # noqa: F401
-                    is_biconnected, is_biconnected_edges, is_connected, make_graph)
+                    is_biconnected, is_connected, least_biconnected_prefix, make_graph)
 from .rng import build_2rng, length_schedule, threshold_subgraph  # noqa: F401
 from .scsd import ScsdContext
 
@@ -145,26 +151,30 @@ def _binary_search(lengths: Sequence[float], evaluate: Evaluate):
 
 
 def _evaluator(r: Graph, pts: tuple[Point2, ...], k: int) -> Evaluate:
-    """Prices one threshold of the 2-RNG ``r``; for k >= 1 every probe shares
-    one global colour-disk context, the closures' only handle on the
-    points.  k = 2 passes the cutoff and ``enough`` to the closure as they
-    come: it returns ABOVE when the closure cannot go strictly below the
-    cutoff, or any closure at most ``enough`` that the closure marks
-    ``stopped``, without a payload.  k = 0 and 1 ignore both."""
+    """Prices one threshold of the 2-RNG ``r``.  k = 0 walks to the least
+    2-connected prefix once (a pass at the floor, on each failed pass a jump
+    past the first edge leaving each leaf block, every second pass after the
+    third a bisection) and answers a probe by its prefix's length.  For
+    k >= 1 every probe shares one global colour-disk context, the
+    closures' only handle on the points.  k = 2 passes the cutoff and
+    ``enough`` to the closure as they come: it returns ABOVE when the
+    closure cannot go strictly below the cutoff, or any closure at most
+    ``enough`` that the closure marks ``stopped``, without a payload.  k = 0
+    and 1 ignore both."""
     n = len(pts)
-    order = sorted(range(len(r.edges)), key=r.lengths.__getitem__)  # stable: ties by edge
+    order = np.argsort(r.lengths, kind="stable").tolist()  # ties by edge, as r's edges are sorted
     edges = [r.edges[i] for i in order]
     lengths = [r.lengths[i] for i in order]
     if k == 0:
         # no shorter prefix is 2-connected
         floor = max(connecting_prefix(n, edges), degree_prefix(n, edges) if n >= 3 else 0)
+        least = least_biconnected_prefix(n, edges, floor)
 
         def evaluate(t: float, cutoff: float = math.inf, enough: float = -math.inf) -> Evaluation:
             p = bisect_right(lengths, t)
-            if p < floor:
+            if p < least:
                 return False, 0.0, None
-            prefix = edges[:p]
-            return is_biconnected_edges(n, prefix), 0.0, (prefix, (), ())
+            return True, 0.0, (edges[:p], (), ())
 
         return evaluate
 
@@ -207,10 +217,11 @@ def _pipeline(points: Sequence[Point2], k: int) -> tuple[
 
 def _assemble(pts: tuple[Point2, ...], t: float, payload) -> SolutionNetwork:
     """The edges of G_t plus the Steiner points and their edges."""
-    g_edges, steiner, steiner_edges = payload
-    edges = tuple(sorted((min(e), max(e)) for e in (*g_edges, *steiner_edges)))
+    g_edges, steiner, steiner_edges = payload  # each edge a sorted pair
+    edges = tuple(sorted((*g_edges, *steiner_edges)))
+    at = pts + steiner
     return SolutionNetwork(pts, steiner, edges, len(steiner), t,
-                           _max_edge(pts + steiner, edges))
+                           max(math.hypot(at[u].x - at[v].x, at[u].y - at[v].y) for u, v in edges))
 
 
 def solve(points: Sequence[Point2], k: int) -> SolutionNetwork:

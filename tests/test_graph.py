@@ -7,7 +7,8 @@ from mbsn.closure2 import classify, enumerate_partitions
 from mbsn.geom import Point2
 from mbsn.graph import (Graph, b_count, block_cut_forest, connected_components,
                         connecting_prefix, degree_prefix, geometric_graph, is_biconnected,
-                        is_biconnected_edges, is_connected, make_graph, max_edge_length)
+                        is_biconnected_edges, is_connected, least_biconnected_prefix, make_graph,
+                        max_edge_length)
 from mbsn.rng import build_2rng
 
 from conftest import (chunk_boundary_instances, naive_b_count, naive_blocks,
@@ -342,6 +343,21 @@ def test_degree_prefix_is_where_every_degree_reaches_two():
                 for w in e:
                     degree[w] += 1
             assert (p >= at) == all(d >= 2 for d in degree), (n, edges, p)
+
+
+def test_least_biconnected_prefix_on_random_edge_orders():
+    """The walk equals a linear scan on any edge list: random order and
+    orientation, disconnected prefixes, no 2-connected prefix at all
+    (len(edges) + 1), and any floor not past the answer."""
+    rng = random.Random(80)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 14), rng.uniform(0.05, 0.9))
+        n = g.vertex_count
+        edges = [e if rng.random() < 0.5 else e[::-1] for e in rng.sample(g.edges, len(g.edges))]
+        scan = next((p for p in range(len(edges) + 1) if is_biconnected_edges(n, edges[:p])),
+                    len(edges) + 1)
+        for floor in {0, rng.randint(0, scan), scan}:
+            assert least_biconnected_prefix(n, edges, floor) == scan, (n, edges, floor)
 
 
 def test_classify_case_1_is_the_base_topology_test():

@@ -216,6 +216,61 @@ def test_sector_certificate_drops_only_pairs_with_two_points_in_their_lune(name,
     assert (g.edges, g.lengths) == (edges, lengths)
 
 
+def _six_pass_sector_radii(near: np.ndarray, x: np.ndarray, y: np.ndarray, eps: float,
+                           neighbours: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reference for ``_sector_radii``: one ``argpartition`` per sector
+    over the lengths, those of other sectors and below 16 eps set to inf."""
+    rows = np.arange(len(x))[:, None]
+    sector = _sector(x[neighbours] - x[:, None], y[neighbours] - y[:, None])
+    rho = np.full((len(x), 6), np.inf)
+    named = np.empty((len(x), 6, 2), dtype=np.intp)
+    for c in range(6):
+        d = np.where((sector == c) & (near >= 16.0 * eps), near, np.inf)
+        two = np.argpartition(d, 1, axis=1)[:, :2]
+        rho[:, c] = 2.0 * d[rows, two].max(axis=1) * (1.0 + 1e-12)
+        named[:, c] = neighbours[rows, two]
+    return rho, named
+
+
+@pytest.mark.parametrize("name", sorted({**_certificate_instances(), **chunk_boundary_instances()}))
+def test_sector_radii_equal_the_six_pass_reference(name):
+    """The one-sort sector radii are the six-pass ones bit for bit; where
+    rho is finite both name two neighbours in the sector at the same two
+    lengths (which two may differ on a tie)."""
+    pts = {**_certificate_instances(), **chunk_boundary_instances()}[name]
+    n, eps = len(pts), geometry_eps(pts)
+    x = np.array([p.x for p in pts])
+    y = np.array([p.y for p in pts])
+    neighbours = _nearest(_squared_matrix(x, y)[0], _NEIGHBOURS)
+    rows = np.arange(n)[:, None]
+    near = np.hypot(x[neighbours] - x[:, None], y[neighbours] - y[:, None])
+    rho, named = _sector_radii(near, x, y, eps, neighbours)
+    ref_rho, ref_named = _six_pass_sector_radii(near, x, y, eps, neighbours)
+    assert rho.tobytes() == ref_rho.tobytes()
+    finite = np.isfinite(rho)
+    assert finite.any() or n < 4
+
+    def lengths(w):
+        d = np.hypot(x[w] - x[rows, None], y[w] - y[rows, None])
+        return np.sort(d, axis=2)[finite]
+
+    assert np.array_equal(lengths(named), lengths(ref_named))
+    sectors = _sector(x[named] - x[rows, None], y[named] - y[rows, None])
+    assert np.all(sectors[finite] == np.broadcast_to(np.arange(6)[:, None], (n, 6, 2))[finite])
+
+
+@pytest.mark.parametrize("certify_above", [_CERTIFY_ABOVE, 0])
+def test_2rng_edges_come_sorted_and_normalised(certify_above, monkeypatch):
+    """``build_2rng`` hands its row-major pairs to ``Graph`` as they are, so
+    they must be strictly increasing with u < v, on both paths."""
+    monkeypatch.setattr(rng_module, "_CERTIFY_ABOVE", certify_above)
+    sets = {**chunk_boundary_instances(), **_certificate_instances()}
+    for name, pts in sets.items():
+        edges = build_2rng(pts).edges
+        assert all(u < v for u, v in edges), name
+        assert all(a < b for a, b in zip(edges, edges[1:])), name
+
+
 @functools.cache
 def _switch_instances() -> dict[str, list[Point2]]:
     """Sets just above the certificate's switch; the lattice has many equal

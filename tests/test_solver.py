@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -14,11 +15,12 @@ from mbsn import closure2, graph, solver
 from mbsn.cli import generate_instance
 from mbsn.geom import Point2, distance
 from mbsn.graph import (block_cut_forest, connecting_prefix, degree_prefix,
-                        is_biconnected_edges, is_connected)
+                        is_biconnected_edges, is_connected, least_biconnected_prefix)
 from mbsn.rng import build_2rng, length_schedule, threshold_subgraph
 from mbsn.solver import mbsn0, mbsn1, mbsn2, solve, threshold_scan
 
 from conftest import chunk_boundary_instances, property_sets, random_points
+from test_graph import _length_order
 from test_rng import _degenerate_instances
 
 SQUARE = [Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(0, 1)]
@@ -503,6 +505,81 @@ def test_k0_floor_is_never_past_the_first_biconnected_prefix():
             is_biconnected_edges(n, edges[:bisect_right(lengths, e.threshold)]) for e in scan], name
         assert solve(pts, 0).threshold == next(e.threshold for e in scan if e.feasible), name
     assert {"degree", "connectivity"} <= binds, binds
+
+
+def _k0_floor(n: int, edges: list[tuple[int, int]]) -> int:
+    return max(connecting_prefix(n, edges), degree_prefix(n, edges) if n >= 3 else 0)
+
+
+def _valley_line(n: int) -> list[Point2]:
+    """Points (x_i, 0) whose gaps are 1 + 1e-3 min(i, n - 2 - i).  The 2-RNG
+    is the path and its skip-one edges (2n - 3 edges); the skip-one edges
+    come in from both ends inwards, so a prefix is a line of blocks whose
+    leaf blocks each gain about one edge per jump of the k = 0 walk."""
+    xs = itertools.accumulate((1 + 1e-3 * min(i, n - 2 - i) for i in range(n - 1)), initial=0.0)
+    return [Point2(x, 0.0) for x in xs]
+
+
+def test_least_biconnected_prefix_equals_the_linear_scan():
+    """The k = 0 walk from the evaluator's floor (and from 0) finds the
+    first 2-connected prefix of a linear scan on the degenerate,
+    chunk-boundary, uniform and clustered 2-RNGs."""
+    sets = {**_degenerate_instances(), **chunk_boundary_instances(),
+            "valley-64": _valley_line(64)}
+    for n in range(3, 61):
+        for dist in ("uniform", "clusters"):
+            sets[f"{dist}-{n}"] = generate_instance(n, 1000 + n, dist)
+    for name, pts in sets.items():
+        n, edges = len(pts), _length_order(build_2rng(pts))
+        scan = next(p for p in range(len(edges) + 1) if is_biconnected_edges(n, edges[:p]))
+        assert least_biconnected_prefix(n, edges, _k0_floor(n, edges)) == scan, name
+        assert least_biconnected_prefix(n, edges) == scan, name
+
+
+def test_k0_walk_bisects_on_the_valley_line(monkeypatch):
+    """On the valley line jumps alone would need about n / 2 passes (510 at
+    n = 1024); the bisection fallback keeps the walk within
+    2 ceil(log2 m) + 2 passes, and its answer is the least 2-connected
+    prefix."""
+    passes = []
+    closed_blocks = graph.closed_blocks
+
+    def counting(*args):
+        passes.append(len(args[1]))  # the prefix probed
+        return closed_blocks(*args)
+
+    n = 1024
+    edges = _length_order(build_2rng(_valley_line(n)))
+    m = len(edges)
+    assert m == 2 * n - 3
+    monkeypatch.setattr(graph, "closed_blocks", counting)
+    least = least_biconnected_prefix(n, edges, _k0_floor(n, edges))
+    monkeypatch.undo()
+    assert 3 < len(passes) <= 2 * math.ceil(math.log2(m)) + 2, len(passes)
+    assert is_biconnected_edges(n, edges[:least])
+    assert not is_biconnected_edges(n, edges[:least - 1])
+
+
+def test_assemble_receives_sorted_pairs(monkeypatch):
+    """``_assemble`` sorts the edges of G_t and the Steiner edges together
+    without reorienting them: every edge it receives at k = 0, 1 and 2 is
+    already a pair u < v."""
+    received = []
+    assemble = solver._assemble
+
+    def recording(pts, t, payload):
+        received.append([*payload[0], *payload[2]])
+        return assemble(pts, t, payload)
+
+    monkeypatch.setattr(solver, "_assemble", recording)
+    sets = [TRI, SQUARE, DUMBBELL, *(pts for _, pts in property_sets(random.Random(8)))]
+    sets += [generate_instance(n, 500 + n, dist) for n in range(4, 13)
+             for dist in ("uniform", "clusters")]
+    for pts in sets:
+        for k in (0, 1, 2):
+            solve(pts, k)
+    assert len(received) == 3 * len(sets)
+    assert all(u < v for edges in received for u, v in edges)
 
 
 # one k = 1 solve of uniform n = 512, seed 1, with the address space capped
